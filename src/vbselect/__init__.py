@@ -28,11 +28,13 @@ from .dataset import (
     stratified_split,
 )
 from .inference import (
+    PosteriorSummary,
     PredictionSet,
     UncertaintyScores,
     predictive_posterior,
     save_predictions_csv,
     save_prob_samples_csv,
+    score_posterior,
     uncertainty_scores,
 )
 from .selection import (
@@ -84,11 +86,13 @@ __all__ = [
     "save_csv",
     "smote_oversample",
     "stratified_split",
+    "PosteriorSummary",
     "PredictionSet",
     "UncertaintyScores",
     "predictive_posterior",
     "save_predictions_csv",
     "save_prob_samples_csv",
+    "score_posterior",
     "uncertainty_scores",
     "RejectionCurve",
     "RejectionReport",

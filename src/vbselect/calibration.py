@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
+
 
 @dataclass(frozen=True)
 class CalibrationBin:
@@ -132,7 +134,7 @@ def calibration_report_to_dict(report: CalibrationReport) -> dict:
 
 
 def save_calibration_json(report: CalibrationReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(calibration_report_to_dict(report), sort_keys=True, indent=2) + "\n")
 
 
@@ -145,5 +147,5 @@ def save_histogram_csv(hist: ConfidenceHistogram, path) -> None:
         )
     if hist.threshold is not None:
         lines.append(f"# threshold={float(hist.threshold)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -7,14 +7,20 @@ keys are rejected. All randomness flows from one ``--seed`` flag, fanned out
 to per-role sub-seeds (gen/split/balance/init/train/inference) so that every
 command is a deterministic function of its inputs, flags, and seed.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numerical failure
-(non-finite values encountered during training). Error paths print a single
-diagnostic line to stderr; success paths print nothing there.
+Exit codes: 0 success, 1 validation error or a request too large for memory,
+2 I/O error, 3 numerical failure (non-finite values encountered during
+training). Error paths print a single diagnostic line to stderr; success
+paths print nothing there. Every output file is written atomically, so a
+failed command never leaves a half-written one behind.
+
+``eval`` and ``sweep`` score the posterior with ``score_posterior``, which
+streams row chunks and never builds the N x S x K sample grid.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -38,10 +44,14 @@ from .dataset import (
     smote_oversample,
     stratified_split,
 )
-from .inference import (
+from .atomic import atomic_write
+# predictive_posterior, uncertainty_scores and save_prob_samples_csv are
+# unused here but stay bound: perfbench/tracer.py wraps these names.
+from .inference import (  # noqa: F401
     predictive_posterior,
     save_predictions_csv,
     save_prob_samples_csv,
+    score_posterior,
     uncertainty_scores,
 )
 from .selection import (
@@ -291,7 +301,7 @@ def _parse_grid(value):
 
 
 def _write_json(payload: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(path) as handle:
         handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -369,6 +379,7 @@ def _cmd_train(opts: dict) -> int:
 
 
 def _load_eval_inputs(opts: dict):
+    """The model and dataset, checked against each other."""
     layer = load_layer(opts["model"])
     ds = load_csv(opts["data"])
     if ds.feature_dim != layer.feature_dim:
@@ -381,15 +392,33 @@ def _load_eval_inputs(opts: dict):
             f"model/data class count mismatch: "
             f"{layer.num_classes} vs {ds.num_classes}"
         )
-    pred = predictive_posterior(
+    return layer, ds
+
+
+def _score(layer, ds, opts: dict, samples=None):
+    return score_posterior(
         layer, ds, mc_samples=opts["mc_samples"],
-        seed=role_seed(opts["seed"], "inference"),
+        seed=role_seed(opts["seed"], "inference"), samples=samples,
     )
-    return ds, pred, uncertainty_scores(pred)
 
 
 def _cmd_eval(opts: dict) -> int:
-    ds, pred, scores = _load_eval_inputs(opts)
+    layer, ds = _load_eval_inputs(opts)
+    out = opts["out"]
+    os.makedirs(out, exist_ok=True)
+    # samples.csv fills while the chunks are scored; it replaces any old copy
+    # only once every other report file is written.
+    samples_csv = (
+        atomic_write(os.path.join(out, "samples.csv"))
+        if opts["save_samples"] else contextlib.nullcontext()
+    )
+    with samples_csv as samples:
+        _write_eval_reports(ds, _score(layer, ds, opts, samples), opts)
+    return 0
+
+
+def _write_eval_reports(ds, pred, opts: dict) -> None:
+    scores = pred.scores
     report = apply_rejection(
         scores, pred.predicted, ds.labels, opts["threshold"],
         measure=opts["measure"], num_classes=ds.num_classes,
@@ -410,7 +439,6 @@ def _cmd_eval(opts: dict) -> int:
         scores.confidence, num_bins=20, threshold=opts["threshold"]
     )
     out = opts["out"]
-    os.makedirs(out, exist_ok=True)
     save_predictions_csv(
         pred, scores, ds.labels, os.path.join(out, "predictions.csv")
     )
@@ -420,8 +448,6 @@ def _cmd_eval(opts: dict) -> int:
         report.confusion_accepted, os.path.join(out, "confusion_accepted.csv")
     )
     save_calibration_json(calibration, os.path.join(out, "calibration.json"))
-    if opts["save_samples"]:
-        save_prob_samples_csv(pred, os.path.join(out, "samples.csv"))
     summary = {
         "coverage": report.coverage,
         "rejection_rate": report.rejection_rate,
@@ -436,13 +462,13 @@ def _cmd_eval(opts: dict) -> int:
     if report.selective_accuracy is not None:
         summary["accuracy_accepted"] = report.selective_accuracy
     _write_json(summary, os.path.join(out, "summary.json"))
-    return 0
 
 
 def _cmd_sweep(opts: dict) -> int:
-    ds, pred, scores = _load_eval_inputs(opts)
+    layer, ds = _load_eval_inputs(opts)
+    pred = _score(layer, ds, opts)
     curve = threshold_sweep(
-        scores, pred.predicted, ds.labels, grid=_parse_grid(opts["grid"]),
+        pred.scores, pred.predicted, ds.labels, grid=_parse_grid(opts["grid"]),
         measure=opts["measure"], num_classes=ds.num_classes,
     )
     save_curve_csv(curve, opts["out"])
@@ -491,6 +517,12 @@ def entrypoint(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy raises this at once for an allocation the host cannot back,
+        # e.g. from a huge --mc-samples or --per-class.
+        message = str(exc) or "allocation failed"
+        print(f"error: out of memory: {message}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

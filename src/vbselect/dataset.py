@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
+
 _CLASS_DIRECTIVE = "# classes="
 
 
@@ -124,7 +126,7 @@ def save_csv(ds: FeatureDataset, path) -> None:
     lines = [f"{_CLASS_DIRECTIVE}{ds.num_classes}", header]
     for row, label in zip(ds.features, ds.labels):
         lines.append(",".join(_format_feature(x) for x in row) + f",{label}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -2,7 +2,7 @@
 
 Prediction draws S independent weight samples from the posterior (plain
 reparameterized draws, not Flipout — inference wants exchangeable posterior
-samples, not a variance-reduction trick), pushes the full batch through each
+samples, not a variance-reduction trick), pushes the rows through each
 sampled linear head, and averages the softmax outputs. Uncertainty is scored
 from the resulting distribution over probability vectors:
 
@@ -14,6 +14,14 @@ from the resulting distribution over probability vectors:
 Sample s always draws from ``default_rng([seed, s])``, so runs with a larger
 S extend a smaller run sample-for-sample and samples can be computed in any
 order (or in parallel) without changing results.
+
+One row-chunk engine does all the sampling: it takes the S weight draws
+once, then fills a reused (rows, S, K) buffer chunk by chunk, checks it and
+hands it on. ``score_posterior`` reduces each chunk to per-row results as it
+goes, so it needs O(N·K + chunk) memory and never holds the N x S x K grid;
+the ``eval`` and ``sweep`` commands use it. ``predictive_posterior`` copies
+the chunks into the full grid for callers that want the samples themselves.
+Both give the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -22,16 +30,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .vbll import VBLinearLayer, sample_weights, softmax
 
 __all__ = [
     "PredictionSet",
+    "PosteriorSummary",
     "UncertaintyScores",
     "predictive_posterior",
+    "score_posterior",
     "uncertainty_scores",
     "save_predictions_csv",
     "save_prob_samples_csv",
 ]
+
+# Size of one chunk's (rows, S, K) float64 buffer; the rows per chunk follow
+# from it. Scoring a chunk allocates about as much again in temporaries, and
+# at N=100k, S=100, K=5 a 2 MiB chunk scores as fast as a 4 MiB one.
+# A chunk never holds a single row unless N = 1: numpy sends 1-row matmuls
+# to gemv, which rounds differently from gemm. At small D every larger chunk
+# matches the full-batch product bit for bit; at large D (K=100, D=256
+# measured) BLAS picks its kernel by matrix size, so the last bit of a
+# probability can depend on how many rows share its chunk.
+_CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -41,7 +62,9 @@ class PredictionSet:
     prob_samples is N x S x K; mean_probs is the sample mean over axis 1;
     predicted is the argmax of mean_probs with ties broken toward the lowest
     class index. Construction validates all of that, so a PredictionSet is
-    internally consistent by the time anyone reads it.
+    internally consistent by the time anyone reads it. It holds the whole
+    grid, so it is for library use at modest N x S; ``score_posterior`` gives
+    the same mean_probs and predicted without it.
     """
 
     prob_samples: np.ndarray
@@ -64,13 +87,7 @@ class PredictionSet:
             raise ValueError(f"mean_probs must be {n} x {k}, got {mean.shape}")
         if pred.shape != (n,):
             raise ValueError(f"predicted must have length {n}, got {pred.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("prob_samples contains non-finite values")
-        if np.any(probs < 0.0):
-            raise ValueError("prob_samples contains negative probabilities")
-        sums = probs.sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("prob_samples slices must sum to 1 within 1e-9")
+        _check_probs(probs)
         if np.max(np.abs(mean - probs.mean(axis=1))) > 1e-12:
             raise ValueError("mean_probs must equal the mean of prob_samples")
         if not np.array_equal(pred, np.argmax(mean, axis=1)):
@@ -116,19 +133,63 @@ class UncertaintyScores:
             object.__setattr__(self, name, arr)
 
 
+@dataclass(frozen=True)
+class PosteriorSummary:
+    """Per-row results of the predictive posterior, without the sample grid.
+
+    mean_probs and predicted equal those of the PredictionSet that
+    predictive_posterior returns for the same arguments, and scores equals
+    uncertainty_scores of it, bit for bit.
+    """
+
+    mean_probs: np.ndarray
+    predicted: np.ndarray
+    scores: UncertaintyScores
+
+
 def _entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropy in nats along axis, with 0 ln 0 taken as 0."""
     p = np.asarray(probs, dtype=np.float64)
-    terms = np.zeros_like(p)
-    mask = p > 0.0
-    terms[mask] = p[mask] * np.log(p[mask])
+    # ln 1 = 0 stands in where p is 0; one temporary the size of p.
+    terms = np.where(p > 0.0, p, 1.0)
+    np.log(terms, out=terms)
+    terms *= p
     return -terms.sum(axis=axis)
 
 
-def _extract_features(layer: VBLinearLayer, data) -> np.ndarray:
+def _expected_entropy(probs: np.ndarray) -> np.ndarray:
+    """Mean over axis 1 of the per-sample entropies of a (rows, S, K) block."""
+    return _entropy(probs, axis=2).mean(axis=1)
+
+
+def _scores(mean_probs: np.ndarray, expected_entropy: np.ndarray) -> UncertaintyScores:
+    entropy = _entropy(mean_probs, axis=-1)
+    return UncertaintyScores(
+        confidence=mean_probs.max(axis=1),
+        entropy=entropy,
+        expected_entropy=expected_entropy,
+        mutual_info=np.maximum(0.0, entropy - expected_entropy),
+    )
+
+
+def _check_probs(probs: np.ndarray) -> None:
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("prob_samples contains non-finite values")
+    if np.any(probs < 0.0):
+        raise ValueError("prob_samples contains negative probabilities")
+    sums = probs.sum(axis=-1)
+    if np.max(np.abs(sums - 1.0)) > 1e-9:
+        raise ValueError("prob_samples slices must sum to 1 within 1e-9")
+
+
+def _checked_features(layer: VBLinearLayer, data, mc_samples: int) -> np.ndarray:
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
     features = np.asarray(getattr(data, "features", data), dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be N x D, got shape {features.shape}")
+    if features.shape[0] == 0:
+        raise ValueError("features must have at least one row")
     if features.shape[1] != layer.feature_dim:
         raise ValueError(
             f"feature dimension {features.shape[1]} does not match "
@@ -137,24 +198,66 @@ def _extract_features(layer: VBLinearLayer, data) -> np.ndarray:
     return features
 
 
+def _chunk_bounds(n: int, mc_samples: int, num_classes: int) -> list[tuple[int, int]]:
+    """(start, stop) row ranges covering range(n), each within _CHUNK_BYTES.
+
+    A single row left over at the end joins the chunk before it, so no chunk
+    has one row unless n == 1.
+    """
+    rows = max(2, _CHUNK_BYTES // (mc_samples * num_classes * 8))
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _posterior_chunks(
+    layer: VBLinearLayer, features: np.ndarray, mc_samples: int, seed: int
+):
+    """Yield (start, probs): the softmax outputs of rows start.. under each draw.
+
+    probs is a checked (rows, S, K) view of one buffer that the next chunk
+    overwrites, so a consumer must be done with it before resuming.
+    """
+    k = layer.num_classes
+    # All S draws up front, in one allocation: small (S x K x (D+1)) next to
+    # the grid, and an absurd S fails here at once rather than draw by draw.
+    weights = np.empty((mc_samples, k, layer.feature_dim))
+    biases = np.empty((mc_samples, k))
+    for s in range(mc_samples):
+        draw = sample_weights(layer, np.random.default_rng([seed, s]))
+        weights[s], biases[s] = draw.weights, draw.biases
+    bounds = _chunk_bounds(features.shape[0], mc_samples, k)
+    buffer = np.empty((max(stop - start for start, stop in bounds), mc_samples, k))
+    for start, stop in bounds:
+        probs = buffer[: stop - start]
+        rows = features[start:stop]
+        for s in range(mc_samples):
+            probs[:, s, :] = softmax(rows @ weights[s].T + biases[s], axis=-1)
+        _check_probs(probs)
+        yield start, probs
+
+
+def _grid_chunks(prob_samples: np.ndarray):
+    """Yield (start, block) over an existing N x S x K grid, as the engine would."""
+    n, s, k = prob_samples.shape
+    for start, stop in _chunk_bounds(n, s, k):
+        yield start, prob_samples[start:stop]
+
+
 def predictive_posterior(
     layer: VBLinearLayer, data, mc_samples: int = 20, seed: int = 0
 ) -> PredictionSet:
     """Sample the predictive posterior with S plain weight draws.
 
     `data` may be a FeatureDataset or a raw N x D array. Sample s draws its
-    weights from ``default_rng([seed, s])``.
+    weights from ``default_rng([seed, s])``. The result holds the full
+    N x S x K grid; use score_posterior when only per-row results are needed.
     """
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-    features = _extract_features(layer, data)
-    n = features.shape[0]
-    prob_samples = np.zeros((n, mc_samples, layer.num_classes))
-    for s in range(mc_samples):
-        rng = np.random.default_rng([seed, s])
-        draw = sample_weights(layer, rng)
-        logits = features @ draw.weights.T + draw.biases
-        prob_samples[:, s, :] = softmax(logits, axis=-1)
+    features = _checked_features(layer, data, mc_samples)
+    prob_samples = np.empty((features.shape[0], mc_samples, layer.num_classes))
+    for start, probs in _posterior_chunks(layer, features, mc_samples, seed):
+        prob_samples[start : start + len(probs)] = probs
     mean_probs = prob_samples.mean(axis=1)
     return PredictionSet(
         prob_samples=prob_samples,
@@ -164,24 +267,51 @@ def predictive_posterior(
     )
 
 
-def uncertainty_scores(pred: PredictionSet) -> UncertaintyScores:
-    """Score each sample; pure function of pred.prob_samples."""
-    entropy = _entropy(pred.mean_probs, axis=-1)
-    expected_entropy = _entropy(pred.prob_samples, axis=2).mean(axis=1)
-    return UncertaintyScores(
-        confidence=pred.mean_probs.max(axis=1),
-        entropy=entropy,
-        expected_entropy=expected_entropy,
-        mutual_info=np.maximum(0.0, entropy - expected_entropy),
+def score_posterior(
+    layer: VBLinearLayer, data, mc_samples: int = 20, seed: int = 0, samples=None
+) -> PosteriorSummary:
+    """Mean probabilities, predictions and scores, streamed over row chunks.
+
+    Equal bit for bit to uncertainty_scores(predictive_posterior(...)), in
+    O(N·K + chunk) memory. With `samples`, an open text file, the sample
+    grid is also written there chunk by chunk, in save_prob_samples_csv's
+    format and row order.
+    """
+    features = _checked_features(layer, data, mc_samples)
+    n, k = features.shape[0], layer.num_classes
+    mean_probs = np.empty((n, k))
+    expected_entropy = np.empty(n)
+    if samples is not None:
+        samples.write(_samples_header(k))
+    for start, probs in _posterior_chunks(layer, features, mc_samples, seed):
+        stop = start + len(probs)
+        mean_probs[start:stop] = probs.mean(axis=1)
+        expected_entropy[start:stop] = _expected_entropy(probs)
+        if samples is not None:
+            _write_sample_rows(samples, start, probs)
+    return PosteriorSummary(
+        mean_probs=mean_probs,
+        predicted=np.argmax(mean_probs, axis=1),
+        scores=_scores(mean_probs, expected_entropy),
     )
 
 
-def save_predictions_csv(
-    pred: PredictionSet, scores: UncertaintyScores, labels, path: str
-) -> None:
-    """Write `index,label,predicted,confidence,entropy,mutual_info` rows."""
+def uncertainty_scores(pred: PredictionSet) -> UncertaintyScores:
+    """Score each sample; pure function of pred.prob_samples."""
+    expected_entropy = np.empty(pred.n_samples)
+    for start, block in _grid_chunks(pred.prob_samples):
+        expected_entropy[start : start + len(block)] = _expected_entropy(block)
+    return _scores(pred.mean_probs, expected_entropy)
+
+
+def save_predictions_csv(pred, scores: UncertaintyScores, labels, path: str) -> None:
+    """Write `index,label,predicted,confidence,entropy,mutual_info` rows.
+
+    `pred` is a PredictionSet or a PosteriorSummary; only its predicted
+    classes are read.
+    """
     labels = np.asarray(labels, dtype=np.int64)
-    n = pred.n_samples
+    n = len(pred.predicted)
     if labels.shape != (n,) or scores.confidence.shape != (n,):
         raise ValueError("labels and scores must match the prediction length")
     lines = ["index,label,predicted,confidence,entropy,mutual_info"]
@@ -191,20 +321,26 @@ def save_predictions_csv(
             f"{float(scores.confidence[i])!r},{float(scores.entropy[i])!r},"
             f"{float(scores.mutual_info[i])!r}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(path) as handle:
         handle.write("\n".join(lines) + "\n")
+
+
+def _samples_header(num_classes: int) -> str:
+    return "index,sample," + ",".join(f"p{j}" for j in range(num_classes)) + "\n"
+
+
+def _write_sample_rows(handle, start: int, probs: np.ndarray) -> None:
+    """Write one `index,sample,p0..p{K-1}` line per (row, sample) of a block."""
+    lines = []
+    for i, row in enumerate(probs.tolist(), start):
+        for s, values in enumerate(row):
+            lines.append(f"{i},{s}," + ",".join(map(repr, values)) + "\n")
+    handle.write("".join(lines))
 
 
 def save_prob_samples_csv(pred: PredictionSet, path: str) -> None:
     """Write the full posterior sample grid: `index,sample,p0..p{K-1}`."""
-    k = pred.num_classes
-    header = "index,sample," + ",".join(f"p{j}" for j in range(k))
-    lines = [header]
-    for i in range(pred.n_samples):
-        for s in range(pred.mc_samples):
-            values = ",".join(
-                repr(float(v)) for v in pred.prob_samples[i, s]
-            )
-            lines.append(f"{i},{s},{values}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with atomic_write(path) as handle:
+        handle.write(_samples_header(pred.num_classes))
+        for start, block in _grid_chunks(pred.prob_samples):
+            _write_sample_rows(handle, start, block)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .inference import UncertaintyScores
 
 __all__ = [
@@ -125,6 +126,8 @@ def apply_rejection(
         raise ValueError("predicted and labels must share one length")
     if predicted.shape[0] != scores.confidence.shape[0]:
         raise ValueError("scores and predictions must share one length")
+    if predicted.shape[0] == 0:
+        raise ValueError("cannot gate an empty prediction set")
     threshold = float(threshold)
     _, mask = _gate_scores(scores, threshold, measure)
     n = predicted.shape[0]
@@ -167,6 +170,8 @@ def threshold_sweep(
         raise ValueError("grid must be nonempty")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
+    if len(predicted) == 0:
+        raise ValueError("cannot sweep an empty prediction set")
     if num_classes is None:
         # Fix K once so every report in the curve shares matrix shape.
         predicted_arr = np.asarray(predicted, dtype=np.int64)
@@ -194,7 +199,7 @@ def save_curve_csv(curve: RejectionCurve, path: str) -> None:
             f"{float(report.threshold)!r},{float(report.coverage)!r},"
             f"{float(report.rejection_rate)!r},{selective}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(path) as handle:
         handle.write("\n".join(lines) + "\n")
 
 
@@ -205,5 +210,5 @@ def save_confusion_csv(matrix: np.ndarray, path: str) -> None:
     lines = ["true_class," + ",".join(str(j) for j in range(k))]
     for c in range(k):
         lines.append(f"{c}," + ",".join(str(v) for v in matrix[c]))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_write(path) as handle:
         handle.write("\n".join(lines) + "\n")

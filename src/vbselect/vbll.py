@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
+
 LAYER_FORMAT_VERSION = 1
 
 
@@ -236,7 +238,7 @@ def save_layer(layer: VBLinearLayer, path) -> None:
         "bias_mu": layer.bias_mu.tolist(),
         "bias_rho": layer.bias_rho.tolist(),
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import vbselect
+from vbselect import cli, inference
 from vbselect.calibration import ece
 from vbselect.cli import entrypoint
 from vbselect.dataset import load_csv
@@ -424,6 +425,28 @@ class TestEval:
         assert lines[0] == "index,sample,p0,p1,p2"
         assert len(lines) == 1 + 36 * 20
 
+    def test_failed_chunk_leaves_no_partial_report(
+        self, capsys, pipeline, tmp_path, monkeypatch
+    ):
+        # Four rows per chunk at S = 20, K = 3; every draw of the second chunk
+        # comes out non-finite after the first chunk's samples were written.
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 20 * 3 * 8)
+        real = inference.softmax
+        calls = []
+
+        def softmax_failing_in_second_chunk(logits, axis=-1):
+            calls.append(None)
+            probs = real(logits, axis=axis)
+            return probs if len(calls) <= 20 else np.full_like(probs, np.nan)
+
+        monkeypatch.setattr(inference, "softmax", softmax_failing_in_second_chunk)
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = self.run_eval(capsys, pipeline, out, ["--save-samples"])
+        assert_single_line_error(code, err, 1)
+        assert "non-finite" in err
+        assert len(calls) == 40
+        assert os.listdir(out) == []
+
     def test_accepted_only_ece(self, capsys, pipeline, tmp_path):
         out = os.path.join(tmp_path, "eval")
         code, _, err = self.run_eval(
@@ -518,6 +541,47 @@ class TestSweep:
         assert_single_line_error(code, err, 1)
 
 
+class _NumpyOutOfMemory:
+    """numpy with an allocator that refuses every request, as for a huge one."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        raise MemoryError(
+            f"Unable to allocate 74.5 GiB for an array with shape {shape} "
+            "and data type float64"
+        )
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise MemoryError("Unable to allocate 119. TiB for an array")
+
+
+class TestOutOfMemory:
+    def test_huge_mc_samples(self, capsys, pipeline, tmp_path, monkeypatch):
+        monkeypatch.setattr(inference, "np", _NumpyOutOfMemory())
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--mc-samples", "1000000000", "--save-samples", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err.startswith("error: out of memory: Unable to allocate")
+        assert os.listdir(out) == []
+
+    def test_huge_per_class(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "generate_synthetic", _refuse_allocation)
+        out = os.path.join(tmp_path, "data.csv")
+        code, _, err = run_cli(capsys, [
+            "gen", "--per-class", "1000000000000", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err.startswith("error: out of memory: Unable to allocate")
+        assert not os.path.exists(out)
+
+
 class TestGradcheck:
     def test_default_passes(self, capsys):
         code, out, err = run_cli(capsys, ["gradcheck"])
@@ -561,9 +625,14 @@ class TestParserBehavior:
         assert "gen" in out and "gradcheck" in out
 
     def test_module_invocation(self):
+        # The child must import the same vbselect as this process, whether
+        # that came from an install, PYTHONPATH or pytest's pythonpath.
+        src = os.path.dirname(os.path.dirname(vbselect.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         result = subprocess.run(
             [sys.executable, "-m", "vbselect", "gradcheck"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert result.stdout.startswith("max_relative_error=")

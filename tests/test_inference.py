@@ -1,11 +1,14 @@
 """Tests for Monte Carlo predictive inference and uncertainty scores."""
 
+import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vbselect import inference
 from vbselect.dataset import (
     FeatureDataset,
     SplitRatios,
@@ -19,10 +22,11 @@ from vbselect.inference import (
     predictive_posterior,
     save_predictions_csv,
     save_prob_samples_csv,
+    score_posterior,
     uncertainty_scores,
 )
 from vbselect.training import LayerInitConfig, TrainConfig, train
-from vbselect.vbll import VBLinearLayer, init_layer
+from vbselect.vbll import VBLinearLayer, init_layer, sample_weights, softmax
 
 
 def softplus_ref(x):
@@ -57,6 +61,49 @@ def reference_posterior(layer, features, mc_samples, seed):
         expz = np.exp(shifted)
         out[:, s, :] = expz / expz.sum(axis=-1, keepdims=True)
     return out
+
+
+def full_grid_reference(layer, features, mc_samples, seed):
+    """The grid-first algorithm the streaming engine replaced.
+
+    Fills the whole N x S x K grid with one full-batch product per draw,
+    then reduces it: the engine must reproduce every result bit for bit.
+    Returns (grid, mean_probs, scores dict, samples.csv text).
+    """
+    n = features.shape[0]
+    grid = np.zeros((n, mc_samples, layer.num_classes))
+    for s in range(mc_samples):
+        draw = sample_weights(layer, np.random.default_rng([seed, s]))
+        grid[:, s, :] = softmax(features @ draw.weights.T + draw.biases, axis=-1)
+    mean = grid.mean(axis=1)
+
+    def entropy(p, axis):
+        terms = np.zeros_like(p)
+        mask = p > 0.0
+        terms[mask] = p[mask] * np.log(p[mask])
+        return -terms.sum(axis=axis)
+
+    total = entropy(mean, -1)
+    expected = entropy(grid, 2).mean(axis=1)
+    scores = {
+        "confidence": mean.max(axis=1),
+        "entropy": total,
+        "expected_entropy": expected,
+        "mutual_info": np.maximum(0.0, total - expected),
+    }
+    lines = ["index,sample," + ",".join(f"p{j}" for j in range(layer.num_classes))]
+    for i in range(n):
+        for s in range(mc_samples):
+            values = ",".join(repr(float(v)) for v in grid[i, s])
+            lines.append(f"{i},{s},{values}")
+    return grid, mean, scores, "\n".join(lines) + "\n"
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
 
 
 def make_prediction_set(prob_samples):
@@ -411,3 +458,70 @@ class TestPredictionExports:
                 pred, scores, np.zeros(3, dtype=np.int64),
                 os.path.join(tmp_path, "bad.csv"),
             )
+
+
+CHUNK_ROWS = 4
+
+
+class TestStreamingEngine:
+    @pytest.mark.parametrize("num_classes", [5, 9])
+    @pytest.mark.parametrize(
+        "n", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+    )
+    def test_matches_full_grid_reference_bit_for_bit(
+        self, monkeypatch, tmp_path, n, num_classes
+    ):
+        # S = 9 and K = 9 put both the sample mean of the entropies and the
+        # class sums past numpy's 8-element pairwise-summation blocks.
+        s = 9 if num_classes > 8 else 6
+        monkeypatch.setattr(
+            inference, "_CHUNK_BYTES", CHUNK_ROWS * s * num_classes * 8
+        )
+        bounds = inference._chunk_bounds(n, s, num_classes)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        assert all(stop - start <= CHUNK_ROWS + 1 for start, stop in bounds)
+        if n > 1:
+            assert all(stop - start >= 2 for start, stop in bounds)
+
+        layer = init_layer(7, num_classes, rho_init=-1.0, seed=n)
+        features = 3.0 * np.random.default_rng(n).standard_normal((n, 7))
+        grid, mean, scores, samples_text = full_grid_reference(
+            layer, features, s, seed=11
+        )
+
+        handle = io.StringIO()
+        streamed = score_posterior(layer, features, s, seed=11, samples=handle)
+        assert_same_bits(streamed.mean_probs, mean)
+        assert_same_bits(streamed.predicted, np.argmax(mean, axis=1))
+        for name, expected in scores.items():
+            assert_same_bits(getattr(streamed.scores, name), expected)
+        assert handle.getvalue() == samples_text
+
+        pred = predictive_posterior(layer, features, s, seed=11)
+        assert_same_bits(pred.prob_samples, grid)
+        assert_same_bits(pred.mean_probs, mean)
+        for name, expected in scores.items():
+            assert_same_bits(getattr(uncertainty_scores(pred), name), expected)
+        path = os.path.join(tmp_path, "samples.csv")
+        save_prob_samples_csv(pred, path)
+        with open(path, encoding="utf-8", newline="") as f:
+            assert f.read() == samples_text
+
+    def test_streaming_scorer_never_holds_the_grid(self):
+        n, s, k = 20_000, 50, 5
+        layer = init_layer(16, k, rho_init=-1.0, seed=0)
+        features = np.random.default_rng(0).standard_normal((n, 16))
+        grid_bytes = n * s * k * 8
+        tracemalloc.start()
+        try:
+            score_posterior(layer, features, mc_samples=s, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes / 4
+
+    def test_rejects_empty_input(self, trained_model):
+        layer, _ = trained_model
+        with pytest.raises(ValueError, match="at least one row"):
+            score_posterior(layer, np.zeros((0, 8)), mc_samples=3, seed=0)

@@ -123,6 +123,11 @@ class TestApplyRejection:
             report.confusion_accepted, np.zeros((3, 3), dtype=np.int64)
         )
 
+    def test_empty_input_rejected(self):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="empty prediction set"):
+            apply_rejection(scores_from_confidence([]), empty, empty, 0.7)
+
     def test_entropy_gate_accepts_low_uncertainty(self):
         scores = scores_from_uncertainty([0.1, 0.9])
         predicted = np.array([0, 1])
@@ -320,6 +325,11 @@ class TestThresholdSweep:
         scores, predicted, labels = random_case(rng)
         with pytest.raises(ValueError, match="grid"):
             threshold_sweep(scores, predicted, labels, grid=[])
+
+    def test_empty_input_rejected(self):
+        empty = np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="empty prediction set"):
+            threshold_sweep(scores_from_confidence([]), empty, empty)
 
     def test_curve_type_rejects_nonincreasing_violation(self):
         # Direct construction is validated too, not just the sweep path.
