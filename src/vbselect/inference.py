@@ -238,13 +238,6 @@ def _posterior_chunks(
         yield start, probs
 
 
-def _grid_chunks(prob_samples: np.ndarray):
-    """Yield (start, block) over an existing N x S x K grid, as the engine would."""
-    n, s, k = prob_samples.shape
-    for start, stop in _chunk_bounds(n, s, k):
-        yield start, prob_samples[start:stop]
-
-
 def predictive_posterior(
     layer: VBLinearLayer, data, mc_samples: int = 20, seed: int = 0
 ) -> PredictionSet:
@@ -298,10 +291,7 @@ def score_posterior(
 
 def uncertainty_scores(pred: PredictionSet) -> UncertaintyScores:
     """Score each sample; pure function of pred.prob_samples."""
-    expected_entropy = np.empty(pred.n_samples)
-    for start, block in _grid_chunks(pred.prob_samples):
-        expected_entropy[start : start + len(block)] = _expected_entropy(block)
-    return _scores(pred.mean_probs, expected_entropy)
+    return _scores(pred.mean_probs, _expected_entropy(pred.prob_samples))
 
 
 def save_predictions_csv(pred, scores: UncertaintyScores, labels, path: str) -> None:
@@ -340,7 +330,8 @@ def _write_sample_rows(handle, start: int, probs: np.ndarray) -> None:
 
 def save_prob_samples_csv(pred: PredictionSet, path: str) -> None:
     """Write the full posterior sample grid: `index,sample,p0..p{K-1}`."""
+    n, s, k = pred.prob_samples.shape
     with atomic_write(path) as handle:
-        handle.write(_samples_header(pred.num_classes))
-        for start, block in _grid_chunks(pred.prob_samples):
-            _write_sample_rows(handle, start, block)
+        handle.write(_samples_header(k))
+        for start, stop in _chunk_bounds(n, s, k):
+            _write_sample_rows(handle, start, pred.prob_samples[start:stop])

@@ -443,7 +443,7 @@ class TestEval:
         out = os.path.join(tmp_path, "eval")
         code, _, err = self.run_eval(capsys, pipeline, out, ["--save-samples"])
         assert_single_line_error(code, err, 1)
-        assert "non-finite" in err
+        assert "prob_samples contains non-finite values" in err
         assert len(calls) == 40
         assert os.listdir(out) == []
 
