@@ -64,7 +64,10 @@ class VBLinearLayer:
 
     weight_mu/weight_rho are K x D; bias_mu/bias_rho are length K. Standard
     deviations are derived, never stored: sigma = softplus(rho). Instances are
-    immutable; training builds new layers rather than mutating.
+    immutable: each array is marked read-only. An array that is already
+    contiguous float64 is kept as given, not copied, so a layer built on
+    views of a buffer that its owner keeps writing changes with it; training
+    builds the layers it keeps from a copy.
     """
 
     weight_mu: np.ndarray
