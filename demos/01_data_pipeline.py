@@ -37,10 +37,10 @@ print("class counts:", ds.class_counts())
 # ------------------------------------------------------------------
 # 2. CSV round trip.  Floats are written with %.17g so the reloaded
 #    arrays are bitwise identical to the originals.
-tmp = tempfile.mkdtemp()
-path = os.path.join(tmp, "demo.csv")
-save_csv(ds, path)
-back = load_csv(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo.csv")
+    save_csv(ds, path)
+    back = load_csv(path)
 print("round trip exact:", np.array_equal(ds.features, back.features)
       and np.array_equal(ds.labels, back.labels))
 

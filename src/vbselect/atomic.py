@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 
-__all__ = ["atomic_write"]
+__all__ = ["atomic_write", "write_json", "write_lines"]
 
 
 @contextlib.contextmanager
@@ -26,3 +27,15 @@ def atomic_write(path):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write_lines(path, lines) -> None:
+    """Commit `lines` as one newline-terminated line each."""
+    with atomic_write(path) as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """Commit `doc` as JSON with sorted keys, 2-space indent and a final newline."""
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

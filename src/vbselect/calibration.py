@@ -7,12 +7,11 @@ covers [0, 1] exactly. Confidence 1.0 therefore always lands in the top bin.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_json, write_lines
 
 
 @dataclass(frozen=True)
@@ -115,27 +114,8 @@ def confidence_histogram(
     )
 
 
-def calibration_report_to_dict(report: CalibrationReport) -> dict:
-    return {
-        "ece": report.ece,
-        "num_bins": report.num_bins,
-        "total_count": report.total_count,
-        "bins": [
-            {
-                "lower": b.lower,
-                "upper": b.upper,
-                "count": b.count,
-                "mean_confidence": b.mean_confidence,
-                "accuracy": b.accuracy,
-            }
-            for b in report.bins
-        ],
-    }
-
-
 def save_calibration_json(report: CalibrationReport, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(calibration_report_to_dict(report), sort_keys=True, indent=2) + "\n")
+    write_json(path, asdict(report))
 
 
 def save_histogram_csv(hist: ConfidenceHistogram, path) -> None:
@@ -147,5 +127,4 @@ def save_histogram_csv(hist: ConfidenceHistogram, path) -> None:
         )
     if hist.threshold is not None:
         lines.append(f"# threshold={float(hist.threshold)!r}")
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -44,7 +44,7 @@ from .dataset import (
     smote_oversample,
     stratified_split,
 )
-from .atomic import atomic_write
+from .atomic import atomic_write, write_json
 # predictive_posterior, uncertainty_scores and save_prob_samples_csv are
 # unused here but stay bound: perfbench/tracer.py wraps these names.
 from .inference import (  # noqa: F401
@@ -246,8 +246,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The JSON types a config value may have, by option kind; bool is a type of
+# its own here, so true/false never pass for a number. The options whose flag
+# takes a comma list also take a JSON list, and counts a bare integer.
+_CONFIG_TYPES = {
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    "flag": ("true or false", (bool,)),
+}
+_COUNTS = ("a string, an integer or a list of integers", (str, int), (int,))
+_CONFIG_LISTS = {
+    "samples_per_class": _COUNTS,
+    "target": _COUNTS,
+    "grid": ("a string or a list of numbers", (str,), (int, float)),
+}
+
+
+def _check_config_value(option: _Option, value) -> None:
+    """Reject a config value of a JSON type the option's flag could not give."""
+    what, types = _CONFIG_TYPES[option.kind]
+    items = ()
+    if option.dest in _CONFIG_LISTS:
+        what, types, items = _CONFIG_LISTS[option.dest]
+    if value is None:
+        ok = option.default is None
+    elif type(value) is list:
+        ok = bool(items) and all(type(item) in items for item in value)
+    else:
+        ok = type(value) in types
+    if not ok:
+        raise ValueError(f"config key {option.dest!r} must be {what}, got {value!r}")
+
+
 def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
-    """Overlay flags > config file > defaults; reject unknown config keys."""
+    """Overlay flags > config file > defaults; reject unknown or mistyped config keys."""
     allowed = {option.dest for option in options}
     config = {}
     if args.config is not None:
@@ -260,49 +293,40 @@ def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
             raise ValueError(f"unknown config keys: {unknown}")
     merged = {}
     for option in options:
+        if option.dest in config:
+            _check_config_value(option, config[option.dest])
         value = getattr(args, option.dest)
         if value is None:
             value = config.get(option.dest, option.default)
         if value is None and option.required:
             raise ValueError(f"missing required option {option.flags[0]}")
-        if value is not None and option.kind in (int, float):
-            value = option.kind(value)
-        if option.kind == "flag":
-            value = bool(value)
+        if value is not None and option.kind is float:
+            value = float(value)
         merged[option.dest] = value
     return merged
 
 
 def _parse_counts(value, num_classes: int) -> tuple:
-    """Accept an int, a comma string, or a list; broadcast singletons."""
-    try:
-        if isinstance(value, str):
-            parts = [int(piece) for piece in value.split(",")]
-        elif isinstance(value, (list, tuple)):
-            parts = [int(piece) for piece in value]
-        else:
-            parts = [int(value)]
-    except (TypeError, ValueError):
-        raise ValueError(f"cannot parse class counts from {value!r}") from None
+    """Accept an int, a comma string, or a list of ints; broadcast singletons."""
+    if isinstance(value, str):
+        try:
+            value = [int(piece) for piece in value.split(",")]
+        except ValueError:
+            raise ValueError(f"cannot parse class counts from {value!r}") from None
+    parts = value if isinstance(value, list) else [value]
     if len(parts) == 1:
         parts = parts * num_classes
     return tuple(parts)
 
 
 def _parse_grid(value):
-    if value is None:
-        return None
+    """Split a comma string; None and a config file's list pass through."""
+    if not isinstance(value, str):
+        return value
     try:
-        if isinstance(value, str):
-            return [float(piece) for piece in value.split(",")]
-        return [float(piece) for piece in value]
-    except (TypeError, ValueError):
+        return [float(piece) for piece in value.split(",")]
+    except ValueError:
         raise ValueError(f"cannot parse threshold grid from {value!r}") from None
-
-
-def _write_json(payload: dict, path: str) -> None:
-    with atomic_write(path) as handle:
-        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _cmd_gen(opts: dict) -> int:
@@ -461,7 +485,7 @@ def _write_eval_reports(ds, pred, opts: dict) -> None:
     }
     if report.selective_accuracy is not None:
         summary["accuracy_accepted"] = report.selective_accuracy
-    _write_json(summary, os.path.join(out, "summary.json"))
+    write_json(os.path.join(out, "summary.json"), summary)
 
 
 def _cmd_sweep(opts: dict) -> int:

@@ -6,12 +6,13 @@ pipelines rerun bit-identically. Datasets are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_lines
 
 _CLASS_DIRECTIVE = "# classes="
 
@@ -126,8 +127,7 @@ def save_csv(ds: FeatureDataset, path) -> None:
     lines = [f"{_CLASS_DIRECTIVE}{ds.num_classes}", header]
     for row, label in zip(ds.features, ds.labels):
         lines.append(",".join(_format_feature(x) for x in row) + f",{label}")
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_csv(path) -> FeatureDataset:
@@ -184,7 +184,7 @@ def load_csv(path) -> FeatureDataset:
                 raise ValueError(
                     f"line {lineno}: non-numeric feature value {field!r}"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"line {lineno}: non-finite feature value {field!r}")
             row.append(value)
         try:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_lines
 from .vbll import VBLinearLayer, sample_weights, softmax
 
 __all__ = [
@@ -311,8 +311,7 @@ def save_predictions_csv(pred, scores: UncertaintyScores, labels, path: str) -> 
             f"{float(scores.confidence[i])!r},{float(scores.entropy[i])!r},"
             f"{float(scores.mutual_info[i])!r}"
         )
-    with atomic_write(path) as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def _samples_header(num_classes: int) -> str:

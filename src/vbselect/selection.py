@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_lines
 from .inference import UncertaintyScores
 
 __all__ = [
@@ -199,8 +199,7 @@ def save_curve_csv(curve: RejectionCurve, path: str) -> None:
             f"{float(report.threshold)!r},{float(report.coverage)!r},"
             f"{float(report.rejection_rate)!r},{selective}"
         )
-    with atomic_write(path) as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def save_confusion_csv(matrix: np.ndarray, path: str) -> None:
@@ -210,5 +209,4 @@ def save_confusion_csv(matrix: np.ndarray, path: str) -> None:
     lines = ["true_class," + ",".join(str(j) for j in range(k))]
     for c in range(k):
         lines.append(f"{c}," + ",".join(str(v) for v in matrix[c]))
-    with atomic_write(path) as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

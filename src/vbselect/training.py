@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_lines
 from .vbll import (
     VBLinearLayer,
     flipout_logits,
@@ -244,9 +244,9 @@ def _dataset_nll_acc(layer, features, labels):
 def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
     """Minibatch Adam on the negative ELBO; returns (layer, trace).
 
-    The parameters live in one flat buffer (see `_blocks`). Each step wraps
-    views of it in a layer for the forward and backward pass, then Adam
-    updates the buffer in place. The KL enters each step's gradient in closed
+    The parameters live in one flat buffer (see `_blocks`). One layer on
+    views of it serves every step's forward and backward pass, and sees each
+    in-place Adam update. The KL enters each step's gradient in closed
     form; its value is computed once per epoch, for the trace. Every layer
     kept past its epoch holds a copy of the buffer, never a live view.
 
@@ -282,6 +282,7 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
     best_layer = layer
     epochs_since_improvement = 0
     step = 0
+    step_layer = VBLinearLayer(*_blocks(params, k, d), prior_scale)
 
     for epoch in range(config.epochs):
         perm = np.random.default_rng([config.seed, 0, epoch]).permutation(n_train)
@@ -290,7 +291,7 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
             sel = perm[start : start + config.batch_size]
             noise_rng = np.random.default_rng([config.seed, 1, epoch, batch_index])
             nll, grads = _elbo_core(
-                VBLinearLayer(*_blocks(params, k, d), prior_scale),
+                step_layer,
                 train_ds.features[sel],
                 train_ds.labels[sel],
                 n_train,
@@ -395,5 +396,4 @@ def save_trace_csv(trace, path) -> None:
         lines.append(
             f"{rec.epoch},{rec.total!r},{rec.nll!r},{rec.kl!r},{rec.val_nll!r},{rec.val_acc!r}"
         )
-    with atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -15,9 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_json
 
 LAYER_FORMAT_VERSION = 1
+
+# The model file's fields. save_layer writes the scalars in this order and
+# load_layer unpacks them in it.
+_SCALAR_FIELDS = ("format_version", "feature_dim", "num_classes", "prior_scale")
+_ARRAY_FIELDS = ("weight_mu", "weight_rho", "bias_mu", "bias_rho")
 
 
 def softplus(x):
@@ -231,18 +236,10 @@ def forward_flipout(
 
 def save_layer(layer: VBLinearLayer, path) -> None:
     """Persist the layer as sorted, indented JSON (format_version 1)."""
-    doc = {
-        "format_version": LAYER_FORMAT_VERSION,
-        "feature_dim": layer.feature_dim,
-        "num_classes": layer.num_classes,
-        "prior_scale": layer.prior_scale,
-        "weight_mu": layer.weight_mu.tolist(),
-        "weight_rho": layer.weight_rho.tolist(),
-        "bias_mu": layer.bias_mu.tolist(),
-        "bias_rho": layer.bias_rho.tolist(),
-    }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    scalars = (LAYER_FORMAT_VERSION, layer.feature_dim, layer.num_classes, layer.prior_scale)
+    doc = dict(zip(_SCALAR_FIELDS, scalars))
+    doc.update((name, getattr(layer, name).tolist()) for name in _ARRAY_FIELDS)
+    write_json(path, doc)
 
 
 def load_layer(path) -> VBLinearLayer:
@@ -254,33 +251,20 @@ def load_layer(path) -> VBLinearLayer:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    required = {
-        "format_version",
-        "feature_dim",
-        "num_classes",
-        "prior_scale",
-        "weight_mu",
-        "weight_rho",
-        "bias_mu",
-        "bias_rho",
-    }
+    required = {*_SCALAR_FIELDS, *_ARRAY_FIELDS}
     missing = required - doc.keys()
     if missing:
         raise ValueError(f"{path}: missing fields {sorted(missing)}")
     unknown = doc.keys() - required
     if unknown:
         raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
-    if doc["format_version"] != LAYER_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported format_version {doc['format_version']!r}"
-        )
+    version, feature_dim, num_classes, prior_scale = (doc[name] for name in _SCALAR_FIELDS)
+    if version != LAYER_FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format_version {version!r}")
     layer = VBLinearLayer(
-        weight_mu=np.array(doc["weight_mu"], dtype=np.float64),
-        weight_rho=np.array(doc["weight_rho"], dtype=np.float64),
-        bias_mu=np.array(doc["bias_mu"], dtype=np.float64),
-        bias_rho=np.array(doc["bias_rho"], dtype=np.float64),
-        prior_scale=doc["prior_scale"],
+        **{name: np.array(doc[name], dtype=np.float64) for name in _ARRAY_FIELDS},
+        prior_scale=prior_scale,
     )
-    if layer.feature_dim != doc["feature_dim"] or layer.num_classes != doc["num_classes"]:
+    if layer.feature_dim != feature_dim or layer.num_classes != num_classes:
         raise ValueError(f"{path}: declared dimensions do not match arrays")
     return layer

@@ -177,6 +177,54 @@ class TestGen:
         assert "out" in err
 
 
+class TestConfigTypes:
+    """A config value must have the JSON type the option's flag would give."""
+
+    @staticmethod
+    def argv(command, pipeline, out):
+        return {
+            "gen": ["gen", "--out", out],
+            "balance": ["balance", "--in", pipeline["data"], "--out", out],
+            "train": [
+                "train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+                "--val", pipeline["val"], "--model-out", out,
+                "--trace-out", out + ".trace",
+            ],
+            "eval": ["eval", "--model", pipeline["model"], "--data", pipeline["val"],
+                     "--out", out],
+            "sweep": ["sweep", "--model", pipeline["model"], "--data", pipeline["val"],
+                      "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize("command,config", [
+        ("gen", {"num_classes": None}),
+        ("gen", {"feature_dim": [3]}),
+        ("gen", {"samples_per_class": 2.5}),
+        ("gen", {"samples_per_class": [2, 3.0]}),
+        ("gen", {"seed": True}),
+        ("gen", {"noise_scale": True}),
+        ("gen", {"class_separation": "4.0"}),
+        ("balance", {"target": [80.5]}),
+        ("train", {"epochs": 1.9}),
+        ("eval", {"save_samples": "false"}),
+        ("eval", {"ece_accepted_only": 1}),
+        ("eval", {"threshold": None}),
+        ("sweep", {"grid": [0.5, True]}),
+    ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
+    def test_mistyped_value_rejected(self, capsys, pipeline, tmp_path, command, config):
+        path = os.path.join(tmp_path, "config.json")
+        small = {"num_classes": 2, "feature_dim": 3, "samples_per_class": 5}
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({**small, **config} if command == "gen" else config, handle)
+        out = os.path.join(tmp_path, "out")
+        code, _, err = run_cli(
+            capsys, self.argv(command, pipeline, out) + ["--config", path]
+        )
+        assert_single_line_error(code, err, 1)
+        assert repr(next(iter(config))) in err
+        assert not os.path.exists(out)
+
+
 class TestSplit:
     def test_default_ratios(self, capsys, pipeline, tmp_path):
         out = os.path.join(tmp_path, "splits")

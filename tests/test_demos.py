@@ -2,7 +2,8 @@
 
 Each demo runs in its own interpreter with PYTHONPATH pointing at this
 checkout's src/, so the test exercises the code here rather than an installed
-copy. A demo passes when it exits 0 and writes nothing to stderr.
+copy. A demo passes when it exits 0, writes nothing to stderr and leaves
+its temp dir empty.
 """
 
 import os
@@ -22,10 +23,13 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_runs_cleanly(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     result = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+    assert list(tmpdir.iterdir()) == [], "demo left files in its temp dir"
