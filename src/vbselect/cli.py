@@ -24,7 +24,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -96,120 +96,113 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class _Option:
-    flags: tuple
+    flag: str
     dest: str
     kind: object  # int, float, str, or the literal string "flag"
     default: object
-    required: bool
     help: str
+    required: bool = False
 
 
-def _opt(flag, dest, kind, default, help, required=False):
-    return _Option((flag,), dest, kind, default, required, help)
+_SEED = _Option("--seed", "seed", int, 0, "global seed; fanned out per role")
 
-
-_COMMON = [
-    _opt("--seed", "seed", int, 0, "global seed; fanned out per role"),
-]
-
-_OPTIONS = {
-    "gen": [
-        _opt("--classes", "num_classes", int, 5, "number of classes"),
-        _opt("--dim", "feature_dim", int, 16, "feature dimension"),
-        _opt("--per-class", "samples_per_class", str, "1000",
-             "per-class count, or a comma list with one count per class"),
-        _opt("--separation", "class_separation", float, 4.0,
-             "radius of the sphere holding class means"),
-        _opt("--noise", "noise_scale", float, 1.0, "isotropic noise scale"),
-        *_COMMON,
-        _opt("--out", "out", str, None, "output CSV path", required=True),
-    ],
-    "split": [
-        _opt("--in", "in_path", str, None, "input dataset CSV", required=True),
-        _opt("--train", "train", float, 0.70, "training fraction"),
-        _opt("--val", "val", float, 0.15, "validation fraction"),
-        _opt("--test", "test", float, 0.15, "test fraction"),
-        *_COMMON,
-        _opt("--out", "out", str, None,
-             "output directory for train/val/test CSVs", required=True),
-    ],
-    "balance": [
-        _opt("--in", "in_path", str, None, "input dataset CSV", required=True),
-        _opt("--target", "target", str, None,
-             "per-class target count or comma list; default: largest class"),
-        _opt("--k-neighbors", "k_neighbors", int, 5,
-             "neighbors considered per synthetic point"),
-        *_COMMON,
-        _opt("--out", "out", str, None, "output CSV path", required=True),
-    ],
-    "train": [
-        _opt("--train", "train", str, None, "training split CSV", required=True),
-        _opt("--val", "val", str, None, "validation split CSV", required=True),
-        _opt("--epochs", "epochs", int, 30, "training epochs"),
-        _opt("--batch-size", "batch_size", int, 128, "minibatch size"),
-        _opt("--lr", "learning_rate", float, 1e-2, "Adam learning rate"),
-        _opt("--adam-beta1", "adam_beta1", float, 0.9, "Adam beta1"),
-        _opt("--adam-beta2", "adam_beta2", float, 0.999, "Adam beta2"),
-        _opt("--adam-eps", "adam_epsilon", float, 1e-8, "Adam epsilon"),
-        _opt("--mc-passes", "train_mc_samples", int, 1,
-             "Monte Carlo passes per training step"),
-        _opt("--patience", "early_stop_patience", int, None,
-             "early-stopping patience in epochs (off when omitted)"),
-        _opt("--mu-init-scale", "mu_init_scale", float, 0.1,
-             "uniform init range for posterior means"),
-        _opt("--rho-init", "rho_init", float, -5.0,
-             "initial rho (sigma = softplus(rho))"),
-        _opt("--prior-scale", "prior_scale", float, 1.0,
-             "prior standard deviation"),
-        *_COMMON,
-        _opt("--model-out", "model_out", str, None,
-             "output model JSON path", required=True),
-        _opt("--trace-out", "trace_out", str, None,
-             "output training-trace CSV path", required=True),
-    ],
-    "eval": [
-        _opt("--model", "model", str, None, "model JSON path", required=True),
-        _opt("--data", "data", str, None, "evaluation dataset CSV", required=True),
-        _opt("--threshold", "threshold", float, 0.7, "rejection threshold"),
-        _opt("--measure", "measure", str, "confidence",
-             "gate measure: confidence, entropy, or mutual_info"),
-        _opt("--mc-samples", "mc_samples", int, 20, "posterior samples"),
-        _opt("--ece-bins", "ece_bins", int, 15, "calibration bins"),
-        _opt("--ece-accepted-only", "ece_accepted_only", "flag", False,
-             "compute calibration over accepted samples only"),
-        _opt("--save-samples", "save_samples", "flag", False,
-             "also write the full posterior sample grid"),
-        *_COMMON,
-        _opt("--out", "out", str, None, "output directory", required=True),
-    ],
-    "sweep": [
-        _opt("--model", "model", str, None, "model JSON path", required=True),
-        _opt("--data", "data", str, None, "evaluation dataset CSV", required=True),
-        _opt("--grid", "grid", str, None,
-             "comma list of thresholds; default 0.50..0.90 step 0.05"),
-        _opt("--measure", "measure", str, "confidence",
-             "gate measure: confidence, entropy, or mutual_info"),
-        _opt("--mc-samples", "mc_samples", int, 20, "posterior samples"),
-        *_COMMON,
-        _opt("--out", "out", str, None, "output curve CSV path", required=True),
-    ],
-    "gradcheck": [
-        _opt("--classes", "num_classes", int, 3, "problem classes"),
-        _opt("--dim", "feature_dim", int, 4, "problem feature dimension"),
-        _opt("--batch-size", "batch_size", int, 8, "problem batch size"),
-        _opt("--h", "h", float, 1e-5, "finite-difference step"),
-        *_COMMON,
-    ],
-}
-
-_HELP = {
-    "gen": "generate a synthetic blob dataset CSV",
-    "split": "stratified train/val/test split of a dataset CSV",
-    "balance": "oversample minority classes by interpolation",
-    "train": "fit the variational layer and write model + trace",
-    "eval": "rejection + calibration report for a trained model",
-    "sweep": "rejection metrics across a threshold grid",
-    "gradcheck": "compare analytic gradients against finite differences",
+# command -> (help, options). An option whose dest names a library config
+# field takes its default from that field, so each default is declared once.
+_COMMANDS = {
+    "gen": ("generate a synthetic blob dataset CSV", [
+        _Option("--classes", "num_classes", int, 5, "number of classes"),
+        _Option("--dim", "feature_dim", int, 16, "feature dimension"),
+        _Option("--per-class", "samples_per_class", str, "1000",
+                "per-class count, or a comma list with one count per class"),
+        _Option("--separation", "class_separation", float,
+                SyntheticConfig.class_separation,
+                "radius of the sphere holding class means"),
+        _Option("--noise", "noise_scale", float, SyntheticConfig.noise_scale,
+                "isotropic noise scale"),
+        _SEED,
+        _Option("--out", "out", str, None, "output CSV path", required=True),
+    ]),
+    "split": ("stratified train/val/test split of a dataset CSV", [
+        _Option("--in", "in_path", str, None, "input dataset CSV", required=True),
+        _Option("--train", "train", float, SplitRatios.train, "training fraction"),
+        _Option("--val", "val", float, SplitRatios.val, "validation fraction"),
+        _Option("--test", "test", float, SplitRatios.test, "test fraction"),
+        _SEED,
+        _Option("--out", "out", str, None,
+                "output directory for train/val/test CSVs", required=True),
+    ]),
+    "balance": ("oversample minority classes by interpolation", [
+        _Option("--in", "in_path", str, None, "input dataset CSV", required=True),
+        _Option("--target", "target", str, None,
+                "per-class target count or comma list; default: largest class"),
+        _Option("--k-neighbors", "k_neighbors", int, 5,
+                "neighbors considered per synthetic point"),
+        _SEED,
+        _Option("--out", "out", str, None, "output CSV path", required=True),
+    ]),
+    "train": ("fit the variational layer and write model + trace", [
+        _Option("--train", "train", str, None, "training split CSV", required=True),
+        _Option("--val", "val", str, None, "validation split CSV", required=True),
+        _Option("--epochs", "epochs", int, TrainConfig.epochs, "training epochs"),
+        _Option("--batch-size", "batch_size", int, TrainConfig.batch_size,
+                "minibatch size"),
+        _Option("--lr", "learning_rate", float, TrainConfig.learning_rate,
+                "Adam learning rate"),
+        _Option("--adam-beta1", "adam_beta1", float, TrainConfig.adam_beta1,
+                "Adam beta1"),
+        _Option("--adam-beta2", "adam_beta2", float, TrainConfig.adam_beta2,
+                "Adam beta2"),
+        _Option("--adam-eps", "adam_epsilon", float, TrainConfig.adam_epsilon,
+                "Adam epsilon"),
+        _Option("--mc-passes", "train_mc_samples", int, TrainConfig.train_mc_samples,
+                "Monte Carlo passes per training step"),
+        _Option("--patience", "early_stop_patience", int, TrainConfig.early_stop_patience,
+                "early-stopping patience in epochs (off when omitted)"),
+        _Option("--mu-init-scale", "mu_init_scale", float, LayerInitConfig.mu_init_scale,
+                "uniform init range for posterior means"),
+        _Option("--rho-init", "rho_init", float, LayerInitConfig.rho_init,
+                "initial rho (sigma = softplus(rho))"),
+        _Option("--prior-scale", "prior_scale", float, LayerInitConfig.prior_scale,
+                "prior standard deviation"),
+        _SEED,
+        _Option("--model-out", "model_out", str, None,
+                "output model JSON path", required=True),
+        _Option("--trace-out", "trace_out", str, None,
+                "output training-trace CSV path", required=True),
+    ]),
+    "eval": ("rejection + calibration report for a trained model", [
+        _Option("--model", "model", str, None, "model JSON path", required=True),
+        _Option("--data", "data", str, None, "evaluation dataset CSV", required=True),
+        _Option("--threshold", "threshold", float, 0.7, "rejection threshold"),
+        _Option("--measure", "measure", str, "confidence",
+                "gate measure: confidence, entropy, or mutual_info"),
+        _Option("--mc-samples", "mc_samples", int, 20, "posterior samples"),
+        _Option("--ece-bins", "ece_bins", int, 15, "calibration bins"),
+        _Option("--ece-accepted-only", "ece_accepted_only", "flag", False,
+                "compute calibration over accepted samples only"),
+        _Option("--save-samples", "save_samples", "flag", False,
+                "also write the full posterior sample grid"),
+        _SEED,
+        _Option("--out", "out", str, None, "output directory", required=True),
+    ]),
+    "sweep": ("rejection metrics across a threshold grid", [
+        _Option("--model", "model", str, None, "model JSON path", required=True),
+        _Option("--data", "data", str, None, "evaluation dataset CSV", required=True),
+        _Option("--grid", "grid", str, None,
+                "comma list of thresholds; default 0.50..0.90 step 0.05"),
+        _Option("--measure", "measure", str, "confidence",
+                "gate measure: confidence, entropy, or mutual_info"),
+        _Option("--mc-samples", "mc_samples", int, 20, "posterior samples"),
+        _SEED,
+        _Option("--out", "out", str, None, "output curve CSV path", required=True),
+    ]),
+    "gradcheck": ("compare analytic gradients against finite differences", [
+        _Option("--classes", "num_classes", int, 3, "problem classes"),
+        _Option("--dim", "feature_dim", int, 4, "problem feature dimension"),
+        _Option("--batch-size", "batch_size", int, 8, "problem batch size"),
+        _Option("--h", "h", float, 1e-5, "finite-difference step"),
+        _SEED,
+    ]),
 }
 
 
@@ -221,28 +214,21 @@ def _build_parser() -> _Parser:
     subparsers = parser.add_subparsers(
         dest="command", metavar="command", required=True, parser_class=_Parser
     )
-    for command, options in _OPTIONS.items():
-        sub = subparsers.add_parser(command, help=_HELP[command])
+    for command, (help_text, options) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
         sub.add_argument(
             "--config", dest="config", type=str, default=None,
             help="JSON file of option values; flags override it",
         )
         for option in options:
             if option.kind == "flag":
-                sub.add_argument(
-                    *option.flags, dest=option.dest, action="store_true",
-                    default=None, help=option.help,
-                )
-            elif option.dest == "measure":
-                sub.add_argument(
-                    *option.flags, dest=option.dest, choices=MEASURES,
-                    default=None, help=option.help,
-                )
+                kind = {"action": "store_true"}
             else:
-                sub.add_argument(
-                    *option.flags, dest=option.dest, type=option.kind,
-                    default=None, help=option.help,
-                )
+                choices = MEASURES if option.dest == "measure" else None
+                kind = {"type": option.kind, "choices": choices}
+            sub.add_argument(
+                option.flag, dest=option.dest, default=None, help=option.help, **kind
+            )
     return parser
 
 
@@ -299,7 +285,7 @@ def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
         if value is None:
             value = config.get(option.dest, option.default)
         if value is None and option.required:
-            raise ValueError(f"missing required option {option.flags[0]}")
+            raise ValueError(f"missing required option {option.flag}")
         if value is not None and option.kind is float:
             value = float(value)
         merged[option.dest] = value
@@ -329,15 +315,14 @@ def _parse_grid(value):
         raise ValueError(f"cannot parse threshold grid from {value!r}") from None
 
 
+def _config(cls, opts: dict, **values):
+    """A `cls` config from the options named like its fields, overlaid by `values`."""
+    return cls(**{field.name: opts[field.name] for field in fields(cls)} | values)
+
+
 def _cmd_gen(opts: dict) -> int:
     counts = _parse_counts(opts["samples_per_class"], opts["num_classes"])
-    config = SyntheticConfig(
-        num_classes=opts["num_classes"],
-        feature_dim=opts["feature_dim"],
-        samples_per_class=counts,
-        class_separation=opts["class_separation"],
-        noise_scale=opts["noise_scale"],
-    )
+    config = _config(SyntheticConfig, opts, samples_per_class=counts)
     ds = generate_synthetic(config, seed=role_seed(opts["seed"], "gen"))
     save_csv(ds, opts["out"])
     return 0
@@ -345,7 +330,7 @@ def _cmd_gen(opts: dict) -> int:
 
 def _cmd_split(opts: dict) -> int:
     ds = load_csv(opts["in_path"])
-    ratios = SplitRatios(opts["train"], opts["val"], opts["test"])
+    ratios = _config(SplitRatios, opts)
     parts = stratified_split(ds, ratios, seed=role_seed(opts["seed"], "split"))
     os.makedirs(opts["out"], exist_ok=True)
     for name, part in zip(("train", "val", "test"), parts):
@@ -369,33 +354,8 @@ def _cmd_balance(opts: dict) -> int:
 def _cmd_train(opts: dict) -> int:
     train_ds = load_csv(opts["train"])
     val_ds = load_csv(opts["val"])
-    if train_ds.feature_dim != val_ds.feature_dim:
-        raise ValueError(
-            f"train/val feature dimension mismatch: "
-            f"{train_ds.feature_dim} vs {val_ds.feature_dim}"
-        )
-    if train_ds.num_classes != val_ds.num_classes:
-        raise ValueError(
-            f"train/val class count mismatch: "
-            f"{train_ds.num_classes} vs {val_ds.num_classes}"
-        )
-    init_config = LayerInitConfig(
-        mu_init_scale=opts["mu_init_scale"],
-        rho_init=opts["rho_init"],
-        prior_scale=opts["prior_scale"],
-        seed=role_seed(opts["seed"], "init"),
-    )
-    config = TrainConfig(
-        epochs=opts["epochs"],
-        batch_size=opts["batch_size"],
-        learning_rate=opts["learning_rate"],
-        adam_beta1=opts["adam_beta1"],
-        adam_beta2=opts["adam_beta2"],
-        adam_epsilon=opts["adam_epsilon"],
-        train_mc_samples=opts["train_mc_samples"],
-        seed=role_seed(opts["seed"], "train"),
-        early_stop_patience=opts["early_stop_patience"],
-    )
+    init_config = _config(LayerInitConfig, opts, seed=role_seed(opts["seed"], "init"))
+    config = _config(TrainConfig, opts, seed=role_seed(opts["seed"], "train"))
     layer, trace = train(train_ds, val_ds, init_config, config)
     save_layer(layer, opts["model_out"])
     save_trace_csv(trace, opts["trace_out"])
@@ -509,7 +469,7 @@ def _cmd_gradcheck(opts: dict) -> int:
         h=opts["h"], seed=opts["seed"],
     )
     print(f"max_relative_error={worst:.3g}")
-    if worst > GRADCHECK_TOLERANCE:
+    if not worst <= GRADCHECK_TOLERANCE:  # a NaN error fails too
         raise ValueError(
             f"gradient check failed: {worst:.3g} exceeds {GRADCHECK_TOLERANCE}"
         )
@@ -532,7 +492,7 @@ def entrypoint(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        options = _merge_options(args, _OPTIONS[args.command])
+        options = _merge_options(args, _COMMANDS[args.command][1])
         # The NonFiniteError guard inside training is the real detector;
         # numpy's own warnings would only smear multi-line noise on stderr.
         with np.errstate(all="ignore"):

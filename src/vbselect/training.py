@@ -127,6 +127,8 @@ def _validate_batch_inputs(layer, batch, labels, n_train):
     labels = np.asarray(labels)
     if batch.ndim != 2 or batch.shape[1] != layer.feature_dim:
         raise ValueError(f"batch must be B x {layer.feature_dim}")
+    if batch.shape[0] == 0:
+        raise ValueError("batch must hold at least one row")
     if labels.shape != (batch.shape[0],):
         raise ValueError("labels must be a vector with one entry per batch row")
     if not np.issubdtype(labels.dtype, np.integer):
@@ -259,8 +261,16 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
     without a validation-NLL improvement and the best-validation-NLL
     parameters are returned; otherwise the final parameters are.
     """
-    if train_ds.feature_dim != val_ds.feature_dim or train_ds.num_classes != val_ds.num_classes:
-        raise ValueError("train and validation datasets must share D and K")
+    if train_ds.feature_dim != val_ds.feature_dim:
+        raise ValueError(
+            f"train/val feature dimension mismatch: "
+            f"{train_ds.feature_dim} vs {val_ds.feature_dim}"
+        )
+    if train_ds.num_classes != val_ds.num_classes:
+        raise ValueError(
+            f"train/val class count mismatch: "
+            f"{train_ds.num_classes} vs {val_ds.num_classes}"
+        )
     k, d = train_ds.num_classes, train_ds.feature_dim
     layer = init_layer(
         feature_dim=d,
@@ -364,6 +374,8 @@ def gradcheck(layer, batch, labels, n_train, h=1e-5, seed=0, mc_passes=1) -> flo
     seed 0 gives 3.6e-5 but seed 1 gives 2.3e-4, from a weight_rho entry of
     1.5163e-7 whose difference quotient is 1.5170e-7.
     """
+    if not (np.isfinite(h) and h != 0):
+        raise ValueError(f"h must be finite and nonzero, got {h!r}")
     analytic = elbo_gradients(
         layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
     )
@@ -385,8 +397,8 @@ def gradcheck(layer, batch, labels, n_train, h=1e-5, seed=0, mc_passes=1) -> flo
                 shifted[sign] = loss_at(replace(layer, **{name: arr}))
             diff = (shifted[1.0] - shifted[-1.0]) / (2.0 * h)
             rel = abs(grad[i] - diff) / max(1e-8, abs(grad[i]) + abs(diff))
-            worst = max(worst, rel)
-    return worst
+            worst = np.maximum(worst, rel)  # unlike max(), keeps a NaN
+    return float(worst)
 
 
 def save_trace_csv(trace, path) -> None:

@@ -20,9 +20,21 @@ from .atomic import write_json
 LAYER_FORMAT_VERSION = 1
 
 # The model file's fields. save_layer writes the scalars in this order and
-# load_layer unpacks them in it.
-_SCALAR_FIELDS = ("format_version", "feature_dim", "num_classes", "prior_scale")
+# load_layer unpacks them in it. The JSON types a value may take: bool is a
+# type of its own here, so true/false never pass for a number.
+_INTEGER = ("a JSON integer", {int})
+_NUMBER = ("a JSON number", {int, float})
+_SCALAR_FIELDS = {"format_version": _INTEGER, "feature_dim": _INTEGER,
+                  "num_classes": _INTEGER, "prior_scale": _NUMBER}
 _ARRAY_FIELDS = ("weight_mu", "weight_rho", "bias_mu", "bias_rho")
+
+
+def _numbers_only(value) -> bool:
+    """True if `value` is a JSON number or nested lists holding only numbers."""
+    if type(value) is not list:
+        return type(value) in _NUMBER[1]
+    kinds = {type(item) for item in value}
+    return kinds <= _NUMBER[1] or (kinds == {list} and all(map(_numbers_only, value)))
 
 
 def softplus(x):
@@ -258,6 +270,12 @@ def load_layer(path) -> VBLinearLayer:
     unknown = doc.keys() - required
     if unknown:
         raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
+    for name, (what, types) in _SCALAR_FIELDS.items():
+        if type(doc[name]) not in types:
+            raise ValueError(f"{path}: {name} must be {what}, got {doc[name]!r}")
+    for name in _ARRAY_FIELDS:
+        if not _numbers_only(doc[name]):
+            raise ValueError(f"{path}: {name} must hold only JSON numbers")
     version, feature_dim, num_classes, prior_scale = (doc[name] for name in _SCALAR_FIELDS)
     if version != LAYER_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {version!r}")

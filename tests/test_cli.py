@@ -16,9 +16,17 @@ import pytest
 import vbselect
 from vbselect import cli, inference
 from vbselect.calibration import ece
-from vbselect.cli import entrypoint
-from vbselect.dataset import load_csv
-from vbselect.vbll import load_layer
+from vbselect.cli import entrypoint, role_seed
+from vbselect.dataset import (
+    SplitRatios,
+    SyntheticConfig,
+    generate_synthetic,
+    load_csv,
+    save_csv,
+    stratified_split,
+)
+from vbselect.training import LayerInitConfig, TrainConfig, save_trace_csv, train
+from vbselect.vbll import load_layer, save_layer
 
 
 def run_cli(capsys, argv):
@@ -223,6 +231,41 @@ class TestConfigTypes:
         assert_single_line_error(code, err, 1)
         assert repr(next(iter(config))) in err
         assert not os.path.exists(out)
+
+
+def test_defaults_match_library_configs(capsys, tmp_path):
+    """A command run without hyperparameter flags uses the configs' defaults."""
+    cli_csv, lib_csv = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    code, _, err = run_cli(capsys, [
+        "gen", "--classes", "3", "--dim", "4", "--per-class", "30", "--out", str(cli_csv),
+    ])
+    assert_clean_success(code, err)
+    save_csv(generate_synthetic(SyntheticConfig(3, 4, (30, 30, 30)),
+                                seed=role_seed(0, "gen")), lib_csv)
+    assert read_bytes(cli_csv) == read_bytes(lib_csv)
+
+    splits = tmp_path / "splits"
+    code, _, err = run_cli(capsys, ["split", "--in", str(cli_csv), "--out", str(splits)])
+    assert_clean_success(code, err)
+    parts = stratified_split(load_csv(lib_csv), SplitRatios(), seed=role_seed(0, "split"))
+    for name, part in zip(("train", "val", "test"), parts):
+        save_csv(part, tmp_path / f"lib_{name}.csv")
+        assert read_bytes(splits / f"{name}.csv") == read_bytes(tmp_path / f"lib_{name}.csv")
+
+    model, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+    code, _, err = run_cli(capsys, [
+        "train", "--train", str(splits / "train.csv"), "--val", str(splits / "val.csv"),
+        "--model-out", str(model), "--trace-out", str(trace),
+    ])
+    assert_clean_success(code, err)
+    layer, lib_trace = train(
+        load_csv(splits / "train.csv"), load_csv(splits / "val.csv"),
+        LayerInitConfig(seed=role_seed(0, "init")), TrainConfig(seed=role_seed(0, "train")),
+    )
+    save_layer(layer, tmp_path / "lib_model.json")
+    save_trace_csv(lib_trace, tmp_path / "lib_trace.csv")
+    assert read_bytes(model) == read_bytes(tmp_path / "lib_model.json")
+    assert read_bytes(trace) == read_bytes(tmp_path / "lib_trace.csv")
 
 
 class TestSplit:
@@ -522,6 +565,36 @@ class TestEval:
         ])
         assert_single_line_error(code, err, 1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("weight_mu", "1.5"),
+        ("bias_rho", True),
+        ("bias_mu", {}),
+        ("prior_scale", True),
+        ("prior_scale", "2.0"),
+        ("prior_scale", None),
+        ("format_version", True),
+        ("format_version", 1.0),
+        ("feature_dim", 8.0),
+    ], ids=str)
+    def test_mistyped_model_rejected(self, capsys, pipeline, tmp_path, field, value):
+        with open(pipeline["model"], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        if isinstance(doc[field], list):  # replace the first entry
+            row = doc[field][0] if isinstance(doc[field][0], list) else doc[field]
+            row[0] = value
+        else:
+            doc[field] = value
+        model = os.path.join(tmp_path, "model.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", model, "--data", pipeline["val"], "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert f"{model}: {field} must" in err
+        assert not os.path.exists(out)
+
     def test_determinism(self, capsys, pipeline, tmp_path):
         outs = [os.path.join(tmp_path, name) for name in ("a", "b")]
         for out in outs:
@@ -649,6 +722,16 @@ class TestGradcheck:
         assert out.startswith("max_relative_error=")
         assert err.startswith("error:")
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--h", "1e300"],  # every loss is NaN
+        ["--h", "0"],
+        ["--batch-size", "0"],
+    ], ids=" ".join)
+    def test_degenerate_problem_fails(self, capsys, flags):
+        code, _, err = run_cli(capsys, ["gradcheck", *flags])
+        assert_single_line_error(code, err, 1)
 
 
 class TestParserBehavior:

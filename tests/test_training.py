@@ -322,7 +322,13 @@ class TestTrain:
     def test_dimension_mismatch_rejected(self):
         train_ds, _ = small_separable_splits(1)
         bad_val = generate_synthetic(SyntheticConfig(3, 5, (6, 6, 6)), seed=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="train/val feature dimension mismatch: 4 vs 5"):
+            train(train_ds, bad_val, LayerInitConfig(), TrainConfig(epochs=1))
+
+    def test_class_count_mismatch_rejected(self):
+        train_ds, _ = small_separable_splits(1)
+        bad_val = generate_synthetic(SyntheticConfig(4, 4, (6, 6, 6, 6)), seed=2)
+        with pytest.raises(ValueError, match="train/val class count mismatch: 3 vs 4"):
             train(train_ds, bad_val, LayerInitConfig(), TrainConfig(epochs=1))
 
     def test_early_stopping_returns_best_layer(self):
