@@ -287,7 +287,12 @@ def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
         if value is None and option.required:
             raise ValueError(f"missing required option {option.flag}")
         if value is not None and option.kind is float:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # a config file's JSON integer beyond 1.8e308
+                raise ValueError(
+                    f"config key {option.dest!r} must be within float64 range"
+                ) from None
         merged[option.dest] = value
     return merged
 
@@ -306,9 +311,14 @@ def _parse_counts(value, num_classes: int) -> tuple:
 
 
 def _parse_grid(value):
-    """Split a comma string; None and a config file's list pass through."""
+    """Floats from a comma string or a config file's list; None passes through."""
+    if value is None:
+        return None
     if not isinstance(value, str):
-        return value
+        try:
+            return [float(item) for item in value]
+        except OverflowError:
+            raise ValueError("config key 'grid' must be within float64 range") from None
     try:
         return [float(piece) for piece in value.split(",")]
     except ValueError:

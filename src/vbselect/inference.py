@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write, write_lines
-from .vbll import VBLinearLayer, sample_weights, softmax
+from .vbll import VBLinearLayer, sample_weights
 
 __all__ = [
     "PredictionSet",
@@ -228,12 +228,25 @@ def _posterior_chunks(
         draw = sample_weights(layer, np.random.default_rng([seed, s]))
         weights[s], biases[s] = draw.weights, draw.biases
     bounds = _chunk_bounds(features.shape[0], mc_samples, k)
-    buffer = np.empty((max(stop - start for start, stop in bounds), mc_samples, k))
+    most = max(stop - start for start, stop in bounds)
+    buffer = np.empty((most, mc_samples, k))
+    row_max = np.empty((most, mc_samples, 1))
     for start, stop in bounds:
-        probs = buffer[: stop - start]
+        probs, peak = buffer[: stop - start], row_max[: stop - start]
         rows = features[start:stop]
         for s in range(mc_samples):
-            probs[:, s, :] = softmax(rows @ weights[s].T + biases[s], axis=-1)
+            np.matmul(rows, weights[s].T, out=probs[:, s, :])
+            probs[:, s, :] += biases[s]
+        # vbll.softmax over the whole block, step for step, so the same bits.
+        # numpy's max over a short last axis is slow; folding the K columns
+        # with np.maximum gives the same maximum (NaN still propagates, and a
+        # -0.0 against a 0.0 maximum gives the same exp).
+        np.copyto(peak, probs[..., :1])
+        for j in range(1, k):
+            np.maximum(peak, probs[..., j : j + 1], out=peak)
+        probs -= peak
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
         _check_probs(probs)
         yield start, probs
 
@@ -304,13 +317,10 @@ def save_predictions_csv(pred, scores: UncertaintyScores, labels, path: str) -> 
     n = len(pred.predicted)
     if labels.shape != (n,) or scores.confidence.shape != (n,):
         raise ValueError("labels and scores must match the prediction length")
+    columns = (labels, pred.predicted, scores.confidence, scores.entropy, scores.mutual_info)
+    rows = zip(range(n), *(column.tolist() for column in columns))
     lines = ["index,label,predicted,confidence,entropy,mutual_info"]
-    for i in range(n):
-        lines.append(
-            f"{i},{labels[i]},{pred.predicted[i]},"
-            f"{float(scores.confidence[i])!r},{float(scores.entropy[i])!r},"
-            f"{float(scores.mutual_info[i])!r}"
-        )
+    lines.extend("%d,%d,%d,%r,%r,%r" % row for row in rows)
     write_lines(path, lines)
 
 

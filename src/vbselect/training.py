@@ -15,6 +15,7 @@ expression per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,6 +83,9 @@ class LayerInitConfig:
             raise ValueError("mu_init_scale must be nonnegative")
         if not self.prior_scale > 0:
             raise ValueError("prior_scale must be positive")
+        # The KL term squares it; a Python float's ** raises OverflowError.
+        if not math.isfinite(self.prior_scale * self.prior_scale):
+            raise ValueError(f"prior_scale must have a finite square, got {self.prior_scale}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

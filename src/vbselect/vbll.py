@@ -276,13 +276,17 @@ def load_layer(path) -> VBLinearLayer:
     for name in _ARRAY_FIELDS:
         if not _numbers_only(doc[name]):
             raise ValueError(f"{path}: {name} must hold only JSON numbers")
-    version, feature_dim, num_classes, prior_scale = (doc[name] for name in _SCALAR_FIELDS)
+    version, feature_dim, num_classes, _ = (doc[name] for name in _SCALAR_FIELDS)
     if version != LAYER_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format_version {version!r}")
-    layer = VBLinearLayer(
-        **{name: np.array(doc[name], dtype=np.float64) for name in _ARRAY_FIELDS},
-        prior_scale=prior_scale,
-    )
+    values = {}
+    for name in (*_ARRAY_FIELDS, "prior_scale"):
+        try:
+            values[name] = np.array(doc[name], dtype=np.float64)
+        except OverflowError:
+            # A JSON integer has no size limit; float64 does.
+            raise ValueError(f"{path}: {name} must be within float64 range") from None
+    layer = VBLinearLayer(**values)
     if layer.feature_dim != feature_dim or layer.num_classes != num_classes:
         raise ValueError(f"{path}: declared dimensions do not match arrays")
     return layer

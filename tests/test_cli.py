@@ -18,6 +18,7 @@ from vbselect import cli, inference
 from vbselect.calibration import ece
 from vbselect.cli import entrypoint, role_seed
 from vbselect.dataset import (
+    FeatureDataset,
     SplitRatios,
     SyntheticConfig,
     generate_synthetic,
@@ -218,6 +219,10 @@ class TestConfigTypes:
         ("eval", {"ece_accepted_only": 1}),
         ("eval", {"threshold": None}),
         ("sweep", {"grid": [0.5, True]}),
+        # JSON integers beyond float64 range pass the type check but must
+        # still end in one error line.
+        pytest.param("train", {"learning_rate": 10**400}, id="train-learning_rate-1e400"),
+        pytest.param("sweep", {"grid": [0.5, 10**400]}, id="sweep-grid-1e400"),
     ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
     def test_mistyped_value_rejected(self, capsys, pipeline, tmp_path, command, config):
         path = os.path.join(tmp_path, "config.json")
@@ -266,6 +271,25 @@ def test_defaults_match_library_configs(capsys, tmp_path):
     save_trace_csv(lib_trace, tmp_path / "lib_trace.csv")
     assert read_bytes(model) == read_bytes(tmp_path / "lib_model.json")
     assert read_bytes(trace) == read_bytes(tmp_path / "lib_trace.csv")
+
+
+@pytest.mark.parametrize("command", ["split", "eval"])
+def test_label_beyond_int64_names_line(capsys, pipeline, tmp_path, command):
+    data = os.path.join(tmp_path, "big.csv")
+    with open(data, "w", encoding="utf-8") as handle:
+        handle.write(
+            ",".join(f"f{j}" for j in range(8)) + ",label\n"
+            + "0," * 8 + "0\n" + "0," * 8 + "99999999999999999999\n"
+        )
+    out = os.path.join(tmp_path, "out")
+    argv = {
+        "split": ["split", "--in", data, "--out", out],
+        "eval": ["eval", "--model", pipeline["model"], "--data", data, "--out", out],
+    }[command]
+    code, _, err = run_cli(capsys, argv)
+    assert_single_line_error(code, err, 1)
+    assert "line 3: label 99999999999999999999 out of range" in err
+    assert not os.path.exists(out)
 
 
 class TestSplit:
@@ -419,6 +443,19 @@ class TestTrain:
         assert_single_line_error(code, err, 1)
         assert "class" in err
 
+    def test_prior_scale_with_overflowing_square_rejected(
+        self, capsys, pipeline, tmp_path
+    ):
+        model = os.path.join(tmp_path, "m.json")
+        code, _, err = run_cli(capsys, [
+            "train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+            "--val", pipeline["val"], "--epochs", "1", "--prior-scale", "1e200",
+            "--model-out", model, "--trace-out", os.path.join(tmp_path, "t.csv"),
+        ])
+        assert_single_line_error(code, err, 1)
+        assert "prior_scale must have a finite square, got 1e+200" in err
+        assert not os.path.exists(model)
+
     def test_corrupt_csv_names_line(self, capsys, tmp_path):
         bad = os.path.join(tmp_path, "bad.csv")
         with open(bad, "w", encoding="utf-8") as handle:
@@ -519,23 +556,31 @@ class TestEval:
     def test_failed_chunk_leaves_no_partial_report(
         self, capsys, pipeline, tmp_path, monkeypatch
     ):
-        # Four rows per chunk at S = 20, K = 3; every draw of the second chunk
-        # comes out non-finite after the first chunk's samples were written.
+        # Four rows per chunk at S = 20, K = 3. Row 5, in the second chunk,
+        # lies along the signs of class 0's weights, so its class-0 logit
+        # overflows to inf once the first chunk's samples were written.
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 20 * 3 * 8)
-        real = inference.softmax
+        val = load_csv(pipeline["val"])
+        features = val.features.copy()
+        features[5] = 1.7e308 * np.sign(load_layer(pipeline["model"]).weight_mu[0])
+        data = os.path.join(tmp_path, "overflow.csv")
+        save_csv(FeatureDataset(features, val.labels, val.num_classes), data)
+        real = inference._check_probs
         calls = []
 
-        def softmax_failing_in_second_chunk(logits, axis=-1):
+        def counting_check(probs):
             calls.append(None)
-            probs = real(logits, axis=axis)
-            return probs if len(calls) <= 20 else np.full_like(probs, np.nan)
+            real(probs)
 
-        monkeypatch.setattr(inference, "softmax", softmax_failing_in_second_chunk)
+        monkeypatch.setattr(inference, "_check_probs", counting_check)
         out = os.path.join(tmp_path, "eval")
-        code, _, err = self.run_eval(capsys, pipeline, out, ["--save-samples"])
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", data,
+            "--threshold", "0.7", "--seed", "7", "--out", out, "--save-samples",
+        ])
         assert_single_line_error(code, err, 1)
         assert "prob_samples contains non-finite values" in err
-        assert len(calls) == 40
+        assert len(calls) == 2
         assert os.listdir(out) == []
 
     def test_accepted_only_ece(self, capsys, pipeline, tmp_path):
@@ -575,6 +620,8 @@ class TestEval:
         ("format_version", True),
         ("format_version", 1.0),
         ("feature_dim", 8.0),
+        pytest.param("weight_rho", 10**400, id="weight_rho-1e400"),
+        pytest.param("prior_scale", 10**400, id="prior_scale-1e400"),
     ], ids=str)
     def test_mistyped_model_rejected(self, capsys, pipeline, tmp_path, field, value):
         with open(pipeline["model"], encoding="utf-8") as handle:

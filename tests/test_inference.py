@@ -463,8 +463,31 @@ class TestPredictionExports:
 CHUNK_ROWS = 4
 
 
+def assert_engine_matches_reference(layer, features, s, tmp_path):
+    """score_posterior and predictive_posterior equal full_grid_reference."""
+    grid, mean, scores, samples_text = full_grid_reference(layer, features, s, seed=11)
+
+    handle = io.StringIO()
+    streamed = score_posterior(layer, features, s, seed=11, samples=handle)
+    assert_same_bits(streamed.mean_probs, mean)
+    assert_same_bits(streamed.predicted, np.argmax(mean, axis=1))
+    for name, expected in scores.items():
+        assert_same_bits(getattr(streamed.scores, name), expected)
+    assert handle.getvalue() == samples_text
+
+    pred = predictive_posterior(layer, features, s, seed=11)
+    assert_same_bits(pred.prob_samples, grid)
+    assert_same_bits(pred.mean_probs, mean)
+    for name, expected in scores.items():
+        assert_same_bits(getattr(uncertainty_scores(pred), name), expected)
+    path = os.path.join(tmp_path, "samples.csv")
+    save_prob_samples_csv(pred, path)
+    with open(path, encoding="utf-8", newline="") as f:
+        assert f.read() == samples_text
+
+
 class TestStreamingEngine:
-    @pytest.mark.parametrize("num_classes", [5, 9])
+    @pytest.mark.parametrize("num_classes", [2, 5, 9, 100])
     @pytest.mark.parametrize(
         "n", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
     )
@@ -486,27 +509,23 @@ class TestStreamingEngine:
 
         layer = init_layer(7, num_classes, rho_init=-1.0, seed=n)
         features = 3.0 * np.random.default_rng(n).standard_normal((n, 7))
-        grid, mean, scores, samples_text = full_grid_reference(
-            layer, features, s, seed=11
+        assert_engine_matches_reference(layer, features, s, tmp_path)
+
+    def test_all_equal_logits_match_reference(self, monkeypatch, tmp_path):
+        # Zero means, a tiny weight sigma, no bias noise and -0.0 features:
+        # every logit is zero, so all K classes tie for each row's maximum.
+        n, s, k = 2 * CHUNK_ROWS + 1, 6, 5
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        layer = VBLinearLayer(
+            weight_mu=np.zeros((k, 7)), weight_rho=np.full((k, 7), -30.0),
+            bias_mu=np.full(k, -0.0), bias_rho=np.full(k, -1000.0), prior_scale=1.0,
         )
-
-        handle = io.StringIO()
-        streamed = score_posterior(layer, features, s, seed=11, samples=handle)
-        assert_same_bits(streamed.mean_probs, mean)
-        assert_same_bits(streamed.predicted, np.argmax(mean, axis=1))
-        for name, expected in scores.items():
-            assert_same_bits(getattr(streamed.scores, name), expected)
-        assert handle.getvalue() == samples_text
-
-        pred = predictive_posterior(layer, features, s, seed=11)
-        assert_same_bits(pred.prob_samples, grid)
-        assert_same_bits(pred.mean_probs, mean)
-        for name, expected in scores.items():
-            assert_same_bits(getattr(uncertainty_scores(pred), name), expected)
-        path = os.path.join(tmp_path, "samples.csv")
-        save_prob_samples_csv(pred, path)
-        with open(path, encoding="utf-8", newline="") as f:
-            assert f.read() == samples_text
+        features = np.full((n, 7), -0.0)
+        draw = sample_weights(layer, np.random.default_rng([11, 0]))
+        logits = features @ draw.weights.T + draw.biases
+        assert not logits.any()
+        assert_engine_matches_reference(layer, features, s, tmp_path)
+        assert np.all(predictive_posterior(layer, features, s, seed=11).prob_samples == 1 / k)
 
     def test_streaming_scorer_never_holds_the_grid(self):
         n, s, k = 20_000, 50, 5
