@@ -16,12 +16,15 @@ S extend a smaller run sample-for-sample and samples can be computed in any
 order (or in parallel) without changing results.
 
 One row-chunk engine does all the sampling: it takes the S weight draws
-once, then fills a reused (rows, S, K) buffer chunk by chunk, checks it and
-hands it on. ``score_posterior`` reduces each chunk to per-row results as it
-goes, so it needs O(N·K + chunk) memory and never holds the N x S x K grid;
-the ``eval`` and ``sweep`` commands use it. ``predictive_posterior`` copies
-the chunks into the full grid for callers that want the samples themselves.
-Both give the same numbers bit for bit.
+once, then fills a reused draw-major (S, rows, K) buffer chunk by chunk with
+one batched matmul, checks it and hands it on. ``score_posterior`` reduces
+each chunk to per-row results as it goes, so it needs O(N·K + chunk) memory
+and never holds the N x S x K grid; the ``eval`` and ``sweep`` commands use
+it. ``predictive_posterior`` copies the transposed chunks into the full grid
+for callers that want the samples themselves. Both give the same numbers bit
+for bit: every sum over the K classes is a left-to-right fold of the class
+columns in numpy's own order (``_sum_classes``), and every mean over the S
+draws keeps the order numpy uses on the (N, S, K) grid.
 """
 
 from __future__ import annotations
@@ -44,9 +47,12 @@ __all__ = [
     "save_prob_samples_csv",
 ]
 
-# Size of one chunk's (rows, S, K) float64 buffer; the rows per chunk follow
-# from it. Scoring a chunk allocates about as much again in temporaries, and
-# at N=100k, S=100, K=5 a 2 MiB chunk scores as fast as a 4 MiB one.
+# Size of one chunk's draw-major (S, rows, K) float64 buffer; the rows per
+# chunk follow from it. Scoring a chunk allocates about as much again in
+# temporaries, and at N=100k, S=100, K=5 a 2 MiB chunk scores as fast as a
+# 4 MiB one. The draws are the buffer's outer axis so that one batched matmul
+# fills it (one gemm per draw), and the per-row sums over a short K axis and
+# the mean over S become whole-array adds over long contiguous rows.
 # A chunk never holds a single row unless N = 1: numpy sends 1-row matmuls
 # to gemv, which rounds differently from gemm. At small D every larger chunk
 # matches the full-batch product bit for bit; at large D (K=100, D=256
@@ -147,23 +153,36 @@ class PosteriorSummary:
     scores: UncertaintyScores
 
 
-def _entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shannon entropy in nats along axis, with 0 ln 0 taken as 0."""
+def _sum_classes(block: np.ndarray) -> np.ndarray:
+    """``block.sum(axis=-1, keepdims=True)``, bit for bit, without its slow loop.
+
+    numpy sums fewer than 8 terms as ``0.0 + a0 + a1 + ...`` from left to
+    right, one short reduction per row. Folding the class columns in that
+    order gives the same bits in K whole-array adds. The 0.0 start matters:
+    it turns a row of -0.0 into 0.0, as numpy does. From 8 terms on numpy
+    sums pairwise, so its own sum is used.
+    """
+    k = block.shape[-1]
+    if k == 0 or k >= 8:
+        return block.sum(axis=-1, keepdims=True)
+    total = block[..., :1] + 0.0
+    for j in range(1, k):
+        total += block[..., j : j + 1]
+    return total
+
+
+def _entropy(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats along the last axis, with 0 ln 0 taken as 0."""
     p = np.asarray(probs, dtype=np.float64)
     # ln 1 = 0 stands in where p is 0; one temporary the size of p.
     terms = np.where(p > 0.0, p, 1.0)
     np.log(terms, out=terms)
     terms *= p
-    return -terms.sum(axis=axis)
-
-
-def _expected_entropy(probs: np.ndarray) -> np.ndarray:
-    """Mean over axis 1 of the per-sample entropies of a (rows, S, K) block."""
-    return _entropy(probs, axis=2).mean(axis=1)
+    return -_sum_classes(terms)[..., 0]
 
 
 def _scores(mean_probs: np.ndarray, expected_entropy: np.ndarray) -> UncertaintyScores:
-    entropy = _entropy(mean_probs, axis=-1)
+    entropy = _entropy(mean_probs)
     return UncertaintyScores(
         confidence=mean_probs.max(axis=1),
         entropy=entropy,
@@ -177,7 +196,7 @@ def _check_probs(probs: np.ndarray) -> None:
         raise ValueError("prob_samples contains non-finite values")
     if np.any(probs < 0.0):
         raise ValueError("prob_samples contains negative probabilities")
-    sums = probs.sum(axis=-1)
+    sums = _sum_classes(probs)
     if np.max(np.abs(sums - 1.0)) > 1e-9:
         raise ValueError("prob_samples slices must sum to 1 within 1e-9")
 
@@ -216,27 +235,32 @@ def _posterior_chunks(
 ):
     """Yield (start, probs): the softmax outputs of rows start.. under each draw.
 
-    probs is a checked (rows, S, K) view of one buffer that the next chunk
-    overwrites, so a consumer must be done with it before resuming.
+    probs is a checked, contiguous, draw-major (S, rows, K) view of one buffer
+    that the next chunk overwrites, so a consumer must be done with it before
+    resuming. A row whose logits are not finite under some draw stops the
+    engine with a ValueError that names the row's 0-based index and the draw.
     """
     k = layer.num_classes
     # All S draws up front, in one allocation: small (S x K x (D+1)) next to
     # the grid, and an absurd S fails here at once rather than draw by draw.
     weights = np.empty((mc_samples, k, layer.feature_dim))
-    biases = np.empty((mc_samples, k))
+    biases = np.empty((mc_samples, 1, k))
     for s in range(mc_samples):
         draw = sample_weights(layer, np.random.default_rng([seed, s]))
-        weights[s], biases[s] = draw.weights, draw.biases
+        weights[s], biases[s, 0] = draw.weights, draw.biases
+    # The (S, D, K) view hands BLAS the transposed operand that draw s's own
+    # `rows @ weights[s].T` would, so each batch item is the same gemm.
+    weights_t = weights.transpose(0, 2, 1)
     bounds = _chunk_bounds(features.shape[0], mc_samples, k)
     most = max(stop - start for start, stop in bounds)
-    buffer = np.empty((most, mc_samples, k))
-    row_max = np.empty((most, mc_samples, 1))
+    buffer = np.empty(mc_samples * most * k)
+    row_max = np.empty(mc_samples * most)
     for start, stop in bounds:
-        probs, peak = buffer[: stop - start], row_max[: stop - start]
-        rows = features[start:stop]
-        for s in range(mc_samples):
-            np.matmul(rows, weights[s].T, out=probs[:, s, :])
-            probs[:, s, :] += biases[s]
+        rows = stop - start
+        probs = buffer[: mc_samples * rows * k].reshape(mc_samples, rows, k)
+        peak = row_max[: mc_samples * rows].reshape(mc_samples, rows, 1)
+        np.matmul(features[start:stop], weights_t, out=probs)
+        probs += biases
         # vbll.softmax over the whole block, step for step, so the same bits.
         # numpy's max over a short last axis is slow; folding the K columns
         # with np.maximum gives the same maximum (NaN still propagates, and a
@@ -244,9 +268,18 @@ def _posterior_chunks(
         np.copyto(peak, probs[..., :1])
         for j in range(1, k):
             np.maximum(peak, probs[..., j : j + 1], out=peak)
+        # A finite maximum bounds every logit of its row, so the exps below
+        # are finite and the probabilities lie in [0, 1].
+        if not np.isfinite(peak).all():
+            bad = ~np.isfinite(peak[..., 0])
+            row = int(bad.any(axis=0).argmax())
+            raise ValueError(
+                f"data row {start + row}: logits are not finite under "
+                f"posterior draw {int(bad[:, row].argmax())}"
+            )
         probs -= peak
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        probs /= _sum_classes(probs)
         _check_probs(probs)
         yield start, probs
 
@@ -263,7 +296,7 @@ def predictive_posterior(
     features = _checked_features(layer, data, mc_samples)
     prob_samples = np.empty((features.shape[0], mc_samples, layer.num_classes))
     for start, probs in _posterior_chunks(layer, features, mc_samples, seed):
-        prob_samples[start : start + len(probs)] = probs
+        prob_samples[start : start + probs.shape[1]] = probs.transpose(1, 0, 2)
     mean_probs = prob_samples.mean(axis=1)
     return PredictionSet(
         prob_samples=prob_samples,
@@ -290,11 +323,16 @@ def score_posterior(
     if samples is not None:
         samples.write(_samples_header(k))
     for start, probs in _posterior_chunks(layer, features, mc_samples, seed):
-        stop = start + len(probs)
-        mean_probs[start:stop] = probs.mean(axis=1)
-        expected_entropy[start:stop] = _expected_entropy(probs)
+        stop = start + probs.shape[1]
+        # numpy adds the S axis left to right here as over the grid's axis 1.
+        mean_probs[start:stop] = probs.mean(axis=0)
+        # Per-draw entropies as contiguous (rows, S), so each row's S terms
+        # are summed pairwise as over the grid; a mean over axis 0 would add
+        # them left to right and round differently once S >= 9.
+        entropies = np.ascontiguousarray(_entropy(probs).T)
+        expected_entropy[start:stop] = entropies.mean(axis=1)
         if samples is not None:
-            _write_sample_rows(samples, start, probs)
+            _write_sample_rows(samples, start, probs.transpose(1, 0, 2))
     return PosteriorSummary(
         mean_probs=mean_probs,
         predicted=np.argmax(mean_probs, axis=1),
@@ -304,7 +342,7 @@ def score_posterior(
 
 def uncertainty_scores(pred: PredictionSet) -> UncertaintyScores:
     """Score each sample; pure function of pred.prob_samples."""
-    return _scores(pred.mean_probs, _expected_entropy(pred.prob_samples))
+    return _scores(pred.mean_probs, _entropy(pred.prob_samples).mean(axis=1))
 
 
 def save_predictions_csv(pred, scores: UncertaintyScores, labels, path: str) -> None:

@@ -53,6 +53,20 @@ def read_bytes(path):
         return handle.read()
 
 
+def write_overflow_csv(pipeline, tmp_path, row):
+    """The validation split with one row whose class-0 logit overflows.
+
+    The row lies along the signs of class 0's weight means at 1.7e308, a
+    legal CSV value, so its logit is inf under the first posterior draw.
+    """
+    val = load_csv(pipeline["val"])
+    features = val.features.copy()
+    features[row] = 1.7e308 * np.sign(load_layer(pipeline["model"]).weight_mu[0])
+    path = os.path.join(tmp_path, "overflow.csv")
+    save_csv(FeatureDataset(features, val.labels, val.num_classes), path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen -> split -> train once; many tests share the artifacts."""
@@ -558,13 +572,10 @@ class TestEval:
     ):
         # Four rows per chunk at S = 20, K = 3. Row 5, in the second chunk,
         # lies along the signs of class 0's weights, so its class-0 logit
-        # overflows to inf once the first chunk's samples were written.
+        # overflows to inf once the first chunk's samples were written. The
+        # engine names the row and stops before checking that chunk.
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 20 * 3 * 8)
-        val = load_csv(pipeline["val"])
-        features = val.features.copy()
-        features[5] = 1.7e308 * np.sign(load_layer(pipeline["model"]).weight_mu[0])
-        data = os.path.join(tmp_path, "overflow.csv")
-        save_csv(FeatureDataset(features, val.labels, val.num_classes), data)
+        data = write_overflow_csv(pipeline, tmp_path, 5)
         real = inference._check_probs
         calls = []
 
@@ -579,8 +590,8 @@ class TestEval:
             "--threshold", "0.7", "--seed", "7", "--out", out, "--save-samples",
         ])
         assert_single_line_error(code, err, 1)
-        assert "prob_samples contains non-finite values" in err
-        assert len(calls) == 2
+        assert "data row 5: logits are not finite under posterior draw 0" in err
+        assert len(calls) == 1
         assert os.listdir(out) == []
 
     def test_accepted_only_ece(self, capsys, pipeline, tmp_path):
@@ -700,6 +711,19 @@ class TestSweep:
         assert_clean_success(code, err)
         with open(out, encoding="utf-8") as handle:
             assert len(handle.read().splitlines()) == 3
+
+    def test_overflowing_row_named(self, capsys, pipeline, tmp_path):
+        out = os.path.join(tmp_path, "curve.csv")
+        code, _, err = run_cli(capsys, [
+            "sweep", "--model", pipeline["model"],
+            "--data", write_overflow_csv(pipeline, tmp_path, 11),
+            "--seed", "7", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == (
+            "error: data row 11: logits are not finite under posterior draw 0\n"
+        )
+        assert not os.path.exists(out)
 
     def test_unsorted_grid_rejected(self, capsys, pipeline, tmp_path):
         code, _, err = run_cli(capsys, [

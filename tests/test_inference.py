@@ -7,6 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vbselect import inference
 from vbselect.dataset import (
@@ -487,16 +490,17 @@ def assert_engine_matches_reference(layer, features, s, tmp_path):
 
 
 class TestStreamingEngine:
-    @pytest.mark.parametrize("num_classes", [2, 5, 9, 100])
+    @pytest.mark.parametrize("num_classes", [1, 2, 5, 7, 8, 9, 100])
     @pytest.mark.parametrize(
         "n", [1, 2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
     )
     def test_matches_full_grid_reference_bit_for_bit(
         self, monkeypatch, tmp_path, n, num_classes
     ):
-        # S = 9 and K = 9 put both the sample mean of the entropies and the
-        # class sums past numpy's 8-element pairwise-summation blocks.
-        s = 9 if num_classes > 8 else 6
+        # K below 8 takes the engine's column folds and K from 8 numpy's own
+        # sum. S = 17 and S = 9 put the mean over draws and the pairwise
+        # mean of the per-draw entropies past numpy's 8-term blocks.
+        s = 17 if num_classes <= 8 else 9
         monkeypatch.setattr(
             inference, "_CHUNK_BYTES", CHUNK_ROWS * s * num_classes * 8
         )
@@ -527,6 +531,39 @@ class TestStreamingEngine:
         assert_engine_matches_reference(layer, features, s, tmp_path)
         assert np.all(predictive_posterior(layer, features, s, seed=11).prob_samples == 1 / k)
 
+    def test_overflowing_row_in_later_chunk_is_named(self, monkeypatch):
+        # Row 9, in the third chunk, overflows only under the draws whose
+        # class-0 weight on feature 0 exceeds 1.8; row 10 is NaN under every
+        # draw. The lowest failing row is named, with its lowest draw.
+        n, s, k = 3 * CHUNK_ROWS, 40, 3
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        layer = VBLinearLayer(
+            weight_mu=np.eye(k, 4), weight_rho=np.full((k, 4), math.log(math.expm1(0.5))),
+            bias_mu=np.zeros(k), bias_rho=np.full(k, -30.0), prior_scale=1.0,
+        )
+        features = np.random.default_rng(0).standard_normal((n, 4))
+        features[9] = [1e308, 0.0, 0.0, 0.0]
+        features[10, 2] = np.nan
+        with np.errstate(all="ignore"):
+            finite = [
+                np.isfinite((features @ d.weights.T + d.biases).max(axis=1))
+                for d in (
+                    sample_weights(layer, np.random.default_rng([2, t]))
+                    for t in range(s)
+                )
+            ]
+        draw = next(t for t in range(s) if not finite[t][9])
+        assert draw > 0 and all(f[:9].all() for f in finite)
+        message = f"data row 9: logits are not finite under posterior draw {draw}$"
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match=message):
+                score_posterior(layer, features, s, seed=2)
+            with pytest.raises(ValueError, match=message):
+                predictive_posterior(layer, features, s, seed=2)
+            features[9] = 0.0
+            with pytest.raises(ValueError, match="data row 10: .* draw 0$"):
+                score_posterior(layer, features, s, seed=2)
+
     def test_streaming_scorer_never_holds_the_grid(self):
         n, s, k = 20_000, 50, 5
         layer = init_layer(16, k, rho_init=-1.0, seed=0)
@@ -544,3 +581,30 @@ class TestStreamingEngine:
         layer, _ = trained_model
         with pytest.raises(ValueError, match="at least one row"):
             score_posterior(layer, np.zeros((0, 8)), mc_samples=3, seed=0)
+
+
+SUM_VALUES = st.one_of(
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    ),
+    st.floats(width=64),
+)
+
+
+@st.composite
+def class_blocks(draw):
+    """A float64 array of random leading shape with 0 to 20 classes last."""
+    lead = draw(st.lists(st.integers(0, 4), max_size=3))
+    k = draw(st.integers(0, 20))
+    return draw(arrays(np.float64, (*lead, k), elements=SUM_VALUES))
+
+
+@settings(max_examples=400, deadline=None)
+@given(block=class_blocks())
+@example(block=np.full((2, 3), -0.0))
+@example(block=np.array([[1e308, 1e308, -np.inf, 5e-324]]))
+def test_sum_classes_matches_numpy_sum(block):
+    with np.errstate(all="ignore"):
+        folded = inference._sum_classes(block)
+        expected = block.sum(axis=-1, keepdims=True)
+    assert_same_bits(folded, expected)
