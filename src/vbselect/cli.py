@@ -271,7 +271,10 @@ def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
     config = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            try:
+                config = json.load(handle)
+            except RecursionError:
+                raise ValueError(f"{args.config}: JSON nests too deeply to parse") from None
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(config) - allowed)

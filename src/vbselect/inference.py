@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write, write_lines
-from .vbll import VBLinearLayer, sample_weights
+from .vbll import VBLinearLayer, check_features, sample_weights
 
 __all__ = [
     "PredictionSet",
@@ -154,13 +154,15 @@ class PosteriorSummary:
 
 
 def _sum_classes(block: np.ndarray) -> np.ndarray:
-    """``block.sum(axis=-1, keepdims=True)``, bit for bit, without its slow loop.
+    """``block.sum(axis=-1, keepdims=True)`` without its slow loop.
 
     numpy sums fewer than 8 terms as ``0.0 + a0 + a1 + ...`` from left to
     right, one short reduction per row. Folding the class columns in that
     order gives the same bits in K whole-array adds. The 0.0 start matters:
     it turns a row of -0.0 into 0.0, as numpy does. From 8 terms on numpy
-    sums pairwise, so its own sum is used.
+    sums pairwise, so its own sum is used. Where the sum is NaN, both are
+    NaN but may carry different NaN bits (numpy keeps the first NaN term,
+    the fold the last); the engine never sums a NaN.
     """
     k = block.shape[-1]
     if k == 0 or k >= 8:
@@ -192,6 +194,7 @@ def _scores(mean_probs: np.ndarray, expected_entropy: np.ndarray) -> Uncertainty
 
 
 def _check_probs(probs: np.ndarray) -> None:
+    """Validate a caller-supplied grid; the engine's own softmax needs no check."""
     if not np.all(np.isfinite(probs)):
         raise ValueError("prob_samples contains non-finite values")
     if np.any(probs < 0.0):
@@ -204,17 +207,7 @@ def _check_probs(probs: np.ndarray) -> None:
 def _checked_features(layer: VBLinearLayer, data, mc_samples: int) -> np.ndarray:
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-    features = np.asarray(getattr(data, "features", data), dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be N x D, got shape {features.shape}")
-    if features.shape[0] == 0:
-        raise ValueError("features must have at least one row")
-    if features.shape[1] != layer.feature_dim:
-        raise ValueError(
-            f"feature dimension {features.shape[1]} does not match "
-            f"layer feature_dim {layer.feature_dim}"
-        )
-    return features
+    return check_features(layer, data)
 
 
 def _chunk_bounds(n: int, mc_samples: int, num_classes: int) -> list[tuple[int, int]]:
@@ -235,7 +228,7 @@ def _posterior_chunks(
 ):
     """Yield (start, probs): the softmax outputs of rows start.. under each draw.
 
-    probs is a checked, contiguous, draw-major (S, rows, K) view of one buffer
+    probs is a contiguous, draw-major (S, rows, K) view of one buffer
     that the next chunk overwrites, so a consumer must be done with it before
     resuming. A row whose logits are not finite under some draw stops the
     engine with a ValueError that names the row's 0-based index and the draw.
@@ -259,28 +252,31 @@ def _posterior_chunks(
         rows = stop - start
         probs = buffer[: mc_samples * rows * k].reshape(mc_samples, rows, k)
         peak = row_max[: mc_samples * rows].reshape(mc_samples, rows, 1)
-        np.matmul(features[start:stop], weights_t, out=probs)
-        probs += biases
-        # vbll.softmax over the whole block, step for step, so the same bits.
-        # numpy's max over a short last axis is slow; folding the K columns
-        # with np.maximum gives the same maximum (NaN still propagates, and a
-        # -0.0 against a 0.0 maximum gives the same exp).
-        np.copyto(peak, probs[..., :1])
-        for j in range(1, k):
-            np.maximum(peak, probs[..., j : j + 1], out=peak)
-        # A finite maximum bounds every logit of its row, so the exps below
-        # are finite and the probabilities lie in [0, 1].
-        if not np.isfinite(peak).all():
-            bad = ~np.isfinite(peak[..., 0])
-            row = int(bad.any(axis=0).argmax())
-            raise ValueError(
-                f"data row {start + row}: logits are not finite under "
-                f"posterior draw {int(bad[:, row].argmax())}"
-            )
-        probs -= peak
-        np.exp(probs, out=probs)
-        probs /= _sum_classes(probs)
-        _check_probs(probs)
+        # The finite-maximum check below reports an overflowing row, not
+        # numpy's warnings; the caller's error state is back for the yield.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(features[start:stop], weights_t, out=probs)
+            probs += biases
+            # vbll.softmax over the whole block, step for step, so the same
+            # bits. numpy's max over a short last axis is slow; folding the K
+            # columns with np.maximum gives the same maximum (NaN still
+            # propagates, and a -0.0 against a 0.0 maximum gives the same exp).
+            np.copyto(peak, probs[..., :1])
+            for j in range(1, k):
+                np.maximum(peak, probs[..., j : j + 1], out=peak)
+            if not np.isfinite(peak).all():
+                bad = ~np.isfinite(peak[..., 0])
+                row = int(bad.any(axis=0).argmax())
+                raise ValueError(
+                    f"data row {start + row}: logits are not finite under "
+                    f"posterior draw {int(bad[:, row].argmax())}"
+                )
+            # A finite maximum bounds every logit of its row, so each exp is in
+            # [0, 1] and the maximum's own is exactly 1. The row sum thus lies
+            # in [1, K], and the K quotients sum to 1 within K * 2.2e-16.
+            probs -= peak
+            np.exp(probs, out=probs)
+            probs /= _sum_classes(probs)
         yield start, probs
 
 

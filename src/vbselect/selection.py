@@ -66,10 +66,10 @@ class RejectionCurve:
     def __post_init__(self):
         object.__setattr__(self, "reports", tuple(self.reports))
         if not self.reports:
-            raise ValueError("curve needs at least one report")
+            raise ValueError("grid must be nonempty")
         thresholds = [r.threshold for r in self.reports]
         if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("thresholds must be strictly increasing")
+            raise ValueError("grid must be strictly increasing")
         if self.measure == "confidence":
             coverages = [r.coverage for r in self.reports]
             if any(a < b for a, b in zip(coverages, coverages[1:])):
@@ -79,8 +79,8 @@ class RejectionCurve:
                 )
 
 
-def _gate_scores(scores: UncertaintyScores, threshold: float, measure: str):
-    """Return (score array, acceptance mask) for the chosen measure."""
+def _gate_mask(scores: UncertaintyScores, threshold: float, measure: str):
+    """The acceptance mask of the chosen measure's gate at threshold."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; use one of {MEASURES}")
     values = getattr(scores, measure)
@@ -89,12 +89,12 @@ def _gate_scores(scores: UncertaintyScores, threshold: float, measure: str):
             raise ValueError(
                 f"threshold must lie in [0, 1] for confidence, got {threshold}"
             )
-        return values, values >= threshold
+        return values >= threshold
     if not threshold >= 0.0:
         raise ValueError(
             f"threshold must be nonnegative for {measure}, got {threshold}"
         )
-    return values, values <= threshold
+    return values <= threshold
 
 
 def confusion_matrix(predicted, labels, mask, num_classes=None) -> np.ndarray:
@@ -129,13 +129,11 @@ def apply_rejection(
     if predicted.shape[0] == 0:
         raise ValueError("cannot gate an empty prediction set")
     threshold = float(threshold)
-    _, mask = _gate_scores(scores, threshold, measure)
+    mask = _gate_mask(scores, threshold, measure)
     n = predicted.shape[0]
     accepted = int(mask.sum())
     correct_accepted = int(np.sum(mask & (predicted == labels)))
     correct_all = int(np.sum(predicted == labels))
-    if num_classes is None:
-        num_classes = int(max(predicted.max(), labels.max())) + 1
     mask.flags.writeable = False
     return RejectionReport(
         threshold=threshold,
@@ -165,23 +163,10 @@ def threshold_sweep(
     """One apply_rejection per grid threshold (default 0.50..0.90 step 0.05)."""
     if grid is None:
         grid = DEFAULT_GRID
-    grid = [float(t) for t in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing")
-    if len(predicted) == 0:
-        raise ValueError("cannot sweep an empty prediction set")
-    if num_classes is None:
-        # Fix K once so every report in the curve shares matrix shape.
-        predicted_arr = np.asarray(predicted, dtype=np.int64)
-        labels_arr = np.asarray(labels, dtype=np.int64)
-        num_classes = int(max(predicted_arr.max(), labels_arr.max())) + 1
-    reports = tuple(
+    return RejectionCurve(measure, tuple(
         apply_rejection(scores, predicted, labels, t, measure, num_classes)
         for t in grid
-    )
-    return RejectionCurve(measure=measure, reports=reports)
+    ))
 
 
 def save_curve_csv(curve: RejectionCurve, path: str) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 from .atomic import write_lines
 from .vbll import (
     VBLinearLayer,
+    check_features,
     flipout_logits,
     flipout_noise,
     forward_mean,
@@ -127,17 +128,13 @@ def _blocks(flat, num_classes, feature_dim):
 
 
 def _validate_batch_inputs(layer, batch, labels, n_train):
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = check_features(layer, batch)
     labels = np.asarray(labels)
-    if batch.ndim != 2 or batch.shape[1] != layer.feature_dim:
-        raise ValueError(f"batch must be B x {layer.feature_dim}")
-    if batch.shape[0] == 0:
-        raise ValueError("batch must hold at least one row")
     if labels.shape != (batch.shape[0],):
         raise ValueError("labels must be a vector with one entry per batch row")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError("labels must be integers")
-    if labels.size and (labels.min() < 0 or labels.max() >= layer.num_classes):
+    if labels.min() < 0 or labels.max() >= layer.num_classes:
         raise ValueError(f"labels must lie in [0, {layer.num_classes})")
     if n_train < batch.shape[0]:
         raise ValueError("n_train must be at least the batch size")

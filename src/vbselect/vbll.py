@@ -30,11 +30,19 @@ _ARRAY_FIELDS = ("weight_mu", "weight_rho", "bias_mu", "bias_rho")
 
 
 def _numbers_only(value) -> bool:
-    """True if `value` is a JSON number or nested lists holding only numbers."""
-    if type(value) is not list:
-        return type(value) in _NUMBER[1]
-    kinds = {type(item) for item in value}
-    return kinds <= _NUMBER[1] or (kinds == {list} and all(map(_numbers_only, value)))
+    """True if `value` is a JSON number or nested lists holding only numbers.
+
+    Iterative, so lists nested past Python's recursion limit are judged too.
+    """
+    pending = [[value]]
+    while pending:
+        items = pending.pop()
+        kinds = {type(item) for item in items}
+        if kinds == {list}:
+            pending.extend(items)
+        elif not kinds <= _NUMBER[1]:
+            return False
+    return True
 
 
 def softplus(x):
@@ -193,18 +201,25 @@ def sample_weights(layer: VBLinearLayer, rng: np.random.Generator) -> WeightSamp
     )
 
 
-def _check_batch(layer: VBLinearLayer, batch) -> np.ndarray:
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != layer.feature_dim:
+def check_features(layer: VBLinearLayer, data) -> np.ndarray:
+    """`data`, a FeatureDataset or an array, as a float64 N x D matrix.
+
+    D is layer.feature_dim and N at least 1. The one check of the rows that
+    every forward, ELBO and posterior function pushes through the layer.
+    """
+    features = np.asarray(getattr(data, "features", data), dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != layer.feature_dim:
         raise ValueError(
-            f"batch must be B x {layer.feature_dim}, got shape {batch.shape}"
+            f"features must be N x {layer.feature_dim}, got shape {features.shape}"
         )
-    return batch
+    if features.shape[0] == 0:
+        raise ValueError("features must have at least one row")
+    return features
 
 
 def forward_mean(layer: VBLinearLayer, batch) -> np.ndarray:
     """Deterministic logits through the posterior means."""
-    batch = _check_batch(layer, batch)
+    batch = check_features(layer, batch)
     return batch @ layer.weight_mu.T + layer.bias_mu
 
 
@@ -241,7 +256,7 @@ def forward_flipout(
     independent sign vectors, giving each example a pseudo-independent
     perturbation while drawing the expensive noise only once.
     """
-    batch = _check_batch(layer, batch)
+    batch = check_features(layer, batch)
     noise = flipout_noise(layer, batch.shape[0], rng)
     return flipout_logits(layer, batch, noise)
 
@@ -261,6 +276,8 @@ def load_layer(path) -> VBLinearLayer:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     required = {*_SCALAR_FIELDS, *_ARRAY_FIELDS}

@@ -251,6 +251,16 @@ class TestConfigTypes:
         assert repr(next(iter(config))) in err
         assert not os.path.exists(out)
 
+    def test_deeply_nested_config_rejected(self, capsys, tmp_path):
+        path = os.path.join(tmp_path, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"seed": ' + "[" * 50_000 + "]" * 50_000 + "}")
+        out = os.path.join(tmp_path, "out")
+        code, _, err = run_cli(capsys, ["gen", "--config", path, "--out", out])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {path}: JSON nests too deeply to parse\n"
+        assert not os.path.exists(out)
+
 
 def test_defaults_match_library_configs(capsys, tmp_path):
     """A command run without hyperparameter flags uses the configs' defaults."""
@@ -573,17 +583,22 @@ class TestEval:
         # Four rows per chunk at S = 20, K = 3. Row 5, in the second chunk,
         # lies along the signs of class 0's weights, so its class-0 logit
         # overflows to inf once the first chunk's samples were written. The
-        # engine names the row and stops before checking that chunk.
+        # engine names the row; its own softmax output is never re-checked
+        # by _check_probs, which only guards caller-supplied grids.
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 20 * 3 * 8)
         data = write_overflow_csv(pipeline, tmp_path, 5)
-        real = inference._check_probs
-        calls = []
+        calls = {"check": 0, "write": 0}
+        real_write = inference._write_sample_rows
 
         def counting_check(probs):
-            calls.append(None)
-            real(probs)
+            calls["check"] += 1
+
+        def counting_write(handle, start, probs):
+            calls["write"] += 1
+            real_write(handle, start, probs)
 
         monkeypatch.setattr(inference, "_check_probs", counting_check)
+        monkeypatch.setattr(inference, "_write_sample_rows", counting_write)
         out = os.path.join(tmp_path, "eval")
         code, _, err = run_cli(capsys, [
             "eval", "--model", pipeline["model"], "--data", data,
@@ -591,7 +606,7 @@ class TestEval:
         ])
         assert_single_line_error(code, err, 1)
         assert "data row 5: logits are not finite under posterior draw 0" in err
-        assert len(calls) == 1
+        assert calls == {"check": 0, "write": 1}
         assert os.listdir(out) == []
 
     def test_accepted_only_ece(self, capsys, pipeline, tmp_path):
@@ -651,6 +666,25 @@ class TestEval:
         ])
         assert_single_line_error(code, err, 1)
         assert f"{model}: {field} must" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("depth", [500, 50_000])
+    def test_deeply_nested_model_rejected(self, capsys, pipeline, tmp_path, depth):
+        # 500 levels pass the JSON parser and reach the array checks; 50 000
+        # exceed the parser's own recursion limit.
+        with open(pipeline["model"], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["weight_mu"] = "NESTED"
+        model = os.path.join(tmp_path, "model.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(doc).replace(
+                '"NESTED"', "[" * depth + "1.0" + "]" * depth
+            ))
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", model, "--data", pipeline["val"], "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
         assert not os.path.exists(out)
 
     def test_determinism(self, capsys, pipeline, tmp_path):
@@ -731,6 +765,20 @@ class TestSweep:
             "--grid", "0.8,0.6", "--out", os.path.join(tmp_path, "c.csv"),
         ])
         assert_single_line_error(code, err, 1)
+        assert err == "error: grid must be strictly increasing\n"
+
+    def test_out_of_range_threshold_reported_before_order(
+        self, capsys, pipeline, tmp_path
+    ):
+        # Each threshold is gated before the curve checks their order.
+        out = os.path.join(tmp_path, "c.csv")
+        code, _, err = run_cli(capsys, [
+            "sweep", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--grid", "0.9,1.5,0.5", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == "error: threshold must lie in [0, 1] for confidence, got 1.5\n"
+        assert not os.path.exists(out)
 
 
 class _NumpyOutOfMemory:

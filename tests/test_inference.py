@@ -555,14 +555,35 @@ class TestStreamingEngine:
         draw = next(t for t in range(s) if not finite[t][9])
         assert draw > 0 and all(f[:9].all() for f in finite)
         message = f"data row 9: logits are not finite under posterior draw {draw}$"
-        with np.errstate(all="ignore"):
-            with pytest.raises(ValueError, match=message):
-                score_posterior(layer, features, s, seed=2)
-            with pytest.raises(ValueError, match=message):
-                predictive_posterior(layer, features, s, seed=2)
-            features[9] = 0.0
-            with pytest.raises(ValueError, match="data row 10: .* draw 0$"):
-                score_posterior(layer, features, s, seed=2)
+        with pytest.raises(ValueError, match=message):
+            score_posterior(layer, features, s, seed=2)
+        with pytest.raises(ValueError, match=message):
+            predictive_posterior(layer, features, s, seed=2)
+        features[9] = 0.0
+        with pytest.raises(ValueError, match="data row 10: .* draw 0$"):
+            score_posterior(layer, features, s, seed=2)
+
+    @pytest.mark.parametrize("engine", [score_posterior, predictive_posterior])
+    def test_overflow_raises_without_caller_errstate(self, engine):
+        # pytest turns warnings into errors, so numpy's overflow warning from
+        # the matmul would pre-empt the ValueError unless the engine silences
+        # it itself.
+        layer = init_layer(4, 3, mu_init_scale=1.0, seed=0)
+        features = np.random.default_rng(0).standard_normal((6, 4))
+        features[3] = 1.7e308 * np.sign(layer.weight_mu[0])
+        state = np.geterr()
+        with pytest.raises(ValueError, match="^data row 3: logits are not finite"):
+            engine(layer, features, 5, seed=0)
+        assert np.geterr() == state
+
+    def test_chunks_leave_the_caller_error_state_in_force(self, monkeypatch):
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 5 * 3 * 8)
+        layer = init_layer(4, 3, seed=0)
+        features = np.random.default_rng(0).standard_normal((12, 4))
+        with np.errstate(all="raise"):
+            state = np.geterr()
+            for _ in inference._posterior_chunks(layer, features, 5, 0):
+                assert np.geterr() == state
 
     def test_streaming_scorer_never_holds_the_grid(self):
         n, s, k = 20_000, 50, 5
@@ -603,8 +624,13 @@ def class_blocks(draw):
 @given(block=class_blocks())
 @example(block=np.full((2, 3), -0.0))
 @example(block=np.array([[1e308, 1e308, -np.inf, 5e-324]]))
+@example(block=np.array([np.nan, -np.nan]))
 def test_sum_classes_matches_numpy_sum(block):
+    # Equal bits wherever numpy's sum is not NaN; NaN where it is, though the
+    # two may keep different NaN terms (sign and payload).
     with np.errstate(all="ignore"):
         folded = inference._sum_classes(block)
         expected = block.sum(axis=-1, keepdims=True)
-    assert_same_bits(folded, expected)
+    nan = np.isnan(expected)
+    assert_same_bits(np.isnan(folded), nan)
+    assert_same_bits(folded[~nan], expected[~nan])

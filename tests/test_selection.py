@@ -1,12 +1,16 @@
 """Tests for confidence-based rejection, threshold sweeps, and confusion counts."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vbselect.inference import UncertaintyScores
 from vbselect.selection import (
+    MEASURES,
     RejectionCurve,
     RejectionReport,
     apply_rejection,
@@ -388,3 +392,84 @@ class TestSelectionExports:
             np.testing.assert_array_equal(
                 np.array([int(x) for x in cells[1:]]), matrix[c]
             )
+
+
+# Scores and thresholds share a pool of exact eighths, so many scores tie
+# with a threshold; the gates accept a tie on the confidence side (>=) and
+# on the uncertainty side (<=) alike.
+EIGHTHS = [i / 8 for i in range(9)]
+GATE_VALUES = st.sampled_from(EIGHTHS) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def gate_cases(draw):
+    """(scores, predicted, labels, grid, measure, num_classes) for the gates."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(2, 4))
+    classes = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    values = st.lists(GATE_VALUES, min_size=n, max_size=n)
+    scores = UncertaintyScores(
+        confidence=draw(values), entropy=draw(values),
+        expected_entropy=np.zeros(n), mutual_info=draw(values),
+    )
+    grid = sorted(draw(st.sets(GATE_VALUES, min_size=1, max_size=6)))
+    return (
+        scores, np.array(draw(classes)), np.array(draw(classes)), grid,
+        draw(st.sampled_from(MEASURES)), draw(st.sampled_from([None, k])),
+    )
+
+
+def assert_same_report(actual, expected):
+    for field in fields(RejectionReport):
+        a, e = getattr(actual, field.name), getattr(expected, field.name)
+        if isinstance(e, np.ndarray):
+            assert a.dtype == e.dtype and a.shape == e.shape, field.name
+            np.testing.assert_array_equal(a, e, err_msg=field.name)
+        else:
+            assert a == e, field.name
+
+
+TIED = (scores_from_confidence([0.5, 0.5, 0.75]), np.array([0, 1, 1]),
+        np.array([0, 1, 0]), [0.5, 0.75], "confidence", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=gate_cases())
+@example(case=TIED)
+def test_sweep_report_equals_apply_rejection(case):
+    scores, predicted, labels, grid, measure, num_classes = case
+    curve = threshold_sweep(scores, predicted, labels, grid, measure, num_classes)
+    assert [r.threshold for r in curve.reports] == grid
+    for threshold, swept in zip(grid, curve.reports):
+        single = apply_rejection(
+            scores, predicted, labels, threshold, measure, num_classes
+        )
+        assert_same_report(swept, single)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=gate_cases())
+@example(case=TIED)
+def test_gate_splits_every_row(case):
+    scores, predicted, labels, grid, measure, num_classes = case
+    values = getattr(scores, measure)
+    for threshold in grid:
+        report = apply_rejection(
+            scores, predicted, labels, threshold, measure, num_classes
+        )
+        assert report.accepted_count + report.rejected_count == len(predicted)
+        expected = values >= threshold if measure == "confidence" else values <= threshold
+        np.testing.assert_array_equal(report.accepted_mask, expected)
+        assert report.accepted_count == int(expected.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=gate_cases())
+@example(case=TIED)
+def test_coverage_monotone_in_threshold(case):
+    scores, predicted, labels, grid, measure, num_classes = case
+    curve = threshold_sweep(scores, predicted, labels, grid, measure, num_classes)
+    coverages = [r.coverage for r in curve.reports]
+    if measure == "confidence":
+        coverages.reverse()
+    assert coverages == sorted(coverages)

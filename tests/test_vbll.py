@@ -6,12 +6,17 @@ forward pass is checked against plain reparameterized sampling in law.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from vbselect.dataset import FeatureDataset
+from vbselect.inference import predictive_posterior, score_posterior
+from vbselect.training import elbo_gradients, elbo_loss
 from vbselect.vbll import (
     VBLinearLayer,
+    check_features,
     forward_flipout,
     forward_mean,
     init_layer,
@@ -258,6 +263,45 @@ class TestForwardMean:
         assert np.all(gap <= 3 * se)
 
 
+# Every public function that pushes rows through a layer, called on `rows`.
+FEATURE_ENTRY_POINTS = {
+    "forward_mean": forward_mean,
+    "forward_flipout": lambda layer, rows: forward_flipout(
+        layer, rows, np.random.default_rng(0)
+    ),
+    "elbo_loss": lambda layer, rows: elbo_loss(
+        layer, rows, np.zeros(len(rows), dtype=np.int64), 10, np.random.default_rng(0)
+    ),
+    "elbo_gradients": lambda layer, rows: elbo_gradients(
+        layer, rows, np.zeros(len(rows), dtype=np.int64), 10, np.random.default_rng(0)
+    ),
+    "predictive_posterior": lambda layer, rows: predictive_posterior(layer, rows, 3),
+    "score_posterior": lambda layer, rows: score_posterior(layer, rows, 3),
+}
+
+
+class TestCheckFeatures:
+    @pytest.mark.parametrize("entry", FEATURE_ENTRY_POINTS)
+    @pytest.mark.parametrize("shape,message", [
+        ((4,), "features must be N x 4, got shape (4,)"),
+        ((2, 3, 4), "features must be N x 4, got shape (2, 3, 4)"),
+        ((2, 5), "features must be N x 4, got shape (2, 5)"),
+        ((0, 4), "features must have at least one row"),
+    ])
+    def test_entry_points_share_one_message(self, entry, shape, message):
+        layer = init_layer(4, 3, seed=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FEATURE_ENTRY_POINTS[entry](layer, np.zeros(shape))
+
+    def test_accepts_a_dataset_or_an_array(self):
+        layer = init_layer(4, 3, seed=0)
+        features = np.arange(8.0).reshape(2, 4)
+        ds = FeatureDataset(features, np.array([0, 1]), 3)
+        assert check_features(layer, ds) is ds.features
+        np.testing.assert_array_equal(check_features(layer, features.tolist()), features)
+        assert check_features(layer, features.astype(np.float32)).dtype == np.float64
+
+
 class TestForwardFlipout:
     def test_zero_variance_equals_forward_mean(self):
         rng = np.random.default_rng(5)
@@ -403,4 +447,19 @@ class TestPersistence:
         doc["format_version"] = 99
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="format_version"):
+            load_layer(path)
+
+    @pytest.mark.parametrize("leaf,ok", [(1.0, True), ("1.0", False)])
+    def test_number_check_walks_past_the_recursion_limit(self, leaf, ok):
+        from vbselect.vbll import _numbers_only
+
+        nested = leaf
+        for _ in range(5000):
+            nested = [nested]
+        assert _numbers_only(nested) is ok
+
+    def test_load_rejects_json_nested_past_the_parser(self, tmp_path):
+        path = tmp_path / "layer.json"
+        path.write_text('{"weight_mu": ' + "[" * 50_000 + "]" * 50_000 + "}")
+        with pytest.raises(ValueError, match="JSON nests too deeply to parse$"):
             load_layer(path)

@@ -11,6 +11,12 @@ OUT_DIR, sorted. Two checkouts whose outputs match byte for byte print the
 same lines, so a change meant to keep every artifact can be checked with
 ``diff`` on the two listings.
 
+After the digests it runs a fixed list of commands that must fail (see
+``_error_cases``), with inputs written under ``OUT_DIR/errors/``, and prints
+one ``name: exit CODE: stderr`` line for each, paths relative to OUT_DIR. An
+exception that escapes the CLI is listed as ``raised`` with its type and
+message. The same ``diff`` then shows changes to the error contract too.
+
 Chains (all at seed 0):
 
 * ``readme/``: the README quick start's gen, split, balance and train;
@@ -31,13 +37,17 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vbselect.cli import entrypoint  # noqa: E402
+from vbselect.dataset import FeatureDataset, load_csv, save_csv  # noqa: E402
 
 
 def _chains(out: str) -> list[list[str]]:
@@ -92,6 +102,74 @@ def _chains(out: str) -> list[list[str]]:
     ]
 
 
+def _error_cases(out: str) -> list[tuple[str, list[str]]]:
+    """(name, argv) of commands that must fail; writes their inputs to errors/."""
+    errors = os.path.join(out, "errors")
+    os.makedirs(errors)
+    model = os.path.join(out, "readme", "model.json")
+    test = os.path.join(out, "readme", "splits", "test.csv")
+    with open(model, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    # Row 0 along the signs of class 0's mean weights: its logit overflows.
+    ds = load_csv(test)
+    features = ds.features.copy()
+    features[0] = 1.7e308 * np.sign(doc["weight_mu"][0])
+    overflow = os.path.join(errors, "overflow.csv")
+    save_csv(FeatureDataset(features, ds.labels, ds.num_classes), overflow)
+    # The model with weight_mu replaced by one number in nested lists.
+    doc["weight_mu"] = "NESTED"
+    nested = {}
+    for depth in (500, 50_000):
+        nested[depth] = os.path.join(errors, f"nested_{depth}.json")
+        with open(nested[depth], "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(doc).replace(
+                '"NESTED"', "[" * depth + "1.0" + "]" * depth
+            ))
+    nested_config = os.path.join(errors, "nested_config.json")
+    with open(nested_config, "w", encoding="utf-8") as handle:
+        handle.write('{"seed": ' + "[" * 50_000 + "]" * 50_000 + "}")
+    mistyped_config = os.path.join(errors, "mistyped_config.json")
+    with open(mistyped_config, "w", encoding="utf-8") as handle:
+        json.dump({"mc_samples": 2.5}, handle)
+
+    def sweep(grid):
+        return ["sweep", "--model", model, "--data", test, "--grid", grid,
+                "--out", os.path.join(errors, "sweep.csv")]
+
+    def evaluate(model_path, data, *flags):
+        return ["eval", "--model", model_path, "--data", data, *flags,
+                "--out", os.path.join(errors, "eval")]
+
+    return [
+        ("unsorted_grid", sweep("0.8,0.6")),
+        ("unsorted_grid_out_of_range", sweep("0.9,1.5,0.5")),
+        ("dimension_mismatch", evaluate(os.path.join(out, "wide", "model.json"), test)),
+        ("overflowing_row", evaluate(model, overflow)),
+        ("nested_model_500", evaluate(nested[500], test)),
+        ("nested_model_50000", evaluate(nested[50_000], test)),
+        ("nested_config_50000", evaluate(model, test, "--config", nested_config)),
+        ("mistyped_config", evaluate(model, test, "--config", mistyped_config)),
+    ]
+
+
+def _run(command: list[str]) -> tuple[int, str]:
+    """(exit code, stderr) of one in-process CLI run; stdout is discarded."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = entrypoint(command)
+    return code, stderr.getvalue()
+
+
+def _failure(command: list[str], out: str) -> str:
+    """How one failing command ends, on one line, with paths relative to out."""
+    try:
+        code, stderr = _run(command)
+        result = f"exit {code}: {stderr.strip()}"
+    except Exception as exc:  # an exception the CLI let escape
+        result = f"raised {type(exc).__name__}: {exc}"
+    return result.replace(out + os.sep, "").replace("\n", " | ")
+
+
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -111,11 +189,9 @@ def main(argv: list[str]) -> int:
     for directory in ("readme", "wide"):
         os.makedirs(os.path.join(out, directory))
     for command in _chains(out):
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = entrypoint(command)
-        if code != 0 or stderr.getvalue():
-            print(f"error: {' '.join(command)} exited {code}: {stderr.getvalue().strip()}",
+        code, stderr = _run(command)
+        if code != 0 or stderr:
+            print(f"error: {' '.join(command)} exited {code}: {stderr.strip()}",
                   file=sys.stderr)
             return 1
     files = sorted(
@@ -124,6 +200,8 @@ def main(argv: list[str]) -> int:
     )
     for rel in files:
         print(f"{_sha256(os.path.join(out, rel))}  {rel}")
+    for name, command in _error_cases(out):
+        print(f"{name}: {_failure(command, out)}")
     return 0
 
 
