@@ -1,0 +1,84 @@
+"""numpy's bundled OpenBLAS: what it is, and a pin to one thread.
+
+numpy's wheels ship OpenBLAS with a ``scipy_openblas_`` symbol prefix and a
+``64_`` suffix. Its thread-count getter and setter are looked up through
+numpy's own extension module, whose dependencies include the library, and
+called with ctypes: threadpoolctl's route, without the dependency. A numpy
+built against another BLAS lacks these symbols; then ``blas_info`` returns
+None and ``one_blas_thread`` pins nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import threading
+
+__all__ = ["blas_info", "one_blas_thread"]
+
+# The thread count is process-global, so the pin's bookkeeping is too: how
+# many blocks hold it now, and the count the first of them found.
+_lock = threading.Lock()
+_holders = 0
+_saved_threads = 0
+
+
+@functools.cache
+def _openblas():
+    """(get_threads, set_threads, get_config) of numpy's OpenBLAS, or None."""
+    try:
+        from numpy._core import _multiarray_umath as extension
+        library = ctypes.CDLL(extension.__file__)
+        get_threads = library.scipy_openblas_get_num_threads64_
+        set_threads = library.scipy_openblas_set_num_threads64_
+        get_config = library.scipy_openblas_get_config64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+    return get_threads, set_threads, get_config
+
+
+def blas_info() -> tuple[str, str, int] | None:
+    """(name, version, thread count) of numpy's OpenBLAS, or None.
+
+    For example ("OpenBLAS", "0.3.31.188.0", 2). None where it is not found.
+    """
+    library = _openblas()
+    if library is None:
+        return None
+    get_threads, _, get_config = library
+    name, version = get_config().decode("ascii", "replace").split()[:2]
+    return name, version, get_threads()
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread inside the block.
+
+    Yields True if it could and False where the library's setter is missing.
+    The count is process-global: every thread's BLAS calls run on one thread
+    while any block holds the pin. Nested and concurrent blocks share it; the
+    first to enter saves the caller's count and the last to leave restores
+    it, whether the block succeeds or raises.
+    """
+    global _holders, _saved_threads
+    library = _openblas()
+    if library is None:
+        yield False
+        return
+    get_threads, set_threads, _ = library
+    with _lock:
+        if _holders == 0:
+            _saved_threads = get_threads()
+            set_threads(1)
+        _holders += 1
+    try:
+        yield True
+    finally:
+        with _lock:
+            _holders -= 1
+            if _holders == 0:
+                set_threads(_saved_threads)

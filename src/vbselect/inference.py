@@ -15,25 +15,33 @@ Sample s always draws from ``default_rng([seed, s])``, so runs with a larger
 S extend a smaller run sample-for-sample and samples can be computed in any
 order (or in parallel) without changing results.
 
-One row-chunk engine does all the sampling: it takes the S weight draws
-once, then fills a reused draw-major (S, rows, K) buffer chunk by chunk with
-one batched matmul, checks it and hands it on. ``score_posterior`` reduces
-each chunk to per-row results as it goes, so it needs O(N·K + chunk) memory
-and never holds the N x S x K grid; the ``eval`` and ``sweep`` commands use
-it. ``predictive_posterior`` copies the transposed chunks into the full grid
-for callers that want the samples themselves. Both give the same numbers bit
-for bit: every sum over the K classes is a left-to-right fold of the class
-columns in numpy's own order (``_sum_classes``), and every mean over the S
-draws keeps the order numpy uses on the (N, S, K) grid.
+One row-chunk engine does all the sampling. It takes the S weight draws
+once, then scores the row chunks on a few threads: each thread fills its own
+draw-major (S, rows, K) buffer with one batched matmul per chunk, checks it
+and hands it on. ``score_posterior`` reduces each chunk to its own rows of
+the per-row results, so it needs O(N·K + threads x chunk) memory and never
+holds the N x S x K grid; the ``eval`` and ``sweep`` commands use it.
+``predictive_posterior`` copies the transposed chunks into the full grid for
+callers that want the samples themselves. Both give the same numbers bit for
+bit, whatever the thread count: every sum over the K classes is a
+left-to-right fold of the class columns in numpy's own order
+(``_sum_classes``), and every mean over the S draws keeps the order numpy
+uses on the (N, S, K) grid. While the threads run, numpy's OpenBLAS is held
+at one thread (``blas.one_blas_thread``); where it cannot be, one thread
+scores every chunk.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atomic import atomic_write, write_lines
+from .blas import one_blas_thread
 from .vbll import VBLinearLayer, check_features, sample_weights
 
 __all__ = [
@@ -49,8 +57,9 @@ __all__ = [
 
 # Size of one chunk's draw-major (S, rows, K) float64 buffer; the rows per
 # chunk follow from it. Scoring a chunk allocates about as much again in
-# temporaries, and at N=100k, S=100, K=5 a 2 MiB chunk scores as fast as a
-# 4 MiB one. The draws are the buffer's outer axis so that one batched matmul
+# temporaries. At N=100k, S=100, K=5 on two scoring threads, 2 MiB chunks
+# scored in 0.24 s against 0.27 s for 1 or 4 MiB ones (median of 7 on a
+# 2-core VM). The draws are the buffer's outer axis so that one batched matmul
 # fills it (one gemm per draw), and the per-row sums over a short K axis and
 # the mean over S become whole-array adds over long contiguous rows.
 # A chunk never holds a single row unless N = 1: numpy sends 1-row matmuls
@@ -59,6 +68,12 @@ __all__ = [
 # measured) BLAS picks its kernel by matrix size, so the last bit of a
 # probability can depend on how many rows share its chunk.
 _CHUNK_BYTES = 2 * 2**20
+
+# The most threads that score chunks at once. Each holds about
+# 2 x _CHUNK_BYTES, its buffer and the kernel's temporaries, so a many-core
+# host would otherwise pay memory for threads that the GIL-bound reductions
+# and sample text keep waiting.
+_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -223,61 +238,158 @@ def _chunk_bounds(n: int, mc_samples: int, num_classes: int) -> list[tuple[int, 
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _posterior_chunks(
-    layer: VBLinearLayer, features: np.ndarray, mc_samples: int, seed: int
-):
-    """Yield (start, probs): the softmax outputs of rows start.. under each draw.
+def _posterior_draws(layer: VBLinearLayer, mc_samples: int, seed: int):
+    """The S weight draws: (S, D, K) transposed weights and (S, 1, K) biases.
 
-    probs is a contiguous, draw-major (S, rows, K) view of one buffer
-    that the next chunk overwrites, so a consumer must be done with it before
-    resuming. A row whose logits are not finite under some draw stops the
-    engine with a ValueError that names the row's 0-based index and the draw.
+    All S up front, in one allocation: small (S x K x (D+1)) next to the
+    grid, and an absurd S fails here at once rather than draw by draw. A draw
+    that is not finite can only come from the model, whose sigma times a
+    standard normal overflowed, so it is reported here and never as a data
+    row; numpy's overflow warning is silenced for it.
     """
     k = layer.num_classes
-    # All S draws up front, in one allocation: small (S x K x (D+1)) next to
-    # the grid, and an absurd S fails here at once rather than draw by draw.
     weights = np.empty((mc_samples, k, layer.feature_dim))
     biases = np.empty((mc_samples, 1, k))
-    for s in range(mc_samples):
-        draw = sample_weights(layer, np.random.default_rng([seed, s]))
-        weights[s], biases[s, 0] = draw.weights, draw.biases
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(mc_samples):
+            draw = sample_weights(layer, np.random.default_rng([seed, s]))
+            weights[s], biases[s, 0] = draw.weights, draw.biases
+    finite = np.isfinite(weights).all(axis=(1, 2)) & np.isfinite(biases).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(
+            f"posterior draw {int(finite.argmin())} is not finite: "
+            "the model's weight/bias sigma overflows float64"
+        )
     # The (S, D, K) view hands BLAS the transposed operand that draw s's own
     # `rows @ weights[s].T` would, so each batch item is the same gemm.
-    weights_t = weights.transpose(0, 2, 1)
+    return weights.transpose(0, 2, 1), biases
+
+
+def _softmax_chunk(features, start, weights_t, biases, probs, peak) -> None:
+    """Fill probs, (S, rows, K), with the softmax of `features` under each draw.
+
+    features holds data rows start.., and peak is (S, rows, 1) scratch. A
+    row whose logits are not finite under some draw raises a ValueError that
+    names the row's 0-based index and the lowest such draw.
+    """
+    k = probs.shape[2]
+    # The finite-maximum check below reports an overflowing row, not numpy's
+    # warnings; the caller's error state is back once the chunk is done.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(features, weights_t, out=probs)
+        probs += biases
+        # vbll.softmax over the whole block, step for step, so the same bits.
+        # numpy's max over a short last axis is slow; folding the K columns
+        # with np.maximum gives the same maximum (NaN still propagates, and a
+        # -0.0 against a 0.0 maximum gives the same exp).
+        np.copyto(peak, probs[..., :1])
+        for j in range(1, k):
+            np.maximum(peak, probs[..., j : j + 1], out=peak)
+        if not np.isfinite(peak).all():
+            bad = ~np.isfinite(peak[..., 0])
+            row = int(bad.any(axis=0).argmax())
+            raise ValueError(
+                f"data row {start + row}: logits are not finite under "
+                f"posterior draw {int(bad[:, row].argmax())}"
+            )
+        # A finite maximum bounds every logit of its row, so each exp is in
+        # [0, 1] and the maximum's own is exactly 1. The row sum thus lies in
+        # [1, K], and the K quotients sum to 1 within K * 2.2e-16.
+        probs -= peak
+        np.exp(probs, out=probs)
+        probs /= _sum_classes(probs)
+
+
+def _worker_count(chunks: int) -> int:
+    """How many threads score `chunks` chunks: at most one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, chunks, _MAX_WORKERS)
+
+
+def _score_chunks(
+    layer: VBLinearLayer, features: np.ndarray, mc_samples: int, seed: int,
+    reduce, in_order=None,
+) -> None:
+    """Score every row chunk of the posterior on a few threads.
+
+    reduce(start, probs) runs on the thread that scored rows start.., as
+    soon as they are scored; in_order(start, probs), if given, runs after it
+    for one chunk at a time, in row order. probs is a contiguous, draw-major
+    (S, rows, K) view of that thread's own buffer, which its next chunk
+    overwrites, so the callbacks must be done with it when they return. They
+    may write only their own chunk's rows of any shared output, which is why
+    no result depends on the thread count or on which thread took a chunk.
+
+    Threads take chunks in row order and run under the caller's numpy error
+    state. A chunk that raises stops the run: chunks before it are still
+    scored, so the error raised is that of the lowest failing row, and later
+    chunks are skipped. Every thread is joined before this returns or raises.
+    """
+    weights_t, biases = _posterior_draws(layer, mc_samples, seed)
+    k = layer.num_classes
     bounds = _chunk_bounds(features.shape[0], mc_samples, k)
     most = max(stop - start for start, stop in bounds)
-    buffer = np.empty(mc_samples * most * k)
-    row_max = np.empty(mc_samples * most)
-    for start, stop in bounds:
-        rows = stop - start
-        probs = buffer[: mc_samples * rows * k].reshape(mc_samples, rows, k)
-        peak = row_max[: mc_samples * rows].reshape(mc_samples, rows, 1)
-        # The finite-maximum check below reports an overflowing row, not
-        # numpy's warnings; the caller's error state is back for the yield.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(features[start:stop], weights_t, out=probs)
-            probs += biases
-            # vbll.softmax over the whole block, step for step, so the same
-            # bits. numpy's max over a short last axis is slow; folding the K
-            # columns with np.maximum gives the same maximum (NaN still
-            # propagates, and a -0.0 against a 0.0 maximum gives the same exp).
-            np.copyto(peak, probs[..., :1])
-            for j in range(1, k):
-                np.maximum(peak, probs[..., j : j + 1], out=peak)
-            if not np.isfinite(peak).all():
-                bad = ~np.isfinite(peak[..., 0])
-                row = int(bad.any(axis=0).argmax())
-                raise ValueError(
-                    f"data row {start + row}: logits are not finite under "
-                    f"posterior draw {int(bad[:, row].argmax())}"
-                )
-            # A finite maximum bounds every logit of its row, so each exp is in
-            # [0, 1] and the maximum's own is exactly 1. The row sum thus lies
-            # in [1, K], and the K quotients sum to 1 within K * 2.2e-16.
-            probs -= peak
-            np.exp(probs, out=probs)
-            probs /= _sum_classes(probs)
-        yield start, probs
+    claims = iter(enumerate(bounds))
+    turn = threading.Condition()
+    failures = {}  # chunk index -> what it raised
+    ordered = 0  # chunks through in_order
+
+    def stopped(index: int) -> bool:
+        return bool(failures) and min(failures) < index
+
+    def work() -> None:
+        nonlocal ordered
+        index = -1
+        try:
+            buffer = np.empty(mc_samples * most * k)
+            row_max = np.empty(mc_samples * most)
+            while True:
+                with turn:
+                    claim = next(claims, None)
+                    if claim is None or stopped(claim[0]):
+                        return
+                index, (start, stop) = claim
+                rows = stop - start
+                probs = buffer[: mc_samples * rows * k].reshape(mc_samples, rows, k)
+                peak = row_max[: mc_samples * rows].reshape(mc_samples, rows, 1)
+                _softmax_chunk(features[start:stop], start, weights_t, biases, probs, peak)
+                reduce(start, probs)
+                if in_order is not None:
+                    with turn:
+                        turn.wait_for(lambda: ordered == index or stopped(index))
+                        if ordered != index:
+                            return
+                    in_order(start, probs)
+                    with turn:
+                        ordered += 1
+                        turn.notify_all()
+        except BaseException as exc:  # raised again in the caller's thread
+            with turn:
+                # An interrupt belongs to no chunk: it stops every one.
+                failures[index if isinstance(exc, Exception) else -1] = exc
+                turn.notify_all()
+
+    with one_blas_thread() as pinned:
+        # Without the pin each thread's gemm would start BLAS threads of its
+        # own, and two scoring threads ran slower than one.
+        workers = _worker_count(len(bounds)) if pinned else 1
+        threads = [
+            threading.Thread(target=contextvars.copy_context().run, args=(work,))
+            for _ in range(workers - 1)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            work()
+        finally:
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+    if failures:
+        raise failures[min(failures)]
 
 
 def predictive_posterior(
@@ -291,8 +403,11 @@ def predictive_posterior(
     """
     features = _checked_features(layer, data, mc_samples)
     prob_samples = np.empty((features.shape[0], mc_samples, layer.num_classes))
-    for start, probs in _posterior_chunks(layer, features, mc_samples, seed):
+
+    def copy(start, probs):
         prob_samples[start : start + probs.shape[1]] = probs.transpose(1, 0, 2)
+
+    _score_chunks(layer, features, mc_samples, seed, copy)
     mean_probs = prob_samples.mean(axis=1)
     return PredictionSet(
         prob_samples=prob_samples,
@@ -308,17 +423,16 @@ def score_posterior(
     """Mean probabilities, predictions and scores, streamed over row chunks.
 
     Equal bit for bit to uncertainty_scores(predictive_posterior(...)), in
-    O(N·K + chunk) memory. With `samples`, an open text file, the sample
-    grid is also written there chunk by chunk, in save_prob_samples_csv's
-    format and row order.
+    O(N·K + threads x chunk) memory. With `samples`, an open text file, the
+    sample grid is also written there chunk by chunk, in
+    save_prob_samples_csv's format and row order.
     """
     features = _checked_features(layer, data, mc_samples)
     n, k = features.shape[0], layer.num_classes
     mean_probs = np.empty((n, k))
     expected_entropy = np.empty(n)
-    if samples is not None:
-        samples.write(_samples_header(k))
-    for start, probs in _posterior_chunks(layer, features, mc_samples, seed):
+
+    def reduce(start, probs):
         stop = start + probs.shape[1]
         # numpy adds the S axis left to right here as over the grid's axis 1.
         mean_probs[start:stop] = probs.mean(axis=0)
@@ -327,8 +441,15 @@ def score_posterior(
         # them left to right and round differently once S >= 9.
         entropies = np.ascontiguousarray(_entropy(probs).T)
         expected_entropy[start:stop] = entropies.mean(axis=1)
-        if samples is not None:
-            _write_sample_rows(samples, start, probs.transpose(1, 0, 2))
+
+    def write(start, probs):
+        _write_sample_rows(samples, start, probs.transpose(1, 0, 2))
+
+    if samples is not None:
+        samples.write(_samples_header(k))
+    _score_chunks(
+        layer, features, mc_samples, seed, reduce, None if samples is None else write
+    )
     return PosteriorSummary(
         mean_probs=mean_probs,
         predicted=np.argmax(mean_probs, axis=1),
@@ -364,11 +485,16 @@ def _samples_header(num_classes: int) -> str:
 
 def _write_sample_rows(handle, start: int, probs: np.ndarray) -> None:
     """Write one `index,sample,p0..p{K-1}` line per (row, sample) of a block."""
-    lines = []
-    for i, row in enumerate(probs.tolist(), start):
-        for s, values in enumerate(row):
-            lines.append(f"{i},{s}," + ",".join(map(repr, values)) + "\n")
-    handle.write("".join(lines))
+    # About 64k values, some 1.3 MB of text, per write: a whole chunk's lines
+    # and the Python objects behind them take several times the chunk's own
+    # bytes, and the process keeps that memory after they are freed.
+    step = max(1, 2**16 // (probs.shape[1] * probs.shape[2]))
+    for first in range(0, probs.shape[0], step):
+        lines = []
+        for i, row in enumerate(probs[first : first + step].tolist(), start + first):
+            for s, values in enumerate(row):
+                lines.append(f"{i},{s}," + ",".join(map(repr, values)) + "\n")
+        handle.write("".join(lines))
 
 
 def save_prob_samples_csv(pred: PredictionSet, path: str) -> None:

@@ -303,6 +303,11 @@ def load_layer(path) -> VBLinearLayer:
         except OverflowError:
             # A JSON integer has no size limit; float64 does.
             raise ValueError(f"{path}: {name} must be within float64 range") from None
+        except ValueError:
+            # Ragged lists, or lists nested past numpy's 64 dimensions.
+            raise ValueError(
+                f"{path}: {name} must be a rectangular array of numbers"
+            ) from None
     layer = VBLinearLayer(**values)
     if layer.feature_dim != feature_dim or layer.num_classes != num_classes:
         raise ValueError(f"{path}: declared dimensions do not match arrays")

@@ -7,6 +7,7 @@ stdout, and stderr can be asserted exactly; one subprocess test covers the
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -668,8 +669,13 @@ class TestEval:
         assert f"{model}: {field} must" in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("depth", [500, 50_000])
-    def test_deeply_nested_model_rejected(self, capsys, pipeline, tmp_path, depth):
+    @pytest.mark.parametrize("depth,message", [
+        (500, "weight_mu must be a rectangular array of numbers"),
+        (50_000, "JSON nests too deeply to parse"),
+    ])
+    def test_deeply_nested_model_rejected(
+        self, capsys, pipeline, tmp_path, depth, message
+    ):
         # 500 levels pass the JSON parser and reach the array checks; 50 000
         # exceed the parser's own recursion limit.
         with open(pipeline["model"], encoding="utf-8") as handle:
@@ -685,7 +691,45 @@ class TestEval:
             "eval", "--model", model, "--data", pipeline["val"], "--out", out,
         ])
         assert_single_line_error(code, err, 1)
+        assert err == f"error: {model}: {message}\n"
         assert not os.path.exists(out)
+
+    def test_ragged_model_array_rejected(self, capsys, pipeline, tmp_path):
+        with open(pipeline["model"], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["weight_mu"][1] = doc["weight_mu"][1][:2]
+        model = os.path.join(tmp_path, "model.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", model, "--data", pipeline["val"], "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == (
+            f"error: {model}: weight_mu must be a rectangular array of numbers\n"
+        )
+        assert not os.path.exists(out)
+
+    def test_overflowing_sigma_blames_the_model(self, capsys, pipeline, tmp_path):
+        # A legal weight_rho of 1e308 makes sigma * eps overflow in a draw.
+        with open(pipeline["model"], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["weight_rho"] = [[1e308] * len(row) for row in doc["weight_rho"]]
+        model = os.path.join(tmp_path, "model.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", model, "--data", pipeline["val"], "--out", out,
+            "--save-samples",
+        ])
+        assert_single_line_error(code, err, 1)
+        assert re.fullmatch(
+            r"error: posterior draw \d+ is not finite: "
+            r"the model's weight/bias sigma overflows float64\n", err
+        )
+        assert os.listdir(out) == []
 
     def test_determinism(self, capsys, pipeline, tmp_path):
         outs = [os.path.join(tmp_path, name) for name in ("a", "b")]

@@ -3,7 +3,11 @@
 import io
 import math
 import os
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vbselect import inference
+from vbselect.blas import blas_info, one_blas_thread
 from vbselect.dataset import (
     FeatureDataset,
     SplitRatios,
@@ -577,31 +582,269 @@ class TestStreamingEngine:
         assert np.geterr() == state
 
     def test_chunks_leave_the_caller_error_state_in_force(self, monkeypatch):
+        # The first two chunks meet at a barrier, so two threads score them,
+        # each under the caller's error state.
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 5 * 3 * 8)
+        use_workers(monkeypatch, 2)
         layer = init_layer(4, 3, seed=0)
         features = np.random.default_rng(0).standard_normal((12, 4))
+        barrier = threading.Barrier(2, timeout=10)
+        seen = []
+
+        def before(start):
+            seen.append((threading.get_ident(), np.geterr()))
+            if start < 8:
+                barrier.wait()
+
+        wrap_kernel(monkeypatch, before)
         with np.errstate(all="raise"):
             state = np.geterr()
-            for _ in inference._posterior_chunks(layer, features, 5, 0):
-                assert np.geterr() == state
+            score_posterior(layer, features, 5, seed=0)
+        assert len({ident for ident, _ in seen}) == 2
+        assert [errors for _, errors in seen] == [state] * 3
 
-    def test_streaming_scorer_never_holds_the_grid(self):
+    def test_streaming_scorer_never_holds_the_grid(self, monkeypatch):
+        # On one thread the peak is O(N·K + chunk). Each further thread adds
+        # its own buffer and the kernel's temporaries, not a share of the
+        # grid, so the bound is checked per thread count, not per host.
         n, s, k = 20_000, 50, 5
         layer = init_layer(16, k, rho_init=-1.0, seed=0)
         features = np.random.default_rng(0).standard_normal((n, 16))
         grid_bytes = n * s * k * 8
-        tracemalloc.start()
-        try:
-            score_posterior(layer, features, mc_samples=s, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < grid_bytes / 4
+        peaks = {}
+        for workers in (1, 3):
+            use_workers(monkeypatch, workers)
+            tracemalloc.start()
+            try:
+                score_posterior(layer, features, mc_samples=s, seed=0)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < grid_bytes / 4
+        assert peaks[3] - peaks[1] < 2 * 3 * inference._CHUNK_BYTES
 
     def test_rejects_empty_input(self, trained_model):
         layer, _ = trained_model
         with pytest.raises(ValueError, match="at least one row"):
             score_posterior(layer, np.zeros((0, 8)), mc_samples=3, seed=0)
+
+
+def engine_outputs(layer, features, s, seed=11):
+    """score_posterior's arrays and samples text, and predictive_posterior's grid."""
+    handle = io.StringIO()
+    streamed = score_posterior(layer, features, s, seed=seed, samples=handle)
+    grid = predictive_posterior(layer, features, s, seed=seed).prob_samples
+    results = [streamed.mean_probs, streamed.predicted, grid]
+    results += [
+        getattr(streamed.scores, name)
+        for name in ("confidence", "entropy", "expected_entropy", "mutual_info")
+    ]
+    return results, handle.getvalue()
+
+
+def use_workers(monkeypatch, workers):
+    monkeypatch.setattr(inference, "_worker_count", lambda chunks: workers)
+
+
+def wrap_kernel(monkeypatch, before=None, after=None):
+    """Run before(start) ahead of each chunk's kernel and after(start) behind it."""
+    real = inference._softmax_chunk
+
+    def kernel(features, start, *args):
+        if before is not None:
+            before(start)
+        try:
+            real(features, start, *args)
+        finally:
+            if after is not None:
+                after(start)
+
+    monkeypatch.setattr(inference, "_softmax_chunk", kernel)
+
+
+def blas_threads():
+    info = blas_info()
+    return None if info is None else info[2]
+
+
+class TestChunkPool:
+    @pytest.mark.parametrize("k,d", [(5, 7), (100, 64)])
+    @pytest.mark.parametrize("n", [
+        CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS,
+        3 * CHUNK_ROWS + 1, 5 * CHUNK_ROWS + 2,
+    ])
+    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch, n, k, d):
+        s = 9
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        layer = init_layer(d, k, rho_init=-1.0, seed=n)
+        features = 3.0 * np.random.default_rng(n).standard_normal((n, d))
+        outputs = {}
+        for workers in (1, 2, 3):
+            use_workers(monkeypatch, workers)
+            outputs[workers] = engine_outputs(layer, features, s)
+        arrays, text = outputs[1]
+        assert text.count("\n") == 1 + n * s
+        for workers in (2, 3):
+            for got, expected in zip(outputs[workers][0], arrays):
+                assert_same_bits(got, expected)
+            assert outputs[workers][1] == text
+
+    def test_many_threads_and_short_switches_keep_the_bits(self, monkeypatch):
+        # More threads than cores, switching every microsecond: a lost
+        # update, a chunk scored twice or text out of order would show.
+        n, s, k = 40 * CHUNK_ROWS + 3, 5, 3
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        layer = init_layer(6, k, rho_init=-1.0, seed=3)
+        features = np.random.default_rng(3).standard_normal((n, 6))
+        use_workers(monkeypatch, 1)
+        arrays, text = engine_outputs(layer, features, s)
+        use_workers(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got, got_text = engine_outputs(layer, features, s)
+                for a, b in zip(got, arrays):
+                    assert_same_bits(a, b)
+                assert got_text == text
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_lowest_failing_row_is_named_when_a_later_chunk_fails_first(
+        self, monkeypatch
+    ):
+        # Chunk 1 (row 5) waits until chunk 2 (row 9) has failed on another
+        # thread; the error still names row 5.
+        n, s, k = 4 * CHUNK_ROWS, 3, 3
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_workers(monkeypatch, 3)
+        layer = init_layer(4, k, seed=0)
+        features = np.random.default_rng(0).standard_normal((n, 4))
+        features[5, 1] = features[9, 2] = np.nan
+        later_failed = threading.Event()
+        waited = []
+
+        def before(start):
+            if start == CHUNK_ROWS:
+                waited.append(later_failed.wait(timeout=10))
+
+        def after(start):
+            if start == 2 * CHUNK_ROWS:
+                later_failed.set()
+
+        wrap_kernel(monkeypatch, before, after)
+        for engine in (score_posterior, predictive_posterior):
+            later_failed.clear()
+            with pytest.raises(ValueError, match="^data row 5: .* draw 0$"):
+                engine(layer, features, s, seed=0)
+        assert waited == [True, True]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_after_a_failure_are_skipped(self, monkeypatch, workers):
+        # Row 5 fails in chunk 1 of 50. Chunks from 2 on wait until it has
+        # failed; at most the ones already taken are scored after it.
+        n, s, k = 50 * CHUNK_ROWS, 3, 3
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_workers(monkeypatch, workers)
+        layer = init_layer(4, k, seed=0)
+        features = np.random.default_rng(0).standard_normal((n, 4))
+        features[5, 0] = np.inf
+        failed = threading.Event()
+        scored = []
+
+        def before(start):
+            scored.append(start)
+            if start >= 2 * CHUNK_ROWS and failed.wait(timeout=10):
+                time.sleep(0.05)  # lets the failing thread record its error
+
+        wrap_kernel(monkeypatch, before, lambda start: start == CHUNK_ROWS and failed.set())
+        with pytest.raises(ValueError, match="^data row 5: "):
+            score_posterior(layer, features, s, seed=0, samples=io.StringIO())
+        assert sorted(scored)[:2] == [0, CHUNK_ROWS]
+        assert len(scored) <= 2 + workers
+
+    @pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS not found")
+    def test_blas_thread_count_is_pinned_then_restored(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        layer = init_layer(4, 3, mu_init_scale=1.0, seed=0)
+        features = np.random.default_rng(0).standard_normal((600, 4))
+        inside = []
+        wrap_kernel(monkeypatch, lambda start: inside.append(blas_threads()))
+        before = blas_threads()
+        score_posterior(layer, features, 5, seed=0)
+        assert blas_threads() == before
+        features[300] = 1.7e308 * np.sign(layer.weight_mu[0])
+        with pytest.raises(ValueError, match="^data row 300: "):
+            predictive_posterior(layer, features, 5, seed=0)
+        assert blas_threads() == before
+        assert inside and set(inside) == {1}
+
+    @pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS not found")
+    def test_overlapping_pins_restore_the_count_once_all_leave(self):
+        before = blas_threads()
+        entered, leave = threading.Barrier(2, timeout=10), threading.Event()
+        counts = []
+
+        def hold():
+            with one_blas_thread():
+                entered.wait()
+                leave.wait(timeout=10)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            with one_blas_thread() as pinned:
+                entered.wait()
+            counts.append(blas_threads())  # the thread still holds the pin
+        finally:
+            leave.set()
+            thread.join(timeout=10)
+        assert pinned and not thread.is_alive()
+        assert counts == [1]
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_every_worker_is_joined(self, monkeypatch, fails):
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * 5 * 3 * 8)
+        use_workers(monkeypatch, 3)
+        layer = init_layer(4, 3, seed=0)
+        features = np.random.default_rng(0).standard_normal((10 * CHUNK_ROWS, 4))
+        if fails:
+            features[17, 3] = np.nan
+        threads = threading.active_count()
+        try:
+            score_posterior(layer, features, 5, seed=0, samples=io.StringIO())
+        except ValueError:
+            assert fails
+        assert threading.active_count() == threads
+
+
+class TestPosteriorDraws:
+    @pytest.mark.parametrize("engine", [score_posterior, predictive_posterior])
+    def test_overflowing_sigma_names_the_draw_not_a_row(self, engine):
+        # Weight sigma 1e308: sigma * eps overflows wherever |eps| > 1.8.
+        layer = VBLinearLayer(
+            weight_mu=np.zeros((3, 4)), weight_rho=np.full((3, 4), 1e308),
+            bias_mu=np.zeros(3), bias_rho=np.zeros(3), prior_scale=1.0,
+        )
+        with np.errstate(all="ignore"):
+            finite = [
+                np.isfinite(d.weights).all() and np.isfinite(d.biases).all()
+                for d in (
+                    sample_weights(layer, np.random.default_rng([0, t]))
+                    for t in range(5)
+                )
+            ]
+        draw = finite.index(False)
+        features = np.random.default_rng(0).standard_normal((6, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                engine(layer, features, 5, seed=0)
+        assert str(info.value) == (
+            f"posterior draw {draw} is not finite: "
+            "the model's weight/bias sigma overflows float64"
+        )
 
 
 SUM_VALUES = st.one_of(

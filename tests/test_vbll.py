@@ -5,6 +5,7 @@ is checked against a Monte Carlo estimate of E_q[ln q - ln p], and the Flipout
 forward pass is checked against plain reparameterized sampling in law.
 """
 
+import json
 import math
 import re
 
@@ -457,6 +458,22 @@ class TestPersistence:
         for _ in range(5000):
             nested = [nested]
         assert _numbers_only(nested) is ok
+
+    @pytest.mark.parametrize("weight_mu", [
+        [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
+        json.loads("[" * 500 + "1.0" + "]" * 500),
+    ], ids=["ragged", "nested_500"])
+    def test_load_names_the_field_of_a_non_rectangular_array(self, tmp_path, weight_mu):
+        path = tmp_path / "layer.json"
+        save_layer(init_layer(4, 3, seed=0), path)
+        doc = json.loads(path.read_text())
+        doc["weight_mu"] = weight_mu
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            load_layer(path)
+        assert str(info.value) == (
+            f"{path}: weight_mu must be a rectangular array of numbers"
+        )
 
     def test_load_rejects_json_nested_past_the_parser(self, tmp_path):
         path = tmp_path / "layer.json"

@@ -9,7 +9,9 @@ OUT_DIR must not exist yet. The script imports vbselect from this checkout's
 prints one ``sha256  path`` line per file written, with paths relative to
 OUT_DIR, sorted. Two checkouts whose outputs match byte for byte print the
 same lines, so a change meant to keep every artifact can be checked with
-``diff`` on the two listings.
+``diff`` on the two listings. A leading ``#`` line names the numpy version
+and numpy's BLAS with its version and thread count
+(``vbselect.blas.blas_info``): the build and setting the digests hold for.
 
 After the digests it runs a fixed list of commands that must fail (see
 ``_error_cases``), with inputs written under ``OUT_DIR/errors/``, and prints
@@ -46,6 +48,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from vbselect.blas import blas_info  # noqa: E402
 from vbselect.cli import entrypoint  # noqa: E402
 from vbselect.dataset import FeatureDataset, load_csv, save_csv  # noqa: E402
 
@@ -116,6 +119,18 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
     features[0] = 1.7e308 * np.sign(doc["weight_mu"][0])
     overflow = os.path.join(errors, "overflow.csv")
     save_csv(FeatureDataset(features, ds.labels, ds.num_classes), overflow)
+    # weight_mu with a short second row, and weight_rho whose sigma times a
+    # standard normal overflows float64.
+    ragged, overflowing_sigma = (
+        os.path.join(errors, name) for name in ("ragged.json", "sigma.json")
+    )
+    huge_rho = [[1e308] * len(row) for row in doc["weight_rho"]]
+    for path, field, value in (
+        (ragged, "weight_mu", [doc["weight_mu"][0][:2], *doc["weight_mu"][1:]]),
+        (overflowing_sigma, "weight_rho", huge_rho),
+    ):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({**doc, field: value}, handle)
     # The model with weight_mu replaced by one number in nested lists.
     doc["weight_mu"] = "NESTED"
     nested = {}
@@ -148,6 +163,8 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("nested_model_500", evaluate(nested[500], test)),
         ("nested_model_50000", evaluate(nested[50_000], test)),
         ("nested_config_50000", evaluate(model, test, "--config", nested_config)),
+        ("ragged_model", evaluate(ragged, test)),
+        ("overflowing_sigma", evaluate(overflowing_sigma, test)),
         ("mistyped_config", evaluate(model, test, "--config", mistyped_config)),
     ]
 
@@ -186,6 +203,9 @@ def main(argv: list[str]) -> int:
     if os.path.exists(out):
         print(f"error: {out} already exists", file=sys.stderr)
         return 2
+    info = blas_info()
+    blas = "BLAS not found" if info is None else "%s %s, BLAS threads %d" % info
+    print(f"# numpy {np.__version__}, {blas}")
     for directory in ("readme", "wide"):
         os.makedirs(os.path.join(out, directory))
     for command in _chains(out):
