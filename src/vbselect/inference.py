@@ -56,12 +56,13 @@ __all__ = [
 ]
 
 # Size of one chunk's draw-major (S, rows, K) float64 buffer; the rows per
-# chunk follow from it. Scoring a chunk allocates about as much again in
-# temporaries. At N=100k, S=100, K=5 on two scoring threads, 2 MiB chunks
-# scored in 0.24 s against 0.27 s for 1 or 4 MiB ones (median of 7 on a
-# 2-core VM). The draws are the buffer's outer axis so that one batched matmul
-# fills it (one gemm per draw), and the per-row sums over a short K axis and
-# the mean over S become whole-array adds over long contiguous rows.
+# chunk follow from it. Scoring a chunk allocates about 0.7 times as much
+# again in temporaries. At N=100k, S=100, K=5 on two scoring threads, 2 MiB
+# chunks scored in 0.167 s against 0.173 s for 1 MiB and 0.166 s for 4 MiB
+# ones (median of 7 on a 2-core VM). The draws are the buffer's outer axis
+# so that one batched matmul fills it (one gemm per draw), and the per-row
+# sums over a short K axis and the mean over S become whole-array adds over
+# long contiguous rows.
 # A chunk never holds a single row unless N = 1: numpy sends 1-row matmuls
 # to gemv, which rounds differently from gemm. At small D every larger chunk
 # matches the full-batch product bit for bit; at large D (K=100, D=256
@@ -69,11 +70,12 @@ __all__ = [
 # probability can depend on how many rows share its chunk.
 _CHUNK_BYTES = 2 * 2**20
 
-# The most threads that score chunks at once. Each holds about
-# 2 x _CHUNK_BYTES, its buffer and the kernel's temporaries, so a many-core
-# host would otherwise pay memory for threads that the GIL-bound reductions
-# and sample text keep waiting.
-_MAX_WORKERS = 4
+# The most threads that score chunks at once: two, the most that has been
+# benchmarked (on a 2-core VM). Each thread holds about 1.7 x _CHUNK_BYTES of
+# its own (its buffer, row maxima and the kernel's and _entropy's
+# temporaries), and its reductions hold the GIL, so whether more threads pay
+# for that memory is unmeasured.
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -311,17 +313,17 @@ def _worker_count(chunks: int) -> int:
 
 def _score_chunks(
     layer: VBLinearLayer, features: np.ndarray, mc_samples: int, seed: int,
-    reduce, in_order=None,
+    reduce, serial: bool = False,
 ) -> None:
     """Score every row chunk of the posterior on a few threads.
 
     reduce(start, probs) runs on the thread that scored rows start.., as
-    soon as they are scored; in_order(start, probs), if given, runs after it
-    for one chunk at a time, in row order. probs is a contiguous, draw-major
+    soon as they are scored; with `serial`, one thread scores every chunk
+    and reduce sees them in row order. probs is a contiguous, draw-major
     (S, rows, K) view of that thread's own buffer, which its next chunk
-    overwrites, so the callbacks must be done with it when they return. They
-    may write only their own chunk's rows of any shared output, which is why
-    no result depends on the thread count or on which thread took a chunk.
+    overwrites, so reduce must be done with it when it returns. It may write
+    only its own chunk's rows of any shared output, which is why no result
+    depends on the thread count or on which thread took a chunk.
 
     Threads take chunks in row order and run under the caller's numpy error
     state. A chunk that raises stops the run: chunks before it are still
@@ -333,23 +335,18 @@ def _score_chunks(
     bounds = _chunk_bounds(features.shape[0], mc_samples, k)
     most = max(stop - start for start, stop in bounds)
     claims = iter(enumerate(bounds))
-    turn = threading.Condition()
+    lock = threading.Lock()
     failures = {}  # chunk index -> what it raised
-    ordered = 0  # chunks through in_order
-
-    def stopped(index: int) -> bool:
-        return bool(failures) and min(failures) < index
 
     def work() -> None:
-        nonlocal ordered
         index = -1
         try:
             buffer = np.empty(mc_samples * most * k)
             row_max = np.empty(mc_samples * most)
             while True:
-                with turn:
+                with lock:
                     claim = next(claims, None)
-                    if claim is None or stopped(claim[0]):
+                    if claim is None or (failures and min(failures) < claim[0]):
                         return
                 index, (start, stop) = claim
                 rows = stop - start
@@ -357,25 +354,15 @@ def _score_chunks(
                 peak = row_max[: mc_samples * rows].reshape(mc_samples, rows, 1)
                 _softmax_chunk(features[start:stop], start, weights_t, biases, probs, peak)
                 reduce(start, probs)
-                if in_order is not None:
-                    with turn:
-                        turn.wait_for(lambda: ordered == index or stopped(index))
-                        if ordered != index:
-                            return
-                    in_order(start, probs)
-                    with turn:
-                        ordered += 1
-                        turn.notify_all()
         except BaseException as exc:  # raised again in the caller's thread
-            with turn:
+            with lock:
                 # An interrupt belongs to no chunk: it stops every one.
                 failures[index if isinstance(exc, Exception) else -1] = exc
-                turn.notify_all()
 
     with one_blas_thread() as pinned:
         # Without the pin each thread's gemm would start BLAS threads of its
         # own, and two scoring threads ran slower than one.
-        workers = _worker_count(len(bounds)) if pinned else 1
+        workers = 1 if serial or not pinned else _worker_count(len(bounds))
         threads = [
             threading.Thread(target=contextvars.copy_context().run, args=(work,))
             for _ in range(workers - 1)
@@ -433,23 +420,26 @@ def score_posterior(
     expected_entropy = np.empty(n)
 
     def reduce(start, probs):
-        stop = start + probs.shape[1]
+        rows = probs.shape[1]
+        step = -(-mc_samples // 4)
         # numpy adds the S axis left to right here as over the grid's axis 1.
-        mean_probs[start:stop] = probs.mean(axis=0)
+        mean_probs[start : start + rows] = probs.mean(axis=0)
+        if samples is not None:
+            _write_sample_rows(samples, start, probs.transpose(1, 0, 2))
         # Per-draw entropies as contiguous (rows, S), so each row's S terms
         # are summed pairwise as over the grid; a mean over axis 0 would add
-        # them left to right and round differently once S >= 9.
-        entropies = np.ascontiguousarray(_entropy(probs).T)
-        expected_entropy[start:stop] = entropies.mean(axis=1)
-
-    def write(start, probs):
-        _write_sample_rows(samples, start, probs.transpose(1, 0, 2))
+        # them left to right and round differently once S >= 9. A quarter
+        # of the draws at a time keeps _entropy's temporaries to a quarter of
+        # the chunk (as fast as all at once on bulk.csv).
+        entropies = np.empty((rows, mc_samples))
+        for first in range(0, mc_samples, step):
+            entropies[:, first : first + step] = _entropy(probs[first : first + step]).T
+        expected_entropy[start : start + rows] = entropies.mean(axis=1)
 
     if samples is not None:
         samples.write(_samples_header(k))
-    _score_chunks(
-        layer, features, mc_samples, seed, reduce, None if samples is None else write
-    )
+    # Sample text is written in row order, so one thread scores every chunk.
+    _score_chunks(layer, features, mc_samples, seed, reduce, serial=samples is not None)
     return PosteriorSummary(
         mean_probs=mean_probs,
         predicted=np.argmax(mean_probs, axis=1),

@@ -603,25 +603,18 @@ class TestStreamingEngine:
         assert len({ident for ident, _ in seen}) == 2
         assert [errors for _, errors in seen] == [state] * 3
 
-    def test_streaming_scorer_never_holds_the_grid(self, monkeypatch):
-        # On one thread the peak is O(N·K + chunk). Each further thread adds
-        # its own buffer and the kernel's temporaries, not a share of the
-        # grid, so the bound is checked per thread count, not per host.
+    def test_streaming_scorer_never_holds_the_grid(self):
         n, s, k = 20_000, 50, 5
         layer = init_layer(16, k, rho_init=-1.0, seed=0)
         features = np.random.default_rng(0).standard_normal((n, 16))
         grid_bytes = n * s * k * 8
-        peaks = {}
-        for workers in (1, 3):
-            use_workers(monkeypatch, workers)
-            tracemalloc.start()
-            try:
-                score_posterior(layer, features, mc_samples=s, seed=0)
-                peaks[workers] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < grid_bytes / 4
-        assert peaks[3] - peaks[1] < 2 * 3 * inference._CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            score_posterior(layer, features, mc_samples=s, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid_bytes / 4
 
     def test_rejects_empty_input(self, trained_model):
         layer, _ = trained_model
@@ -630,15 +623,17 @@ class TestStreamingEngine:
 
 
 def engine_outputs(layer, features, s, seed=11):
-    """score_posterior's arrays and samples text, and predictive_posterior's grid."""
+    """score_posterior's arrays with and without samples text, the text, and
+    predictive_posterior's grid."""
     handle = io.StringIO()
-    streamed = score_posterior(layer, features, s, seed=seed, samples=handle)
-    grid = predictive_posterior(layer, features, s, seed=seed).prob_samples
-    results = [streamed.mean_probs, streamed.predicted, grid]
-    results += [
-        getattr(streamed.scores, name)
-        for name in ("confidence", "entropy", "expected_entropy", "mutual_info")
-    ]
+    results = [predictive_posterior(layer, features, s, seed=seed).prob_samples]
+    for samples in (None, handle):
+        streamed = score_posterior(layer, features, s, seed=seed, samples=samples)
+        results += [streamed.mean_probs, streamed.predicted]
+        results += [
+            getattr(streamed.scores, name)
+            for name in ("confidence", "entropy", "expected_entropy", "mutual_info")
+        ]
     return results, handle.getvalue()
 
 
@@ -691,7 +686,7 @@ class TestChunkPool:
 
     def test_many_threads_and_short_switches_keep_the_bits(self, monkeypatch):
         # More threads than cores, switching every microsecond: a lost
-        # update, a chunk scored twice or text out of order would show.
+        # update or a chunk scored twice would show.
         n, s, k = 40 * CHUNK_ROWS + 3, 5, 3
         monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
         layer = init_layer(6, k, rho_init=-1.0, seed=3)
@@ -759,9 +754,22 @@ class TestChunkPool:
 
         wrap_kernel(monkeypatch, before, lambda start: start == CHUNK_ROWS and failed.set())
         with pytest.raises(ValueError, match="^data row 5: "):
-            score_posterior(layer, features, s, seed=0, samples=io.StringIO())
+            score_posterior(layer, features, s, seed=0)
         assert sorted(scored)[:2] == [0, CHUNK_ROWS]
         assert len(scored) <= 2 + workers
+
+    def test_sample_text_is_written_by_the_caller_in_row_order(self, monkeypatch):
+        n, s, k = 6 * CHUNK_ROWS, 3, 3
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_workers(monkeypatch, 2)
+        layer = init_layer(4, k, seed=0)
+        features = np.random.default_rng(0).standard_normal((n, 4))
+        scored = []
+        wrap_kernel(monkeypatch, lambda start: scored.append((threading.get_ident(), start)))
+        score_posterior(layer, features, s, seed=0, samples=io.StringIO())
+        assert scored == [
+            (threading.get_ident(), start) for start in range(0, n, CHUNK_ROWS)
+        ]
 
     @pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS not found")
     def test_blas_thread_count_is_pinned_then_restored(self, monkeypatch):
@@ -813,7 +821,7 @@ class TestChunkPool:
             features[17, 3] = np.nan
         threads = threading.active_count()
         try:
-            score_posterior(layer, features, 5, seed=0, samples=io.StringIO())
+            score_posterior(layer, features, 5, seed=0)
         except ValueError:
             assert fails
         assert threading.active_count() == threads
