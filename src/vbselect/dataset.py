@@ -118,17 +118,20 @@ class SyntheticConfig:
             raise ValueError("noise_scale must be positive")
 
 
-def _format_feature(x: float) -> str:
-    # %.17g keeps enough digits for an exact float64 round trip
-    return format(x, ".17g")
-
-
 def save_csv(ds: FeatureDataset, path) -> None:
-    """Write the dataset CSV: class directive, header, one row per sample."""
+    """Write the dataset CSV: class directive, header, one row per sample.
+
+    %.17g (the same text as format(x, ".17g")) round-trips every float64.
+    """
     header = ",".join(f"f{j}" for j in range(ds.feature_dim)) + ",label"
     lines = [f"{_CLASS_DIRECTIVE}{ds.num_classes}", header]
-    for row, label in zip(ds.features, ds.labels):
-        lines.append(",".join(_format_feature(x) for x in row) + f",{label}")
+    template = "%.17g," * ds.feature_dim + "%d"
+    # About 64k values at a time: a whole-file tolist() holds more memory
+    # in Python floats than the lines themselves.
+    step, labels = max(1, 2**16 // ds.feature_dim), ds.labels.tolist()
+    for first in range(0, ds.n_samples, step):
+        rows = zip(ds.features[first : first + step].tolist(), labels[first : first + step])
+        lines.extend(template % (*row, label) for row, label in rows)
     write_lines(path, lines)
 
 

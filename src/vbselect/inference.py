@@ -140,7 +140,6 @@ class UncertaintyScores:
     mutual_info: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
         length = None
         for name in ("confidence", "entropy", "expected_entropy", "mutual_info"):
             arr = np.array(getattr(self, name), dtype=np.float64)
@@ -151,8 +150,6 @@ class UncertaintyScores:
             elif arr.shape[0] != length:
                 raise ValueError("all score arrays must share one length")
             arr.flags.writeable = False
-            arrays[name] = arr
-        for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
 

@@ -16,7 +16,7 @@ expression per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def _blocks(flat, num_classes, feature_dim):
     )
 
 
-def _validate_batch_inputs(layer, batch, labels, n_train):
+def _validate_batch_inputs(layer, batch, labels, n_train, mc_passes):
     batch = check_features(layer, batch)
     labels = np.asarray(labels)
     if labels.shape != (batch.shape[0],):
@@ -138,66 +138,63 @@ def _validate_batch_inputs(layer, batch, labels, n_train):
         raise ValueError(f"labels must lie in [0, {layer.num_classes})")
     if n_train < batch.shape[0]:
         raise ValueError("n_train must be at least the batch size")
+    if mc_passes < 1:
+        raise ValueError("mc_passes must be at least 1")
     return batch, labels.astype(np.int64)
 
 
-def _elbo_core(layer, batch, labels, n_train, rng, mc_passes, want_grads):
-    """Shared loss/gradient path; both callers consume the stream identically.
+def _elbo_core(layer, batch, labels, n_train, rng, mc_passes):
+    """(mean NLL, flat gradient of the negative ELBO): the one loss-and-gradient path.
 
-    Returns (mean NLL, flat gradient of the negative ELBO or None).
+    It checks nothing: elbo_loss and elbo_gradients check their inputs first
+    (`_validate_batch_inputs`) and train's datasets and config hold the same
+    rules. sigma = softplus(rho) and each pass's batch * sign_in are formed
+    once and shared by the logits, the rho gradient and the KL chain.
     """
-    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train)
-    if mc_passes < 1:
-        raise ValueError("mc_passes must be at least 1")
     b = batch.shape[0]
     rows = np.arange(b)
     k, d = layer.num_classes, layer.feature_dim
+    sigma_w, sigma_b = softplus(layer.weight_rho), softplus(layer.bias_rho)
 
     nll = 0.0
-    if want_grads:
-        grads = np.zeros(2 * k * (d + 1))
-        gw_mu, gw_rho, gb_mu, gb_rho = _blocks(grads, k, d)
-
+    grads = np.zeros(2 * k * (d + 1))
+    gw_mu, gw_rho, gb_mu, gb_rho = _blocks(grads, k, d)
     for _ in range(mc_passes):
-        noise = flipout_noise(layer, b, rng)
-        logits = flipout_logits(layer, batch, noise)
-        logp = log_softmax(logits)
+        eps_w, eps_b, sign_in, sign_out = flipout_noise(layer, b, rng)
+        flipped = batch * sign_in
+        logp = log_softmax(
+            flipout_logits(layer, batch, flipped, sigma_w * eps_w, sigma_b * eps_b, sign_out)
+        )
         nll += float(-logp[rows, labels].mean())
-        if want_grads:
-            eps_w, eps_b, sign_in, sign_out = noise
-            g = np.exp(logp)
-            g[rows, labels] -= 1.0
-            g /= b
-            gw_mu += g.T @ batch
-            gb_mu += g.sum(axis=0)
-            gr = g * sign_out
-            gw_rho += (gr.T @ (batch * sign_in)) * eps_w
-            gb_rho += gr.sum(axis=0) * eps_b
-
-    nll /= mc_passes
-    if not want_grads:
-        return nll, None
+        g = np.exp(logp)
+        g[rows, labels] -= 1.0
+        g /= b
+        gw_mu += g.T @ batch
+        gb_mu += g.sum(axis=0)
+        gr = g * sign_out
+        gw_rho += (gr.T @ flipped) * eps_w
+        gb_rho += gr.sum(axis=0) * eps_b
 
     # Until here the rho blocks hold the pass-summed d(NLL)/d(sigma); add the
     # KL path, then chain through sigma = softplus(rho).
     s2 = layer.prior_scale**2
     inv_n = 1.0 / n_train
-    for g_mu, g_rho, mu, rho in (
-        (gw_mu, gw_rho, layer.weight_mu, layer.weight_rho),
-        (gb_mu, gb_rho, layer.bias_mu, layer.bias_rho),
+    for g_mu, g_rho, mu, rho, sigma in (
+        (gw_mu, gw_rho, layer.weight_mu, layer.weight_rho, sigma_w),
+        (gb_mu, gb_rho, layer.bias_mu, layer.bias_rho, sigma_b),
     ):
-        sigma = softplus(rho)
         g_mu /= mc_passes
         g_mu += mu / s2 * inv_n
         g_rho /= mc_passes
         g_rho += (sigma / s2 - 1.0 / sigma) * inv_n
         g_rho *= sigmoid(rho)
-    return nll, grads
+    return nll / mc_passes, grads
 
 
 def elbo_loss(layer, batch, labels, n_train, rng, mc_passes=1) -> LossBreakdown:
     """Negative ELBO for one minibatch: mean Flipout cross-entropy + KL/n_train."""
-    nll, _ = _elbo_core(layer, batch, labels, n_train, rng, mc_passes, want_grads=False)
+    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
+    nll, _ = _elbo_core(layer, batch, labels, n_train, rng, mc_passes)
     kl = kl_to_prior(layer)
     return LossBreakdown(nll=nll, kl=kl, total=nll + kl / n_train)
 
@@ -208,7 +205,8 @@ def elbo_gradients(layer, batch, labels, n_train, rng, mc_passes=1) -> Gradients
     A stream seeded identically to an elbo_loss call yields the gradient of
     exactly that loss value.
     """
-    _, grads = _elbo_core(layer, batch, labels, n_train, rng, mc_passes, want_grads=True)
+    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
+    _, grads = _elbo_core(layer, batch, labels, n_train, rng, mc_passes)
     return Gradients(*_blocks(grads, layer.num_classes, layer.feature_dim))
 
 
@@ -258,6 +256,10 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
     [config.seed, 1, epoch, batch_index], so reruns are bit-identical and
     batches could in principle be evaluated in parallel.
 
+    Each step runs `_elbo_core` on its slice unchecked: FeatureDataset,
+    TrainConfig and the train/val checks below already hold every rule that
+    elbo_loss checks.
+
     With early_stop_patience set, training stops after that many epochs
     without a validation-NLL improvement and the best-validation-NLL
     parameters are returned; otherwise the final parameters are.
@@ -273,14 +275,7 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
             f"{train_ds.num_classes} vs {val_ds.num_classes}"
         )
     k, d = train_ds.num_classes, train_ds.feature_dim
-    layer = init_layer(
-        feature_dim=d,
-        num_classes=k,
-        mu_init_scale=init_config.mu_init_scale,
-        rho_init=init_config.rho_init,
-        prior_scale=init_config.prior_scale,
-        seed=init_config.seed,
-    )
+    layer = init_layer(d, k, **asdict(init_config))
     params = np.concatenate(
         [layer.weight_mu.ravel(), layer.weight_rho.ravel(), layer.bias_mu, layer.bias_rho]
     )
@@ -302,13 +297,8 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
             sel = perm[start : start + config.batch_size]
             noise_rng = np.random.default_rng([config.seed, 1, epoch, batch_index])
             nll, grads = _elbo_core(
-                step_layer,
-                train_ds.features[sel],
-                train_ds.labels[sel],
-                n_train,
-                noise_rng,
-                config.train_mc_samples,
-                want_grads=True,
+                step_layer, train_ds.features[sel], train_ds.labels[sel], n_train,
+                noise_rng, config.train_mc_samples,
             )
             nll_weighted_sum += nll * sel.size
             step += 1

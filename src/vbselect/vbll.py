@@ -237,14 +237,14 @@ def flipout_noise(layer: VBLinearLayer, n_rows: int, rng: np.random.Generator):
     return eps_w, eps_b, sign_in, sign_out
 
 
-def flipout_logits(layer: VBLinearLayer, batch: np.ndarray, noise) -> np.ndarray:
-    """Logits for an already-drawn noise bundle (see flipout_noise)."""
-    eps_w, eps_b, sign_in, sign_out = noise
-    delta_w = layer.weight_sigma * eps_w
-    delta_b = layer.bias_sigma * eps_b
-    base = batch @ layer.weight_mu.T + layer.bias_mu
-    pert = ((batch * sign_in) @ delta_w.T + delta_b) * sign_out
-    return base + pert
+def flipout_logits(layer: VBLinearLayer, batch, flipped, delta_w, delta_b, sign_out):
+    """Mean logits plus the Flipout perturbation (flipped @ delta_w.T + delta_b) * sign_out.
+
+    From one flipout_noise bundle: flipped = batch * sign_in, delta_w =
+    sigma_W * eps_w and delta_b = sigma_b * eps_b. The caller forms them, so
+    the ELBO gradient, which needs flipped and sigma again, derives each once.
+    """
+    return batch @ layer.weight_mu.T + layer.bias_mu + (flipped @ delta_w.T + delta_b) * sign_out
 
 
 def forward_flipout(
@@ -257,8 +257,11 @@ def forward_flipout(
     perturbation while drawing the expensive noise only once.
     """
     batch = check_features(layer, batch)
-    noise = flipout_noise(layer, batch.shape[0], rng)
-    return flipout_logits(layer, batch, noise)
+    eps_w, eps_b, sign_in, sign_out = flipout_noise(layer, batch.shape[0], rng)
+    return flipout_logits(
+        layer, batch, batch * sign_in,
+        layer.weight_sigma * eps_w, layer.bias_sigma * eps_b, sign_out,
+    )
 
 
 def save_layer(layer: VBLinearLayer, path) -> None:
@@ -308,7 +311,10 @@ def load_layer(path) -> VBLinearLayer:
             raise ValueError(
                 f"{path}: {name} must be a rectangular array of numbers"
             ) from None
-    layer = VBLinearLayer(**values)
+    try:
+        layer = VBLinearLayer(**values)
+    except ValueError as exc:  # shapes, non-finite values, prior_scale <= 0
+        raise ValueError(f"{path}: {exc}") from None
     if layer.feature_dim != feature_dim or layer.num_classes != num_classes:
         raise ValueError(f"{path}: declared dimensions do not match arrays")
     return layer

@@ -6,6 +6,8 @@ membership and must stay independent of the library's vectorized path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbselect.calibration import CalibrationReport, confidence_histogram, ece
 
@@ -80,6 +82,36 @@ class TestEceAgainstBruteForce:
         expected = brute_force_ece(conf.tolist(), correct.tolist(), m)
         assert abs(report.ece - expected) <= 1e-12
         assert sum(b.count for b in report.bins) == conf.size
+
+
+@st.composite
+def edge_heavy_instances(draw):
+    """(num_bins, confidences, correctness) with many values at 0.0, at 1.0,
+    exactly on a bin edge b/num_bins or one float away from one."""
+    m = draw(st.integers(1, 30))
+    edge = st.integers(0, m).map(lambda b: b / m)
+    near = st.tuples(edge, st.sampled_from([0.0, 1.0])).map(
+        lambda pair: float(np.nextafter(*pair))
+    )
+    value = edge | near | st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    conf = draw(st.lists(value, min_size=1, max_size=60))
+    correct = draw(st.lists(st.booleans(), min_size=len(conf), max_size=len(conf)))
+    return m, conf, correct
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=edge_heavy_instances())
+def test_ece_binning_matches_brute_force_at_edges(instance):
+    m, conf, correct = instance
+    report = ece(conf, correct, num_bins=m)
+    for b, row in enumerate(report.bins):
+        members = [
+            c for c in conf if b / m < c <= (b + 1) / m or (b == 0 and c == 0.0)
+        ]
+        assert row.count == len(members)
+        if members:
+            assert row.mean_confidence == pytest.approx(sum(members) / len(members), abs=1e-15)
+    assert abs(report.ece - brute_force_ece(conf, correct, m)) <= 1e-12
 
 
 class TestEceReportStructure:

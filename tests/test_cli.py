@@ -5,14 +5,19 @@ stdout, and stderr can be asserted exactly; one subprocess test covers the
 ``python -m vbselect`` wiring.
 """
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vbselect
 from vbselect import cli, inference
@@ -711,6 +716,30 @@ class TestEval:
         )
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("bias_mu", [0.0], "bias parameters must be length-K vectors"),
+        ("weight_mu", [0.0], "weight_mu must be a K x D matrix"),
+        ("weight_rho", [[0.0]], "weight_rho shape must match weight_mu"),
+        ("bias_rho", [float("nan")] * 3, "bias_rho contains non-finite values"),
+        ("prior_scale", -1.0, "prior_scale must be positive and finite"),
+    ], ids=["bias_mu_length", "weight_mu_ndim", "weight_rho_shape", "bias_rho_nan",
+            "prior_scale_negative"])
+    def test_invalid_layer_names_the_model(
+        self, capsys, pipeline, tmp_path, field, value, message
+    ):
+        with open(pipeline["model"], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc[field] = value
+        model = os.path.join(tmp_path, "model.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", model, "--data", pipeline["val"], "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {model}: {message}\n"
+
     def test_overflowing_sigma_blames_the_model(self, capsys, pipeline, tmp_path):
         # A legal weight_rho of 1e308 makes sigma * eps overflow in a draw.
         with open(pipeline["model"], encoding="utf-8") as handle:
@@ -743,6 +772,67 @@ class TestEval:
             assert read_bytes(os.path.join(outs[0], name)) == read_bytes(
                 os.path.join(outs[1], name)
             ), name
+
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**400, -(10**400), 1e308, -0.0, 5e-324])
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: (
+        st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids, max_size=4)
+    ),
+    max_leaves=16,
+)
+NUMBER_TREES = st.recursive(
+    st.integers() | st.floats(), lambda kids: st.lists(kids, max_size=4), max_leaves=16
+)
+
+
+@st.composite
+def malformed_models(draw, doc):
+    """A JSON tree, or the model document `doc` with one field replaced by a
+    JSON tree, one field dropped, or an unknown field added."""
+    kind = draw(st.sampled_from(["tree", "replace", "drop", "add"]))
+    if kind == "tree":
+        return draw(JSON_TREES)
+    doc, field = dict(doc), draw(st.sampled_from(sorted(doc)))
+    if kind == "replace":
+        doc[field] = draw(JSON_TREES | NUMBER_TREES)
+    elif kind == "drop":
+        del doc[field]
+    else:
+        doc[draw(st.text(max_size=4).filter(lambda key: key not in doc))] = draw(JSON_TREES)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_malformed_model_ends_in_one_error_line_naming_it(pipeline, data):
+    with open(pipeline["model"], encoding="utf-8") as handle:
+        doc = data.draw(malformed_models(json.load(handle)))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        try:
+            load_layer(model)
+            valid = True
+        except ValueError:
+            valid = False
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = entrypoint([
+                "eval", "--model", model, "--data", pipeline["val"],
+                "--mc-samples", "4", "--out", os.path.join(tmp, "eval"),
+            ])
+    err = stderr.getvalue()
+    if code == 0:
+        assert valid and err == ""
+    else:
+        assert_single_line_error(code, err, 1)
+        assert valid or err.startswith(f"error: {model}: ")
 
 
 class TestSweep:

@@ -1,5 +1,6 @@
 """Property tests: the dataset CSV and the model JSON reload bit for bit, and
-load_csv's numpy fast path agrees with its checked loop on any input."""
+load_csv's numpy fast path agrees with its checked loop on any input, and
+save_csv writes the same bytes as format(x, ".17g")."""
 
 import tempfile
 from pathlib import Path
@@ -150,3 +151,47 @@ def test_numpy_parse_matches_checked_loop(text):
         with mock.patch.object(dataset, "_parse_rows_numpy", return_value=None):
             checked = load_outcome(path)
     assert fast == checked
+
+
+# -0.0, subnormals, the float64 extremes and integral floats, which %.17g
+# writes without an exponent or a point up to 17 digits.
+CSV_EDGES = np.array([
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 1e17, 123456789.0, 0.1,
+])
+
+
+@st.composite
+def csv_blocks(draw):
+    """A dataset whose row count sits at an edge of save_csv's blocks of
+    about 64k values. Of its features 30% are edge values, 20% integral and
+    the rest random bit patterns."""
+    d = draw(st.sampled_from([1, 3, 4096, 5000]))
+    step = max(1, 2**16 // d)
+    n = draw(st.sampled_from([step - 1, step, step + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**64, (n, d), dtype=np.uint64, endpoint=False).view(np.float64)
+    features = np.where(np.isfinite(bits), bits, 0.5)
+    picks = rng.random((n, d))
+    features = np.where(picks < 0.3, rng.choice(CSV_EDGES, (n, d)), features)
+    features = np.where(picks > 0.8, np.round(rng.standard_normal((n, d)) * 1e6), features)
+    return FeatureDataset(features, rng.integers(0, 3, n), 3)
+
+
+def format_oracle(ds):
+    """The dataset CSV with every feature written by format(x, ".17g")."""
+    header = ",".join(f"f{j}" for j in range(ds.feature_dim)) + ",label"
+    lines = [f"# classes={ds.num_classes}", header]
+    for row, label in zip(ds.features.tolist(), ds.labels.tolist()):
+        lines.append(",".join(format(x, ".17g") for x in row) + f",{label}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@settings(max_examples=16, deadline=None)
+@given(ds=csv_blocks())
+@example(ds=FeatureDataset(CSV_EDGES.reshape(2, 7), np.array([0, 1]), 2))
+def test_csv_bytes_match_format_oracle(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(ds, path)
+        assert path.read_bytes() == format_oracle(ds)

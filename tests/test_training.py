@@ -7,10 +7,12 @@ runs that share noise but use different dataset sizes.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from vbselect import training
 from vbselect.dataset import FeatureDataset, SyntheticConfig, generate_synthetic
 from vbselect.training import (
     EpochRecord,
@@ -112,20 +114,27 @@ class TestElboLoss:
         assert one.nll != three.nll
         assert one.kl == three.kl
 
-    def test_label_out_of_range_rejected(self):
+
+class TestElboInputChecks:
+    """elbo_loss and elbo_gradients check their inputs before the ELBO core;
+    the batch checks run before the mc_passes check."""
+
+    @pytest.mark.parametrize("objective", [elbo_loss, elbo_gradients])
+    @pytest.mark.parametrize("labels,n_train,dim,mc_passes,message", [
+        ([0, 1], 10, 4, 0, "mc_passes must be at least 1"),
+        ([0, 3], 10, 4, 1, "labels must lie in [0, 3)"),
+        ([0, 1], 1, 4, 1, "n_train must be at least the batch size"),
+        ([0, 1], 10, 5, 1, "features must be N x 4, got shape (2, 5)"),
+        ([0, 3], 10, 4, 0, "labels must lie in [0, 3)"),
+        ([0, 1], 10, 5, 0, "features must be N x 4, got shape (2, 5)"),
+    ], ids=["mc_passes", "label", "n_train", "dim", "label_and_mc", "dim_and_mc"])
+    def test_rejected_with_message(self, objective, labels, n_train, dim, mc_passes, message):
         rng = np.random.default_rng(8)
         layer = random_layer(rng)
-        batch = rng.standard_normal((2, 4))
-        with pytest.raises(ValueError):
-            elbo_loss(layer, batch, np.array([0, 3]), 10, np.random.default_rng(0))
-
-    def test_n_train_smaller_than_batch_rejected(self):
-        rng = np.random.default_rng(9)
-        layer = random_layer(rng)
-        batch = rng.standard_normal((4, 4))
-        labels = rng.integers(0, 3, 4)
-        with pytest.raises(ValueError):
-            elbo_loss(layer, batch, labels, 3, np.random.default_rng(0))
+        batch = rng.standard_normal((2, dim))
+        with pytest.raises(ValueError) as info:
+            objective(layer, batch, np.array(labels), n_train, rng, mc_passes=mc_passes)
+        assert str(info.value) == message
 
 
 class TestElboGradients:
@@ -491,6 +500,24 @@ class TestTrainMatchesReferenceLoop:
         assert trace == ref_trace
         if "early_stop_patience" in overrides:
             assert len(trace) < config.epochs
+
+
+    def test_steps_run_unchecked(self):
+        # train's datasets and config already hold every rule the batch check
+        # enforces, so no step calls it, and the result is unchanged.
+        cfg = SyntheticConfig(5, 16, (40, 30, 30, 20, 20), class_separation=2.0)
+        train_ds = generate_synthetic(cfg, seed=3)
+        val_ds = generate_synthetic(cfg, seed=4)
+        init = LayerInitConfig(seed=5)
+        config = TrainConfig(epochs=3, batch_size=32, seed=8, train_mc_samples=2)
+        with mock.patch.object(
+            training, "_validate_batch_inputs", side_effect=AssertionError("re-checked")
+        ):
+            layer, trace = train(train_ds, val_ds, init, config)
+        ref_layer, ref_trace = _reference_train(train_ds, val_ds, init, config)
+        for name in ("weight_mu", "weight_rho", "bias_mu", "bias_rho"):
+            assert getattr(layer, name).tobytes() == getattr(ref_layer, name).tobytes()
+        assert trace == ref_trace
 
 
 class TestTraceCsv:

@@ -147,6 +147,16 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
     with open(mistyped_config, "w", encoding="utf-8") as handle:
         json.dump({"mc_samples": 2.5}, handle)
 
+    # The test split declared with one class more than the training split.
+    six_classes = os.path.join(errors, "six_classes.csv")
+    save_csv(FeatureDataset(ds.features, ds.labels, ds.num_classes + 1), six_classes)
+
+    def train(val, *flags):
+        return ["train", "--train", os.path.join(out, "readme", "balanced.csv"),
+                "--val", val, "--epochs", "1", *flags,
+                "--model-out", os.path.join(errors, "model.json"),
+                "--trace-out", os.path.join(errors, "trace.csv")]
+
     def sweep(grid):
         return ["sweep", "--model", model, "--data", test, "--grid", grid,
                 "--out", os.path.join(errors, "sweep.csv")]
@@ -166,6 +176,10 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("ragged_model", evaluate(ragged, test)),
         ("overflowing_sigma", evaluate(overflowing_sigma, test)),
         ("mistyped_config", evaluate(model, test, "--config", mistyped_config)),
+        ("train_zero_mc_passes", train(test, "--mc-passes", "0")),
+        ("train_val_dimension_mismatch",
+         train(os.path.join(out, "wide", "splits", "val.csv"))),
+        ("train_val_class_count_mismatch", train(six_classes)),
     ]
 
 
