@@ -70,7 +70,7 @@ from .training import (
     save_trace_csv,
     train,
 )
-from .vbll import load_layer, save_layer
+from .vbll import json_value_text, load_layer, save_layer
 
 __all__ = ["entrypoint", "main", "role_seed"]
 
@@ -262,7 +262,9 @@ def _check_config_value(option: _Option, value) -> None:
     else:
         ok = type(value) in types
     if not ok:
-        raise ValueError(f"config key {option.dest!r} must be {what}, got {value!r}")
+        raise ValueError(
+            f"config key {option.dest!r} must be {what}, got {json_value_text(value)}"
+        )
 
 
 def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
@@ -392,10 +394,11 @@ def _load_eval_inputs(opts: dict):
     return layer, ds
 
 
-def _score(layer, ds, opts: dict, samples=None):
+def _score(layer, ds, opts: dict, samples=None, mutual_info=True):
     return score_posterior(
         layer, ds, mc_samples=opts["mc_samples"],
         seed=role_seed(opts["seed"], "inference"), samples=samples,
+        mutual_info=mutual_info,
     )
 
 
@@ -463,7 +466,8 @@ def _write_eval_reports(ds, pred, opts: dict) -> None:
 
 def _cmd_sweep(opts: dict) -> int:
     layer, ds = _load_eval_inputs(opts)
-    pred = _score(layer, ds, opts)
+    # Only a mutual_info gate reads the per-draw entropies.
+    pred = _score(layer, ds, opts, mutual_info=opts["measure"] == "mutual_info")
     curve = threshold_sweep(
         pred.scores, pred.predicted, ds.labels, grid=_parse_grid(opts["grid"]),
         measure=opts["measure"], num_classes=ds.num_classes,

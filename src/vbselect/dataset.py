@@ -186,29 +186,30 @@ def _read_preamble(path: Path, lines: list[str]) -> tuple[int, int, int | None]:
 
 
 def _parse_rows_numpy(rows: list[str], dim: int, declared_classes: int | None):
-    """(features, labels) of the data rows by np.loadtxt, or None to defer.
+    """(features, labels) of the data rows by one np.loadtxt pass, or None to defer.
 
     numpy reads a float with the routine float() uses, so the arrays equal
     the checked loop's bit for bit. It is stricter than float() and int()
-    (no "1_0", no non-ASCII digits), and it takes extra fields without
-    complaint; None hands every such file, and every value the loop would
-    reject, to the loop.
+    (no "1_0", no non-ASCII digits), and with a row dtype of dim + 1 fields
+    and no usecols it rejects any row with more or fewer fields; None hands
+    every such file, and every value the loop would reject, to the loop.
+    The rows are the loop's own splitlines() lines, not the file: numpy
+    takes "\\x1c", "\\x85" and "\\u2028" for spaces inside a line, where
+    splitlines() ends the line.
     """
     rows = [row for row in rows if row.strip()]
-    # A row with fewer than dim + 1 fields fails the label read, so with this
-    # total every row has exactly dim + 1.
-    if not rows or sum(row.count(",") for row in rows) != dim * len(rows):
+    if not rows:
         return None
+    row_type = np.dtype([("features", np.float64, (dim,)), ("label", np.int64)])
     try:
         # numpy 1.x reads the label "1.0" as 1 with only a DeprecationWarning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            features = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2,
-                                  usecols=range(dim))
-            labels = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None,
-                                ndmin=1, usecols=(dim,))
+            table = np.loadtxt(rows, dtype=row_type, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
+    # Strided views of the table; FeatureDataset makes contiguous copies.
+    features, labels = table["features"], table["label"]
     if not np.isfinite(features).all() or labels.min() < 0:
         return None
     if declared_classes is not None and labels.max() >= declared_classes:

@@ -132,16 +132,29 @@ class PredictionSet:
 
 @dataclass(frozen=True)
 class UncertaintyScores:
-    """Per-sample uncertainty measures derived from a PredictionSet."""
+    """Per-sample uncertainty measures derived from a PredictionSet.
+
+    expected_entropy and mutual_info are both None when the scores were
+    taken without the per-draw entropies (score_posterior's
+    ``mutual_info=False``); no gate or writer that needs them accepts such
+    scores.
+    """
 
     confidence: np.ndarray
     entropy: np.ndarray
-    expected_entropy: np.ndarray
-    mutual_info: np.ndarray
+    expected_entropy: np.ndarray | None
+    mutual_info: np.ndarray | None
 
     def __post_init__(self):
+        names = ["confidence", "entropy"]
+        if (self.expected_entropy is None) != (self.mutual_info is None):
+            raise ValueError(
+                "expected_entropy and mutual_info must both be given or both be None"
+            )
+        if self.mutual_info is not None:
+            names += ["expected_entropy", "mutual_info"]
         length = None
-        for name in ("confidence", "entropy", "expected_entropy", "mutual_info"):
+        for name in names:
             arr = np.array(getattr(self, name), dtype=np.float64)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
@@ -159,7 +172,8 @@ class PosteriorSummary:
 
     mean_probs and predicted equal those of the PredictionSet that
     predictive_posterior returns for the same arguments, and scores equals
-    uncertainty_scores of it, bit for bit.
+    uncertainty_scores of it, bit for bit (less expected_entropy and
+    mutual_info, which are None, when taken with ``mutual_info=False``).
     """
 
     mean_probs: np.ndarray
@@ -197,13 +211,18 @@ def _entropy(probs: np.ndarray) -> np.ndarray:
     return -_sum_classes(terms)[..., 0]
 
 
-def _scores(mean_probs: np.ndarray, expected_entropy: np.ndarray) -> UncertaintyScores:
+def _scores(
+    mean_probs: np.ndarray, expected_entropy: np.ndarray | None
+) -> UncertaintyScores:
     entropy = _entropy(mean_probs)
     return UncertaintyScores(
         confidence=mean_probs.max(axis=1),
         entropy=entropy,
         expected_entropy=expected_entropy,
-        mutual_info=np.maximum(0.0, entropy - expected_entropy),
+        mutual_info=(
+            None if expected_entropy is None
+            else np.maximum(0.0, entropy - expected_entropy)
+        ),
     )
 
 
@@ -402,33 +421,38 @@ def predictive_posterior(
 
 
 def score_posterior(
-    layer: VBLinearLayer, data, mc_samples: int = 20, seed: int = 0, samples=None
+    layer: VBLinearLayer, data, mc_samples: int = 20, seed: int = 0, samples=None,
+    mutual_info: bool = True,
 ) -> PosteriorSummary:
     """Mean probabilities, predictions and scores, streamed over row chunks.
 
     Equal bit for bit to uncertainty_scores(predictive_posterior(...)), in
     O(N·K + threads x chunk) memory. With `samples`, an open text file, the
     sample grid is also written there chunk by chunk, in
-    save_prob_samples_csv's format and row order.
+    save_prob_samples_csv's format and row order. With ``mutual_info=False``
+    the S per-draw entropies of each row, about a quarter of the scoring
+    time, are not taken, and the scores' expected_entropy and mutual_info
+    are None.
     """
     features = _checked_features(layer, data, mc_samples)
     n, k = features.shape[0], layer.num_classes
     mean_probs = np.empty((n, k))
-    expected_entropy = np.empty(n)
+    expected_entropy = np.empty(n) if mutual_info else None
 
     def reduce(start, probs):
         rows = probs.shape[1]
-        step = -(-mc_samples // 4)
         # numpy adds the S axis left to right here as over the grid's axis 1.
         mean_probs[start : start + rows] = probs.mean(axis=0)
         if samples is not None:
             _write_sample_rows(samples, start, probs.transpose(1, 0, 2))
+        if expected_entropy is None:
+            return
         # Per-draw entropies as contiguous (rows, S), so each row's S terms
         # are summed pairwise as over the grid; a mean over axis 0 would add
         # them left to right and round differently once S >= 9. A quarter
         # of the draws at a time keeps _entropy's temporaries to a quarter of
         # the chunk (as fast as all at once on bulk.csv).
-        entropies = np.empty((rows, mc_samples))
+        entropies, step = np.empty((rows, mc_samples)), -(-mc_samples // 4)
         for first in range(0, mc_samples, step):
             entropies[:, first : first + step] = _entropy(probs[first : first + step]).T
         expected_entropy[start : start + rows] = entropies.mean(axis=1)
@@ -455,6 +479,10 @@ def save_predictions_csv(pred, scores: UncertaintyScores, labels, path: str) -> 
     `pred` is a PredictionSet or a PosteriorSummary; only its predicted
     classes are read.
     """
+    if scores.mutual_info is None:
+        raise ValueError(
+            "predictions need mutual_info scores; score with mutual_info=True"
+        )
     labels = np.asarray(labels, dtype=np.int64)
     n = len(pred.predicted)
     if labels.shape != (n,) or scores.confidence.shape != (n,):

@@ -84,6 +84,10 @@ def _gate_mask(scores: UncertaintyScores, threshold: float, measure: str):
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; use one of {MEASURES}")
     values = getattr(scores, measure)
+    if values is None:
+        raise ValueError(
+            f"the scores hold no {measure}; score the posterior with mutual_info=True"
+        )
     if measure == "confidence":
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(

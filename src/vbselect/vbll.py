@@ -28,6 +28,25 @@ _SCALAR_FIELDS = {"format_version": _INTEGER, "feature_dim": _INTEGER,
                   "num_classes": _INTEGER, "prior_scale": _NUMBER}
 _ARRAY_FIELDS = ("weight_mu", "weight_rho", "bias_mu", "bias_rho")
 
+# The JSON values whose repr can run long, by type.
+_LONG_JSON_TYPES = {list: "a JSON array", dict: "a JSON object", str: "a JSON string",
+                    int: "a JSON integer"}
+
+
+def json_value_text(value) -> str:
+    """repr(value) for an error message, or its JSON type if that is over 80 characters.
+
+    A mistyped field may hold a document-sized array, which one error line
+    should not print.
+    """
+    try:
+        text = repr(value)
+    except RecursionError:  # lists nested nearly as deep as json.loads allows
+        text = None
+    if text is not None and len(text) <= 80:
+        return text
+    return _LONG_JSON_TYPES.get(type(value), type(value).__name__)
+
 
 def _numbers_only(value) -> bool:
     """True if `value` is a JSON number or nested lists holding only numbers.
@@ -292,7 +311,9 @@ def load_layer(path) -> VBLinearLayer:
         raise ValueError(f"{path}: unknown fields {sorted(unknown)}")
     for name, (what, types) in _SCALAR_FIELDS.items():
         if type(doc[name]) not in types:
-            raise ValueError(f"{path}: {name} must be {what}, got {doc[name]!r}")
+            raise ValueError(
+                f"{path}: {name} must be {what}, got {json_value_text(doc[name])}"
+            )
     for name in _ARRAY_FIELDS:
         if not _numbers_only(doc[name]):
             raise ValueError(f"{path}: {name} must hold only JSON numbers")

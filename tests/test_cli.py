@@ -257,6 +257,24 @@ class TestConfigTypes:
         assert repr(next(iter(config))) in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("value,shown", [
+        (True, "got True"),
+        (2.5, "got 2.5"),
+        ([1.5] * 10_000, "got a JSON array"),
+        ({str(i): i for i in range(1000)}, "got a JSON object"),
+        ("9" * 200, "got a JSON string"),
+    ], ids=["true", "2.5", "array", "object", "string"])
+    def test_mistyped_value_quoted_only_when_short(
+        self, capsys, tmp_path, value, shown
+    ):
+        path = os.path.join(tmp_path, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"seed": value}, handle)
+        out = os.path.join(tmp_path, "out")
+        code, _, err = run_cli(capsys, ["gen", "--config", path, "--out", out])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: config key 'seed' must be an integer, {shown}\n"
+
     def test_deeply_nested_config_rejected(self, capsys, tmp_path):
         path = os.path.join(tmp_path, "config.json")
         with open(path, "w", encoding="utf-8") as handle:
@@ -674,6 +692,29 @@ class TestEval:
         assert f"{model}: {field} must" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("field,value,shown", [
+        ("format_version", True, "a JSON integer, got True"),
+        ("format_version", 1.0, "a JSON integer, got 1.0"),
+        ("format_version", [1] * 10_000, "a JSON integer, got a JSON array"),
+        ("num_classes", "3" * 100, "a JSON integer, got a JSON string"),
+        ("prior_scale", {"a": [1.0] * 100}, "a JSON number, got a JSON object"),
+    ], ids=["true", "1.0", "array", "string", "object"])
+    def test_mistyped_scalar_quoted_only_when_short(
+        self, capsys, pipeline, tmp_path, field, value, shown
+    ):
+        with open(pipeline["model"], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc[field] = value
+        model = os.path.join(tmp_path, "model.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", model, "--data", pipeline["val"],
+            "--out", os.path.join(tmp_path, "eval"),
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {model}: {field} must be {shown}\n"
+
     @pytest.mark.parametrize("depth,message", [
         (500, "weight_mu must be a rectangular array of numbers"),
         (50_000, "JSON nests too deeply to parse"),
@@ -892,6 +933,32 @@ class TestSweep:
             "error: data row 11: logits are not finite under posterior draw 0\n"
         )
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("measure", ["confidence", "entropy", "mutual_info"])
+    def test_takes_per_draw_entropies_only_for_a_mutual_info_gate(
+        self, capsys, pipeline, tmp_path, monkeypatch, measure
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["mutual_info"])
+            return score_posterior(*args, **kwargs)
+
+        score_posterior = cli.score_posterior
+        monkeypatch.setattr(cli, "score_posterior", spy)
+        code, _, err = run_cli(capsys, [
+            "sweep", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--measure", measure, "--grid", "0.05,0.5", "--seed", "7",
+            "--out", os.path.join(tmp_path, "curve.csv"),
+        ])
+        assert_clean_success(code, err)
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--measure", measure, "--threshold", "0.5", "--seed", "7",
+            "--out", os.path.join(tmp_path, "eval"),
+        ])
+        assert_clean_success(code, err)
+        assert calls == [measure == "mutual_info", True]
 
     def test_unsorted_grid_rejected(self, capsys, pipeline, tmp_path):
         code, _, err = run_cli(capsys, [

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vbselect import dataset
 from vbselect.dataset import (
     FeatureDataset,
     SplitRatios,
@@ -137,6 +138,26 @@ class TestCsvRoundTrip:
         path.write_text("f0,label\n1.0,-1\n")
         with pytest.raises(ValueError, match="negative label"):
             load_csv(path)
+
+    def test_fast_path_parses_in_one_loadtxt_call(self, tmp_path, monkeypatch):
+        ds = random_dataset(np.random.default_rng(5), 3, 4, per_class=5)
+        path = tmp_path / "d.csv"
+        save_csv(ds, path)
+        real, calls = np.loadtxt, []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        def checked_loop(*args):
+            raise AssertionError("the fast path handed the file to the checked loop")
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(dataset, "_parse_rows_checked", checked_loop)
+        back = load_csv(path)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -321,6 +321,14 @@ class TestPredictionSetValidation:
 
 
 class TestUncertaintyScores:
+    def test_entropy_terms_absent_only_together(self):
+        ones = np.ones(3)
+        scores = UncertaintyScores(ones, ones, None, None)
+        assert scores.expected_entropy is None and scores.mutual_info is None
+        for expected_entropy, mutual_info in ((ones, None), (None, ones)):
+            with pytest.raises(ValueError, match="both"):
+                UncertaintyScores(ones, ones, expected_entropy, mutual_info)
+
     def test_uniform_mean_probabilities(self):
         pred = make_prediction_set(np.full((1, 1, 5), 0.2))
         scores = uncertainty_scores(pred)
@@ -620,6 +628,57 @@ class TestStreamingEngine:
         layer, _ = trained_model
         with pytest.raises(ValueError, match="at least one row"):
             score_posterior(layer, np.zeros((0, 8)), mc_samples=3, seed=0)
+
+
+class TestWithoutMutualInfo:
+    """score_posterior(..., mutual_info=False) skips the per-draw entropies."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_outputs_equal_the_default_call(self, monkeypatch, workers):
+        n, s, k = 5 * CHUNK_ROWS + 1, 17, 5
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_workers(monkeypatch, workers)
+        layer = init_layer(7, k, rho_init=-1.0, seed=3)
+        features = 3.0 * np.random.default_rng(3).standard_normal((n, 7))
+        full = score_posterior(layer, features, s, seed=3)
+        # Without samples the chunks go to the pool, with them to one thread.
+        for samples in (None, io.StringIO()):
+            lean = score_posterior(
+                layer, features, s, seed=3, samples=samples, mutual_info=False
+            )
+            assert_same_bits(lean.mean_probs, full.mean_probs)
+            assert_same_bits(lean.predicted, full.predicted)
+            assert_same_bits(lean.scores.confidence, full.scores.confidence)
+            assert_same_bits(lean.scores.entropy, full.scores.entropy)
+            assert lean.scores.expected_entropy is None
+            assert lean.scores.mutual_info is None
+        text = io.StringIO()
+        score_posterior(layer, features, s, seed=3, samples=text)
+        assert samples.getvalue() == text.getvalue()
+
+    def test_predictions_csv_rejects_the_scores_in_one_line(self, tmp_path):
+        layer = init_layer(4, 3, rho_init=-1.0, seed=0)
+        features = np.random.default_rng(0).standard_normal((6, 4))
+        lean = score_posterior(layer, features, 3, seed=0, mutual_info=False)
+        path = os.path.join(tmp_path, "predictions.csv")
+        with pytest.raises(ValueError, match="mutual_info") as info:
+            save_predictions_csv(lean, lean.scores, np.zeros(6, dtype=np.int64), path)
+        assert "\n" not in str(info.value)
+        assert not os.path.exists(path)
+
+    def test_peak_memory_is_no_higher(self):
+        n, s, k = 20_000, 50, 5
+        layer = init_layer(16, k, rho_init=-1.0, seed=0)
+        features = np.random.default_rng(0).standard_normal((n, 16))
+        peaks = {}
+        for mutual_info in (True, False):
+            tracemalloc.start()
+            try:
+                score_posterior(layer, features, s, seed=0, mutual_info=mutual_info)
+                peaks[mutual_info] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] <= peaks[True]
 
 
 def engine_outputs(layer, features, s, seed=11):

@@ -143,6 +143,10 @@ def load_outcome(path):
 @example(text="f0,label\n1,1,0\n2,0\n")
 @example(text="f0,label\n1,-1\n")
 @example(text="f0,label\n1,2\n2,0\n")
+# A row one field long next to one a field short: the right total of commas.
+@example(text="f0,f1,label\n1,2,3,0\n1,0\n")
+# splitlines() ends a line at "\x1c", where numpy would take a space.
+@example(text="f0,f1,label\n0.5\x1c,0.7,0\n")
 def test_numpy_parse_matches_checked_loop(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"

@@ -220,6 +220,31 @@ class TestApplyRejection:
             assert abs(overall - report.overall_accuracy) <= 1e-12
 
 
+class TestScoresWithoutMutualInfo:
+    """Scores taken with score_posterior(..., mutual_info=False)."""
+
+    def test_mutual_info_gate_rejects_them_in_one_line(self):
+        scores = UncertaintyScores(np.array([0.9, 0.6]), np.array([0.1, 0.5]), None, None)
+        predicted, labels = np.array([0, 1]), np.array([0, 0])
+        for gate in (
+            lambda: apply_rejection(scores, predicted, labels, 0.1, measure="mutual_info"),
+            lambda: threshold_sweep(scores, predicted, labels, measure="mutual_info"),
+        ):
+            with pytest.raises(ValueError, match="no mutual_info") as info:
+                gate()
+            assert "\n" not in str(info.value)
+
+    def test_confidence_and_entropy_gates_still_work(self):
+        full = scores_from_uncertainty([0.1, 0.5])
+        lean = UncertaintyScores(full.confidence, full.entropy, None, None)
+        predicted, labels = np.array([0, 1]), np.array([0, 0])
+        for measure, threshold in (("confidence", 0.5), ("entropy", 0.2)):
+            assert_same_report(
+                apply_rejection(lean, predicted, labels, threshold, measure=measure),
+                apply_rejection(full, predicted, labels, threshold, measure=measure),
+            )
+
+
 class TestConfusionMatrix:
     def test_all_correct_is_diagonal(self):
         labels = np.array([0, 1, 2, 1, 0, 2, 2])

@@ -8,6 +8,7 @@ forward pass is checked against plain reparameterized sampling in law.
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from vbselect.vbll import (
     forward_flipout,
     forward_mean,
     init_layer,
+    json_value_text,
     kl_to_prior,
     load_layer,
     log_softmax,
@@ -449,6 +451,25 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="format_version"):
             load_layer(path)
+
+    @pytest.mark.parametrize("value,text", [
+        (True, "True"),
+        (None, "None"),
+        (1.0, "1.0"),
+        ("a" * 78, repr("a" * 78)),
+        ("a" * 79, "a JSON string"),
+        (10**80, "a JSON integer"),
+        (list(range(30)), "a JSON array"),
+        ({"k": "v"}, "{'k': 'v'}"),
+    ])
+    def test_json_value_text_quotes_at_most_80_characters(self, value, text):
+        assert json_value_text(value) == text
+
+    def test_json_value_text_names_a_list_too_deep_to_print(self):
+        nested = []
+        for _ in range(sys.getrecursionlimit() + 100):
+            nested = [nested]
+        assert json_value_text(nested) == "a JSON array"
 
     @pytest.mark.parametrize("leaf,ok", [(1.0, True), ("1.0", False)])
     def test_number_check_walks_past_the_recursion_limit(self, leaf, ok):

@@ -25,8 +25,9 @@ Chains (all at seed 0):
 * ``readme_eval/``, ``readme_eval_samples/``, ``readme_eval_mi/``: eval of the
   README model on its test split at S=20, as in the README, then with
   ``--save-samples``, then gated on mutual information;
-* ``readme_sweep.csv``, ``readme_sweep_ent.csv``: sweep on confidence and on
-  entropy;
+* ``readme_sweep.csv``, ``readme_sweep_ent.csv``, ``readme_sweep_mi.csv``:
+  sweep on confidence, on entropy and on mutual information (the one sweep
+  that takes the per-draw entropies);
 * ``wide/``: a K=100, D=256 head (50 rows per class, 30 epochs), then eval
   ``--save-samples`` and sweep at S=100 on its test split;
 * ``bulk.csv``, ``bulk_eval/``, ``bulk_sweep.csv``, ``bulk_eval_samples/``:
@@ -89,6 +90,8 @@ def _chains(out: str) -> list[list[str]]:
          "--out", p("readme_sweep.csv")],
         ["sweep", "--model", model, "--data", test, "--measure", "entropy",
          "--seed", "0", "--out", p("readme_sweep_ent.csv")],
+        ["sweep", "--model", model, "--data", test, "--measure", "mutual_info",
+         "--grid", "0.01,0.02,0.05,0.1", "--seed", "0", "--out", p("readme_sweep_mi.csv")],
         *data_prep(wide, ["--classes", "100", "--dim", "256", "--per-class", "50"]),
         ["eval", "--model", wide_model, "--data", wide_test, "--threshold", "0.7",
          "--mc-samples", "100", "--seed", "0", "--save-samples", "--out", p("wide", "eval")],
