@@ -11,6 +11,7 @@ from vbselect import (
     SyntheticConfig,
     TrainConfig,
     apply_rejection,
+    confusion_matrix,
     generate_synthetic,
     predictive_posterior,
     stratified_split,
@@ -56,9 +57,11 @@ print("  selective accuracy:", round(report.selective_accuracy, 4))
 # rows = true class, cols = predicted class; most of the off-diagonal
 # mass should disappear from the accepted-only matrix
 print("confusion (all):")
-print(report.confusion_all)
+print(confusion_matrix(preds.predicted, test_ds.labels,
+                       np.ones(test_ds.n_samples, dtype=bool), test_ds.num_classes))
 print("confusion (accepted only):")
-print(report.confusion_accepted)
+print(confusion_matrix(preds.predicted, test_ds.labels,
+                       report.accepted_mask, test_ds.num_classes))
 
 #%% sweep the threshold to draw the accuracy/coverage trade-off
 

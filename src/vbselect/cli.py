@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -57,6 +56,7 @@ from .inference import (  # noqa: F401
 from .selection import (
     MEASURES,
     apply_rejection,
+    confusion_matrix,
     save_confusion_csv,
     save_curve_csv,
     threshold_sweep,
@@ -70,7 +70,7 @@ from .training import (
     save_trace_csv,
     train,
 )
-from .vbll import json_value_text, load_layer, save_layer
+from .vbll import json_value_text, load_layer, read_json, save_layer
 
 __all__ = ["entrypoint", "main", "role_seed"]
 
@@ -272,11 +272,7 @@ def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
     allowed = {option.dest for option in options}
     config = {}
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                config = json.load(handle)
-            except RecursionError:
-                raise ValueError(f"{args.config}: JSON nests too deeply to parse") from None
+        config = read_json(args.config)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(config) - allowed)
@@ -420,8 +416,7 @@ def _cmd_eval(opts: dict) -> int:
 def _write_eval_reports(ds, pred, opts: dict) -> None:
     scores = pred.scores
     report = apply_rejection(
-        scores, pred.predicted, ds.labels, opts["threshold"],
-        measure=opts["measure"], num_classes=ds.num_classes,
+        scores, pred.predicted, ds.labels, opts["threshold"], measure=opts["measure"]
     )
     correctness = pred.predicted == ds.labels
     if opts["ece_accepted_only"]:
@@ -443,10 +438,10 @@ def _write_eval_reports(ds, pred, opts: dict) -> None:
         pred, scores, ds.labels, os.path.join(out, "predictions.csv")
     )
     save_histogram_csv(histogram, os.path.join(out, "histogram.csv"))
-    save_confusion_csv(report.confusion_all, os.path.join(out, "confusion_all.csv"))
-    save_confusion_csv(
-        report.confusion_accepted, os.path.join(out, "confusion_accepted.csv")
-    )
+    for name, mask in (("all", np.ones(ds.n_samples, dtype=bool)),
+                       ("accepted", report.accepted_mask)):
+        matrix = confusion_matrix(pred.predicted, ds.labels, mask, ds.num_classes)
+        save_confusion_csv(matrix, os.path.join(out, f"confusion_{name}.csv"))
     save_calibration_json(calibration, os.path.join(out, "calibration.json"))
     summary = {
         "coverage": report.coverage,
@@ -470,7 +465,7 @@ def _cmd_sweep(opts: dict) -> int:
     pred = _score(layer, ds, opts, mutual_info=opts["measure"] == "mutual_info")
     curve = threshold_sweep(
         pred.scores, pred.predicted, ds.labels, grid=_parse_grid(opts["grid"]),
-        measure=opts["measure"], num_classes=ds.num_classes,
+        measure=opts["measure"],
     )
     save_curve_csv(curve, opts["out"])
     return 0

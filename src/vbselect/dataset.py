@@ -147,7 +147,10 @@ def load_csv(path) -> FeatureDataset:
     result and every error message are the loop's.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     lineno, dim, declared_classes = _read_preamble(path, lines)
     parsed = _parse_rows_numpy(lines[lineno:], dim, declared_classes)
     if parsed is None:

@@ -36,11 +36,9 @@ class RejectionReport:
     """Outcome of one rejection gate over a labeled prediction batch.
 
     selective_accuracy is None (not 0, not 1) when nothing is accepted —
-    0/0 must not masquerade as a number. confusion_accepted counts only
-    accepted samples; confusion_all counts everything, so their difference
-    shows exactly what the gate removed. accepted_mask records per-sample
-    gate decisions so downstream views (accepted-only calibration, sample
-    listings) need not re-derive the comparison.
+    0/0 must not masquerade as a number. accepted_mask records per-sample
+    gate decisions so downstream views (accepted-only calibration, the
+    accepted-only confusion matrix) need not re-derive the comparison.
     """
 
     threshold: float
@@ -51,8 +49,6 @@ class RejectionReport:
     rejection_rate: float
     selective_accuracy: float | None
     overall_accuracy: float
-    confusion_accepted: np.ndarray
-    confusion_all: np.ndarray
     accepted_mask: np.ndarray
 
 
@@ -70,13 +66,6 @@ class RejectionCurve:
         thresholds = [r.threshold for r in self.reports]
         if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("grid must be strictly increasing")
-        if self.measure == "confidence":
-            coverages = [r.coverage for r in self.reports]
-            if any(a < b for a, b in zip(coverages, coverages[1:])):
-                raise ValueError(
-                    "coverage must be nonincreasing for increasing "
-                    "confidence thresholds"
-                )
 
 
 def _gate_mask(scores: UncertaintyScores, threshold: float, measure: str):
@@ -101,15 +90,16 @@ def _gate_mask(scores: UncertaintyScores, threshold: float, measure: str):
     return values <= threshold
 
 
-def confusion_matrix(predicted, labels, mask, num_classes=None) -> np.ndarray:
+def confusion_matrix(predicted, labels, mask, num_classes: int) -> np.ndarray:
     """K x K counts of (true, predicted) pairs over masked samples."""
     predicted = np.asarray(predicted, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
     if not predicted.shape == labels.shape == mask.shape:
         raise ValueError("predicted, labels, and mask must share one length")
-    if num_classes is None:
-        num_classes = int(max(predicted.max(), labels.max())) + 1
+    for name, classes in (("predicted", predicted), ("labels", labels)):
+        if classes.size and (classes.min() < 0 or classes.max() >= num_classes):
+            raise ValueError(f"{name} must lie in [0, {num_classes})")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (labels[mask], predicted[mask]), 1)
     return counts
@@ -121,7 +111,6 @@ def apply_rejection(
     labels,
     threshold: float,
     measure: str = "confidence",
-    num_classes: int | None = None,
 ) -> RejectionReport:
     """Gate predictions at the threshold and report selective metrics."""
     predicted = np.asarray(predicted, dtype=np.int64)
@@ -148,10 +137,6 @@ def apply_rejection(
         rejection_rate=(n - accepted) / n,
         selective_accuracy=correct_accepted / accepted if accepted else None,
         overall_accuracy=correct_all / n,
-        confusion_accepted=confusion_matrix(predicted, labels, mask, num_classes),
-        confusion_all=confusion_matrix(
-            predicted, labels, np.ones(n, dtype=bool), num_classes
-        ),
         accepted_mask=mask,
     )
 
@@ -162,14 +147,12 @@ def threshold_sweep(
     labels,
     grid=None,
     measure: str = "confidence",
-    num_classes: int | None = None,
 ) -> RejectionCurve:
     """One apply_rejection per grid threshold (default 0.50..0.90 step 0.05)."""
     if grid is None:
         grid = DEFAULT_GRID
     return RejectionCurve(measure, tuple(
-        apply_rejection(scores, predicted, labels, t, measure, num_classes)
-        for t in grid
+        apply_rejection(scores, predicted, labels, t, measure) for t in grid
     ))
 
 

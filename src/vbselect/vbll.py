@@ -10,6 +10,7 @@ gradients, the closed-form KL to the prior, and JSON persistence.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +47,26 @@ def json_value_text(value) -> str:
     if text is not None and len(text) <= 80:
         return text
     return _LONG_JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def read_json(path):
+    """The document in a UTF-8 JSON file.
+
+    A file that does not decode or parse is a ValueError whose one line names it.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply to parse") from None
+    except ValueError:  # an integer longer than int() may parse
+        raise ValueError(
+            f"{path}: a JSON integer has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _numbers_only(value) -> bool:
@@ -293,13 +314,7 @@ def save_layer(layer: VBLinearLayer, path) -> None:
 
 def load_layer(path) -> VBLinearLayer:
     """Load a layer written by save_layer, rejecting malformed documents."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nests too deeply to parse") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     required = {*_SCALAR_FIELDS, *_ARRAY_FIELDS}

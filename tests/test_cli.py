@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vbselect
-from vbselect import cli, inference
+from vbselect import cli, inference, selection
 from vbselect.calibration import ece
 from vbselect.cli import entrypoint, role_seed
 from vbselect.dataset import (
@@ -979,6 +979,74 @@ class TestSweep:
         ])
         assert_single_line_error(code, err, 1)
         assert err == "error: threshold must lie in [0, 1] for confidence, got 1.5\n"
+        assert not os.path.exists(out)
+
+
+def test_confusion_matrices_built_only_where_written(
+    capsys, pipeline, tmp_path, monkeypatch
+):
+    """sweep writes no confusion matrix and builds none; eval builds the two it writes."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return confusion_matrix(*args, **kwargs)
+
+    confusion_matrix = selection.confusion_matrix
+    for module in (selection, cli):
+        monkeypatch.setattr(module, "confusion_matrix", spy, raising=False)
+    counts = {}
+    for command, out in (("sweep", "curve.csv"), ("eval", "eval")):
+        calls.clear()
+        code, _, err = run_cli(capsys, [
+            command, "--model", pipeline["model"], "--data", pipeline["val"],
+            "--seed", "7", "--out", os.path.join(tmp_path, out),
+        ])
+        assert_clean_success(code, err)
+        counts[command] = len(calls)
+    assert counts == {"sweep": 0, "eval": 2}
+
+
+class TestUndecodableInputs:
+    """An input file that does not decode ends in one error line naming it."""
+
+    @staticmethod
+    def argv(kind, pipeline, path, out):
+        return {
+            "csv": ["split", "--in", path, "--out", out],
+            "config": ["gen", "--config", path, "--out", out],
+            "model": ["eval", "--model", path, "--data", pipeline["val"], "--out", out],
+        }[kind]
+
+    @pytest.mark.parametrize("kind", ["csv", "config", "model"])
+    def test_non_utf8_file_named(self, capsys, pipeline, tmp_path, kind):
+        path = os.path.join(tmp_path, "input")
+        with open(path, "wb") as handle:
+            handle.write(b"\xff{}\n")
+        out = os.path.join(tmp_path, "out")
+        code, _, err = run_cli(capsys, self.argv(kind, pipeline, path, out))
+        assert_single_line_error(code, err, 1)
+        assert err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind", ["config", "model"])
+    def test_oversized_integer_named(self, capsys, pipeline, tmp_path, kind):
+        # json.loads refuses an integer past Python's int-string digit limit
+        # with advice (sys.set_int_max_str_digits) no CLI user can follow.
+        with open(pipeline["model"], encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc = {"seed": "BIG"} if kind == "config" else {**doc, "num_classes": "BIG"}
+        path = os.path.join(tmp_path, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(doc).replace('"BIG"', "1" * 5000))
+        out = os.path.join(tmp_path, "out")
+        code, _, err = run_cli(capsys, self.argv(kind, pipeline, path, out))
+        assert_single_line_error(code, err, 1)
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: {path}: a JSON integer has more than {limit} digits\n"
         assert not os.path.exists(out)
 
 

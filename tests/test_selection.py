@@ -124,7 +124,8 @@ class TestApplyRejection:
         assert report.coverage == 0.0
         assert report.rejection_rate == 1.0
         np.testing.assert_array_equal(
-            report.confusion_accepted, np.zeros((3, 3), dtype=np.int64)
+            confusion_matrix(predicted, predicted, report.accepted_mask, 3),
+            np.zeros((3, 3), dtype=np.int64),
         )
 
     def test_empty_input_rejected(self):
@@ -208,15 +209,15 @@ class TestApplyRejection:
             report = apply_rejection(scores, predicted, labels, float(rng.random()))
             assert report.accepted_count + report.rejected_count == 25
             assert abs(report.coverage + report.rejection_rate - 1.0) <= 1e-12
-            assert report.confusion_accepted.sum() == report.accepted_count
-            assert report.confusion_all.sum() == 25
-            assert np.all(report.confusion_all - report.confusion_accepted >= 0)
+            accepted = confusion_matrix(predicted, labels, report.accepted_mask, 3)
+            everything = confusion_matrix(predicted, labels, np.ones(25, dtype=bool), 3)
+            assert accepted.sum() == report.accepted_count
+            assert everything.sum() == 25
+            assert np.all(everything - accepted >= 0)
             if report.accepted_count > 0:
-                trace_accuracy = (
-                    np.trace(report.confusion_accepted) / report.accepted_count
-                )
+                trace_accuracy = np.trace(accepted) / report.accepted_count
                 assert abs(trace_accuracy - report.selective_accuracy) <= 1e-12
-            overall = np.trace(report.confusion_all) / 25
+            overall = np.trace(everything) / 25
             assert abs(overall - report.overall_accuracy) <= 1e-12
 
 
@@ -248,12 +249,12 @@ class TestScoresWithoutMutualInfo:
 class TestConfusionMatrix:
     def test_all_correct_is_diagonal(self):
         labels = np.array([0, 1, 2, 1, 0, 2, 2])
-        matrix = confusion_matrix(labels, labels, np.ones(7, dtype=bool))
+        matrix = confusion_matrix(labels, labels, np.ones(7, dtype=bool), 3)
         np.testing.assert_array_equal(matrix, np.diag([2, 2, 3]))
 
     def test_empty_mask_is_zero(self):
         labels = np.array([0, 1, 2])
-        matrix = confusion_matrix(labels, labels, np.zeros(3, dtype=bool))
+        matrix = confusion_matrix(labels, labels, np.zeros(3, dtype=bool), 3)
         np.testing.assert_array_equal(matrix, np.zeros((3, 3), dtype=np.int64))
 
     def test_hand_case(self):
@@ -276,8 +277,19 @@ class TestConfusionMatrix:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             confusion_matrix(
-                np.array([0, 1]), np.array([0]), np.array([True, True])
+                np.array([0, 1]), np.array([0]), np.array([True, True]), 2
             )
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize("column", ["predicted", "labels"])
+    def test_class_outside_range_rejected(self, bad, column):
+        # Even on a masked-out row: a class index outside [0, K) is a bug
+        # upstream, not a count to wrap around or drop.
+        classes = {"predicted": np.array([0, 1, 2]), "labels": np.array([0, 1, 2])}
+        classes[column][1] = bad
+        mask = np.array([True, False, True])
+        with pytest.raises(ValueError, match=rf"^{column} must lie in \[0, 3\)$"):
+            confusion_matrix(classes["predicted"], classes["labels"], mask, 3)
 
 
 class TestThresholdSweep:
@@ -304,10 +316,7 @@ class TestThresholdSweep:
         assert swept.rejection_rate == single.rejection_rate
         assert swept.selective_accuracy == single.selective_accuracy
         assert swept.overall_accuracy == single.overall_accuracy
-        np.testing.assert_array_equal(
-            swept.confusion_accepted, single.confusion_accepted
-        )
-        np.testing.assert_array_equal(swept.confusion_all, single.confusion_all)
+        np.testing.assert_array_equal(swept.accepted_mask, single.accepted_mask)
 
     def test_constant_confidence_step_function(self):
         scores = scores_from_confidence(np.full(12, 0.8))
@@ -428,7 +437,7 @@ GATE_VALUES = st.sampled_from(EIGHTHS) | st.floats(0.0, 1.0)
 
 @st.composite
 def gate_cases(draw):
-    """(scores, predicted, labels, grid, measure, num_classes) for the gates."""
+    """(scores, predicted, labels, grid, measure) for the gates."""
     n = draw(st.integers(1, 30))
     k = draw(st.integers(2, 4))
     classes = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
@@ -440,7 +449,7 @@ def gate_cases(draw):
     grid = sorted(draw(st.sets(GATE_VALUES, min_size=1, max_size=6)))
     return (
         scores, np.array(draw(classes)), np.array(draw(classes)), grid,
-        draw(st.sampled_from(MEASURES)), draw(st.sampled_from([None, k])),
+        draw(st.sampled_from(MEASURES)),
     )
 
 
@@ -455,20 +464,18 @@ def assert_same_report(actual, expected):
 
 
 TIED = (scores_from_confidence([0.5, 0.5, 0.75]), np.array([0, 1, 1]),
-        np.array([0, 1, 0]), [0.5, 0.75], "confidence", None)
+        np.array([0, 1, 0]), [0.5, 0.75], "confidence")
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=gate_cases())
 @example(case=TIED)
 def test_sweep_report_equals_apply_rejection(case):
-    scores, predicted, labels, grid, measure, num_classes = case
-    curve = threshold_sweep(scores, predicted, labels, grid, measure, num_classes)
+    scores, predicted, labels, grid, measure = case
+    curve = threshold_sweep(scores, predicted, labels, grid, measure)
     assert [r.threshold for r in curve.reports] == grid
     for threshold, swept in zip(grid, curve.reports):
-        single = apply_rejection(
-            scores, predicted, labels, threshold, measure, num_classes
-        )
+        single = apply_rejection(scores, predicted, labels, threshold, measure)
         assert_same_report(swept, single)
 
 
@@ -476,12 +483,10 @@ def test_sweep_report_equals_apply_rejection(case):
 @given(case=gate_cases())
 @example(case=TIED)
 def test_gate_splits_every_row(case):
-    scores, predicted, labels, grid, measure, num_classes = case
+    scores, predicted, labels, grid, measure = case
     values = getattr(scores, measure)
     for threshold in grid:
-        report = apply_rejection(
-            scores, predicted, labels, threshold, measure, num_classes
-        )
+        report = apply_rejection(scores, predicted, labels, threshold, measure)
         assert report.accepted_count + report.rejected_count == len(predicted)
         expected = values >= threshold if measure == "confidence" else values <= threshold
         np.testing.assert_array_equal(report.accepted_mask, expected)
@@ -492,8 +497,8 @@ def test_gate_splits_every_row(case):
 @given(case=gate_cases())
 @example(case=TIED)
 def test_coverage_monotone_in_threshold(case):
-    scores, predicted, labels, grid, measure, num_classes = case
-    curve = threshold_sweep(scores, predicted, labels, grid, measure, num_classes)
+    scores, predicted, labels, grid, measure = case
+    curve = threshold_sweep(scores, predicted, labels, grid, measure)
     coverages = [r.coverage for r in curve.reports]
     if measure == "confidence":
         coverages.reverse()

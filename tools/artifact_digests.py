@@ -143,6 +143,19 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
             handle.write(json.dumps(doc).replace(
                 '"NESTED"', "[" * depth + "1.0" + "]" * depth
             ))
+    # A 5000-digit integer: more digits than json.loads will parse.
+    big_int, big_int_config = (
+        os.path.join(errors, name) for name in ("big_int.json", "big_int_config.json")
+    )
+    for path, text in ((big_int, json.dumps(doc).replace('"NESTED"', "1" * 5000)),
+                       (big_int_config, '{"seed": ' + "1" * 5000 + "}")):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    # Byte 0xff starts no UTF-8 text; one file stands in for a CSV, a config
+    # and a model.
+    non_utf8 = os.path.join(errors, "non_utf8")
+    with open(non_utf8, "wb") as handle:
+        handle.write(b"\xff\n")
     nested_config = os.path.join(errors, "nested_config.json")
     with open(nested_config, "w", encoding="utf-8") as handle:
         handle.write('{"seed": ' + "[" * 50_000 + "]" * 50_000 + "}")
@@ -183,6 +196,11 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("train_val_dimension_mismatch",
          train(os.path.join(out, "wide", "splits", "val.csv"))),
         ("train_val_class_count_mismatch", train(six_classes)),
+        ("big_int_model", evaluate(big_int, test)),
+        ("big_int_config", evaluate(model, test, "--config", big_int_config)),
+        ("non_utf8_csv", evaluate(model, non_utf8)),
+        ("non_utf8_config", evaluate(model, test, "--config", non_utf8)),
+        ("non_utf8_model", evaluate(non_utf8, test)),
     ]
 
 
