@@ -268,32 +268,40 @@ def _check_config_value(option: _Option, value) -> None:
 
 
 def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
-    """Overlay flags > config file > defaults; reject unknown or mistyped config keys."""
+    """Overlay flags > config file > defaults; reject unknown or mistyped config keys.
+
+    Every error in the config file's contents names the file.
+    """
     allowed = {option.dest for option in options}
     config = {}
     if args.config is not None:
         config = read_json(args.config)
         if not isinstance(config, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"{args.config}: config file must hold a JSON object")
         unknown = sorted(set(config) - allowed)
         if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
+            raise ValueError(f"{args.config}: unknown config keys: {unknown}")
     merged = {}
     for option in options:
         if option.dest in config:
-            _check_config_value(option, config[option.dest])
+            try:
+                _check_config_value(option, config[option.dest])
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
         value = getattr(args, option.dest)
         if value is None:
             value = config.get(option.dest, option.default)
         if value is None and option.required:
             raise ValueError(f"missing required option {option.flag}")
-        if value is not None and option.kind is float:
-            try:
+        try:
+            if value is not None and option.kind is float:
                 value = float(value)
-            except OverflowError:  # a config file's JSON integer beyond 1.8e308
-                raise ValueError(
-                    f"config key {option.dest!r} must be within float64 range"
-                ) from None
+            elif type(value) is list and float in _CONFIG_LISTS[option.dest][2]:
+                value = [float(item) for item in value]  # a config file's grid
+        except OverflowError:  # a config file's JSON integer beyond 1.8e308
+            raise ValueError(
+                f"{args.config}: config key {option.dest!r} must be within float64 range"
+            ) from None
         merged[option.dest] = value
     return merged
 
@@ -312,14 +320,9 @@ def _parse_counts(value, num_classes: int) -> tuple:
 
 
 def _parse_grid(value):
-    """Floats from a comma string or a config file's list; None passes through."""
-    if value is None:
-        return None
+    """Floats from a comma string; a config file's list (already floats) and None pass through."""
     if not isinstance(value, str):
-        try:
-            return [float(item) for item in value]
-        except OverflowError:
-            raise ValueError("config key 'grid' must be within float64 range") from None
+        return value
     try:
         return [float(piece) for piece in value.split(",")]
     except ValueError:

@@ -139,8 +139,9 @@ def load_csv(path) -> FeatureDataset:
     """Read a dataset CSV written by :func:`save_csv` or by hand.
 
     Layout: optional first line ``# classes=K``, then a header naming the
-    feature columns ``f0..f{D-1}`` plus ``label``, then data rows. Malformed
-    rows raise ValueError naming the 1-based physical line number.
+    feature columns ``f0..f{D-1}`` plus ``label``, then data rows. Every
+    error in the contents raises ValueError naming the file, and a malformed
+    line's also names its 1-based physical line number (``FILE: line N: ...``).
 
     numpy's parser reads the data rows; any row it rejects or that fails a
     check sends the whole file through the line-by-line loop instead, so the
@@ -151,16 +152,19 @@ def load_csv(path) -> FeatureDataset:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    lineno, dim, declared_classes = _read_preamble(path, lines)
-    parsed = _parse_rows_numpy(lines[lineno:], dim, declared_classes)
-    if parsed is None:
-        parsed = _parse_rows_checked(path, lines, lineno, dim, declared_classes)
-    features, labels = parsed
-    num_classes = declared_classes if declared_classes is not None else int(labels.max()) + 1
-    return FeatureDataset(features, labels, num_classes)
+    try:
+        lineno, dim, declared_classes = _read_preamble(lines)
+        parsed = _parse_rows_numpy(lines[lineno:], dim, declared_classes)
+        if parsed is None:
+            parsed = _parse_rows_checked(lines, lineno, dim, declared_classes)
+        features, labels = parsed
+        num_classes = declared_classes if declared_classes is not None else int(labels.max()) + 1
+        return FeatureDataset(features, labels, num_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _read_preamble(path: Path, lines: list[str]) -> tuple[int, int, int | None]:
+def _read_preamble(lines: list[str]) -> tuple[int, int, int | None]:
     """Check the class directive and header; return (lines read, D, declared K)."""
     lineno = 0
     declared_classes = None
@@ -176,7 +180,7 @@ def _read_preamble(path: Path, lines: list[str]) -> tuple[int, int, int | None]:
                 raise ValueError("line 1: declared class count must be at least 2")
 
     if lineno >= len(lines):
-        raise ValueError(f"{path}: missing header row")
+        raise ValueError("missing header row")
     header = lines[lineno].split(",")
     lineno += 1
     if len(header) < 2 or header[-1] != "label":
@@ -221,7 +225,7 @@ def _parse_rows_numpy(rows: list[str], dim: int, declared_classes: int | None):
 
 
 def _parse_rows_checked(
-    path: Path, lines: list[str], lineno: int, dim: int, declared_classes: int | None
+    lines: list[str], lineno: int, dim: int, declared_classes: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels) of lines[lineno:], checked field by field.
 
@@ -267,7 +271,7 @@ def _parse_rows_checked(
         labels.append(label)
 
     if not features:
-        raise ValueError(f"{path}: no data rows")
+        raise ValueError("no data rows")
     return np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 

@@ -7,10 +7,20 @@ noise when given identically seeded streams; gradcheck leans on that replay
 contract to compare analytic gradients with central finite differences.
 
 Training holds the posterior as one flat float64 vector laid out as
-weight_mu, weight_rho, bias_mu, bias_rho; `_blocks` gives the four arrays as
-views into it. The gradient is a vector of the same layout, and Adam updates
-the parameters and its two moment vectors in place with one vectorised
-expression per step.
+weight_mu, bias_mu, weight_rho, bias_rho, so the mu half and the rho half
+are each one contiguous block of K * (D + 1) values. `_halves`, `_split` and
+`_blocks` are the only code that knows this layout; they give the halves
+and the four arrays as views. The gradient is a vector of the same layout.
+
+A step does its elementwise work on whole halves. exp(-|rho|) is taken once
+over the rho half; sigma = softplus(rho) and sigmoid(rho) both come from it,
+with the float operations of vbll.softplus and vbll.sigmoid, and the KL
+chain is one run over each half. The K * (D + 1)-sized arrays a step needs
+(sigma, sigmoid(rho), the noise and sigma * noise, the gradient, one pass's
+gradient, Adam's scratch) live in a `_StepBuffers` that `train` allocates
+once per call, and Adam updates the parameters and its two moments in place
+in the operation order of the textbook expression. Every result is bit for
+bit that of the allocating, block-by-block form.
 """
 
 from __future__ import annotations
@@ -30,8 +40,6 @@ from .vbll import (
     init_layer,
     kl_to_prior,
     log_softmax,
-    sigmoid,
-    softplus,
 )
 
 
@@ -116,15 +124,58 @@ class EpochRecord:
     val_acc: float
 
 
-def _blocks(flat, num_classes, feature_dim):
-    """(weight_mu, weight_rho, bias_mu, bias_rho) as reshaped views of flat."""
+def _halves(flat):
+    """(mu half, rho half) of a flat vector, as views."""
+    half = flat.size // 2
+    return flat[:half], flat[half:]
+
+
+def _split(half, num_classes, feature_dim):
+    """(K x D weight block, K bias values) of one half, as views."""
     kd = num_classes * feature_dim
-    return (
-        flat[:kd].reshape(num_classes, feature_dim),
-        flat[kd : 2 * kd].reshape(num_classes, feature_dim),
-        flat[2 * kd : 2 * kd + num_classes],
-        flat[2 * kd + num_classes :],
-    )
+    return half[:kd].reshape(num_classes, feature_dim), half[kd:]
+
+
+def _blocks(flat, num_classes, feature_dim):
+    """(weight_mu, weight_rho, bias_mu, bias_rho) as views of flat."""
+    mu, rho = _halves(flat)
+    weight_mu, bias_mu = _split(mu, num_classes, feature_dim)
+    weight_rho, bias_rho = _split(rho, num_classes, feature_dim)
+    return weight_mu, weight_rho, bias_mu, bias_rho
+
+
+def _flatten(layer):
+    """A new flat vector holding the layer's four arrays."""
+    flat = np.empty(2 * layer.num_classes * (layer.feature_dim + 1))
+    for view, name in zip(
+        _blocks(flat, layer.num_classes, layer.feature_dim),
+        ("weight_mu", "weight_rho", "bias_mu", "bias_rho"),
+    ):
+        view[...] = getattr(layer, name)
+    return flat
+
+
+class _StepBuffers:
+    """The arrays one ELBO-and-Adam step of a K x D head works in, made once.
+
+    `grads`, `pass_grads` and the two rows of `scratch` have the flat
+    layout; the rest are one half long. `noise` holds a pass's eps_w and
+    eps_b, and `delta` sigma * noise, each split like a half.
+    """
+
+    def __init__(self, num_classes, feature_dim):
+        half = num_classes * (feature_dim + 1)
+        self.grads = np.empty(2 * half)
+        self.pass_grads = np.empty(2 * half)
+        self.scratch = np.empty((2, 2 * half))
+        self.t, self.one_plus_t, self.sigma, self.sigmoid, self.noise, self.delta = (
+            np.empty(half) for _ in range(6)
+        )
+        self.rho_nonneg = np.empty(half, dtype=bool)
+        self.eps = _split(self.noise, num_classes, feature_dim)
+        self.delta_w, self.delta_b = _split(self.delta, num_classes, feature_dim)
+        self.pass_blocks = _blocks(self.pass_grads, num_classes, feature_dim)
+        self.pass_rho = _halves(self.pass_grads)[1]
 
 
 def _validate_batch_inputs(layer, batch, labels, n_train, mc_passes):
@@ -143,58 +194,88 @@ def _validate_batch_inputs(layer, batch, labels, n_train, mc_passes):
     return batch, labels.astype(np.int64)
 
 
-def _elbo_core(layer, batch, labels, n_train, rng, mc_passes):
+def _elbo_core(layer, params, batch, labels, n_train, rng, mc_passes, work):
     """(mean NLL, flat gradient of the negative ELBO): the one loss-and-gradient path.
 
-    It checks nothing: elbo_loss and elbo_gradients check their inputs first
+    `params` is the layer's flat vector (see `_blocks`); `work` is a
+    `_StepBuffers` for the layer's shape, and the gradient returned is
+    `work.grads`, valid until the next call with the same buffers. It checks
+    nothing: elbo_loss and elbo_gradients check their inputs first
     (`_validate_batch_inputs`) and train's datasets and config hold the same
-    rules. sigma = softplus(rho) and each pass's batch * sign_in are formed
-    once and shared by the logits, the rho gradient and the KL chain.
+    rules. Each pass's batch * sign_in is formed once and shared by the
+    logits and the rho gradient.
     """
     b = batch.shape[0]
     rows = np.arange(b)
-    k, d = layer.num_classes, layer.feature_dim
-    sigma_w, sigma_b = softplus(layer.weight_rho), softplus(layer.bias_rho)
+    mu, rho = _halves(params)
+
+    # sigma = softplus(rho) and sigmoid(rho) from one t = exp(-|rho|), with
+    # vbll.softplus's and vbll.sigmoid's float operations.
+    t, one_plus_t, sigma, sig = work.t, work.one_plus_t, work.sigma, work.sigmoid
+    np.abs(rho, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.maximum(rho, 0.0, out=sigma)
+    sigma += np.log1p(t, out=sig)
+    np.add(t, 1.0, out=one_plus_t)
+    np.divide(t, one_plus_t, out=sig)
+    np.greater_equal(rho, 0.0, out=work.rho_nonneg)
+    np.divide(1.0, one_plus_t, out=sig, where=work.rho_nonneg)
 
     nll = 0.0
-    grads = np.zeros(2 * k * (d + 1))
-    gw_mu, gw_rho, gb_mu, gb_rho = _blocks(grads, k, d)
+    grads, pass_grads = work.grads, work.pass_grads
+    grads.fill(0.0)
+    pass_w_mu, pass_w_rho, pass_b_mu, pass_b_rho = work.pass_blocks
     for _ in range(mc_passes):
-        eps_w, eps_b, sign_in, sign_out = flipout_noise(layer, b, rng)
+        _, _, sign_in, sign_out = flipout_noise(layer, b, rng, out=work.eps)
+        np.multiply(sigma, work.noise, out=work.delta)
         flipped = batch * sign_in
         logp = log_softmax(
-            flipout_logits(layer, batch, flipped, sigma_w * eps_w, sigma_b * eps_b, sign_out)
+            flipout_logits(layer, batch, flipped, work.delta_w, work.delta_b, sign_out)
         )
-        nll += float(-logp[rows, labels].mean())
-        g = np.exp(logp)
+        nll += float(-(logp[rows, labels].sum() / b))
+        g = np.exp(logp, out=logp)
         g[rows, labels] -= 1.0
         g /= b
-        gw_mu += g.T @ batch
-        gb_mu += g.sum(axis=0)
-        gr = g * sign_out
-        gw_rho += (gr.T @ flipped) * eps_w
-        gb_rho += gr.sum(axis=0) * eps_b
+        np.matmul(g.T, batch, out=pass_w_mu)
+        g.sum(axis=0, out=pass_b_mu)
+        g *= sign_out
+        np.matmul(g.T, flipped, out=pass_w_rho)
+        g.sum(axis=0, out=pass_b_rho)
+        work.pass_rho *= work.noise
+        grads += pass_grads
 
-    # Until here the rho blocks hold the pass-summed d(NLL)/d(sigma); add the
-    # KL path, then chain through sigma = softplus(rho).
+    # Until here the rho half holds the pass-summed d(NLL)/d(sigma); add the
+    # KL path, then chain through sigma = softplus(rho). x / 1 is exact, so
+    # one pass skips the divide.
+    if mc_passes > 1:
+        grads /= mc_passes
+    g_mu, g_rho = _halves(grads)
     s2 = layer.prior_scale**2
     inv_n = 1.0 / n_train
-    for g_mu, g_rho, mu, rho, sigma in (
-        (gw_mu, gw_rho, layer.weight_mu, layer.weight_rho, sigma_w),
-        (gb_mu, gb_rho, layer.bias_mu, layer.bias_rho, sigma_b),
-    ):
-        g_mu /= mc_passes
-        g_mu += mu / s2 * inv_n
-        g_rho /= mc_passes
-        g_rho += (sigma / s2 - 1.0 / sigma) * inv_n
-        g_rho *= sigmoid(rho)
+    a, c = (row[: mu.size] for row in work.scratch)
+    np.divide(mu, s2, out=a)
+    a *= inv_n
+    g_mu += a
+    np.divide(sigma, s2, out=a)
+    np.divide(1.0, sigma, out=c)
+    a -= c
+    a *= inv_n
+    g_rho += a
+    g_rho *= sig
     return nll / mc_passes, grads
+
+
+def _checked_elbo(layer, batch, labels, n_train, rng, mc_passes):
+    """`_elbo_core` on a flat copy of the layer, after the input checks."""
+    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
+    work = _StepBuffers(layer.num_classes, layer.feature_dim)
+    return _elbo_core(layer, _flatten(layer), batch, labels, n_train, rng, mc_passes, work)
 
 
 def elbo_loss(layer, batch, labels, n_train, rng, mc_passes=1) -> LossBreakdown:
     """Negative ELBO for one minibatch: mean Flipout cross-entropy + KL/n_train."""
-    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
-    nll, _ = _elbo_core(layer, batch, labels, n_train, rng, mc_passes)
+    nll, _ = _checked_elbo(layer, batch, labels, n_train, rng, mc_passes)
     kl = kl_to_prior(layer)
     return LossBreakdown(nll=nll, kl=kl, total=nll + kl / n_train)
 
@@ -205,8 +286,7 @@ def elbo_gradients(layer, batch, labels, n_train, rng, mc_passes=1) -> Gradients
     A stream seeded identically to an elbo_loss call yields the gradient of
     exactly that loss value.
     """
-    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
-    _, grads = _elbo_core(layer, batch, labels, n_train, rng, mc_passes)
+    _, grads = _checked_elbo(layer, batch, labels, n_train, rng, mc_passes)
     return Gradients(*_blocks(grads, layer.num_classes, layer.feature_dim))
 
 
@@ -217,21 +297,37 @@ def adam_step(
     v: np.ndarray,
     step_index: int,
     config: TrainConfig,
+    scratch: np.ndarray | None = None,
 ) -> None:
-    """One bias-corrected Adam update of the flat params, m and v, in place."""
+    """One bias-corrected Adam update of the flat params, m and v, in place.
+
+    `scratch`, a float64 array of shape (2, params.size), holds the update's
+    intermediates; without it two such rows are allocated. The arithmetic is
+    that of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g**2,
+    params -= lr * m_hat / (sqrt(v_hat) + eps), operation for operation.
+    """
     if step_index < 1:
         raise ValueError("step_index must be at least 1")
     if not params.shape == grads.shape == m.shape == v.shape:
         raise ValueError("params, grads, m and v must share one shape")
+    if scratch is None:
+        scratch = np.empty((2, params.size))
+    a, c = scratch
     b1, b2 = config.adam_beta1, config.adam_beta2
     lr, eps = config.learning_rate, config.adam_epsilon
     m *= b1
-    m += (1.0 - b1) * grads
+    m += np.multiply(grads, 1.0 - b1, out=a)
     v *= b2
-    v += (1.0 - b2) * grads**2
-    m_hat = m / (1.0 - b1**step_index)
-    v_hat = v / (1.0 - b2**step_index)
-    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.square(grads, out=a)
+    a *= 1.0 - b2
+    v += a
+    np.divide(m, 1.0 - b1**step_index, out=a)
+    a *= lr
+    np.divide(v, 1.0 - b2**step_index, out=c)
+    np.sqrt(c, out=c)
+    c += eps
+    a /= c
+    params -= a
 
 
 def _dataset_nll_acc(layer, features, labels):
@@ -247,9 +343,10 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
 
     The parameters live in one flat buffer (see `_blocks`). One layer on
     views of it serves every step's forward and backward pass, and sees each
-    in-place Adam update. The KL enters each step's gradient in closed
-    form; its value is computed once per epoch, for the trace. Every layer
-    kept past its epoch holds a copy of the buffer, never a live view.
+    in-place Adam update; one `_StepBuffers` holds every step's work arrays.
+    The KL enters each step's gradient in closed form; its value is
+    computed once per epoch, for the trace. Every layer kept past its epoch
+    holds a copy of the buffer, never a live view.
 
     Determinism contract: the epoch shuffle comes from a stream seeded with
     [config.seed, 0, epoch] and the Flipout noise of each batch from
@@ -276,10 +373,9 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
         )
     k, d = train_ds.num_classes, train_ds.feature_dim
     layer = init_layer(d, k, **asdict(init_config))
-    params = np.concatenate(
-        [layer.weight_mu.ravel(), layer.weight_rho.ravel(), layer.bias_mu, layer.bias_rho]
-    )
+    params = _flatten(layer)
     m, v = np.zeros_like(params), np.zeros_like(params)
+    work = _StepBuffers(k, d)
     n_train = train_ds.n_samples
     prior_scale = init_config.prior_scale
 
@@ -297,13 +393,13 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
             sel = perm[start : start + config.batch_size]
             noise_rng = np.random.default_rng([config.seed, 1, epoch, batch_index])
             nll, grads = _elbo_core(
-                step_layer, train_ds.features[sel], train_ds.labels[sel], n_train,
-                noise_rng, config.train_mc_samples,
+                step_layer, params, train_ds.features[sel], train_ds.labels[sel], n_train,
+                noise_rng, config.train_mc_samples, work,
             )
             nll_weighted_sum += nll * sel.size
             step += 1
-            adam_step(params, grads, m, v, step, config)
-            if not np.all(np.isfinite(params)):
+            adam_step(params, grads, m, v, step, config, work.scratch)
+            if not np.isfinite(params).all():
                 raise NonFiniteError(
                     f"non-finite parameter after step {step} (epoch {epoch + 1})"
                 )

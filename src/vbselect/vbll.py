@@ -263,17 +263,26 @@ def forward_mean(layer: VBLinearLayer, batch) -> np.ndarray:
     return batch @ layer.weight_mu.T + layer.bias_mu
 
 
-def flipout_noise(layer: VBLinearLayer, n_rows: int, rng: np.random.Generator):
+# Flipout's sign table, indexed by a 0/1 draw.
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def flipout_noise(layer: VBLinearLayer, n_rows: int, rng: np.random.Generator, out=None):
     """Draw the full noise bundle for one Flipout pass, in a fixed order.
 
     Returns (eps_w K x D, eps_b K, sign_in B x D, sign_out B x K). Training
     replays gradients against the same bundle, so the draw order here is part
-    of the determinism contract.
+    of the determinism contract. `out`, a (K x D, K) pair of C-contiguous
+    float64 arrays, receives eps_w and eps_b in place of new arrays; the
+    draws are the same either way.
     """
-    eps_w = rng.standard_normal(layer.weight_mu.shape)
-    eps_b = rng.standard_normal(layer.bias_mu.shape)
-    sign_in = rng.integers(0, 2, size=(n_rows, layer.feature_dim)) * 2.0 - 1.0
-    sign_out = rng.integers(0, 2, size=(n_rows, layer.num_classes)) * 2.0 - 1.0
+    if out is None:
+        out = (np.empty(layer.weight_mu.shape), np.empty(layer.bias_mu.shape))
+    eps_w = rng.standard_normal(out=out[0])
+    eps_b = rng.standard_normal(out=out[1])
+    # A draw of 0 or 1 picks -1.0 or 1.0: the values of draw * 2.0 - 1.0.
+    sign_in = _SIGNS.take(rng.integers(0, 2, size=(n_rows, layer.feature_dim)))
+    sign_out = _SIGNS.take(rng.integers(0, 2, size=(n_rows, layer.num_classes)))
     return eps_w, eps_b, sign_in, sign_out
 
 
@@ -284,7 +293,13 @@ def flipout_logits(layer: VBLinearLayer, batch, flipped, delta_w, delta_b, sign_
     sigma_W * eps_w and delta_b = sigma_b * eps_b. The caller forms them, so
     the ELBO gradient, which needs flipped and sigma again, derives each once.
     """
-    return batch @ layer.weight_mu.T + layer.bias_mu + (flipped @ delta_w.T + delta_b) * sign_out
+    logits = batch @ layer.weight_mu.T
+    logits += layer.bias_mu
+    noise = flipped @ delta_w.T
+    noise += delta_b
+    noise *= sign_out
+    logits += noise
+    return logits
 
 
 def forward_flipout(

@@ -273,7 +273,7 @@ class TestConfigTypes:
         out = os.path.join(tmp_path, "out")
         code, _, err = run_cli(capsys, ["gen", "--config", path, "--out", out])
         assert_single_line_error(code, err, 1)
-        assert err == f"error: config key 'seed' must be an integer, {shown}\n"
+        assert err == f"error: {path}: config key 'seed' must be an integer, {shown}\n"
 
     def test_deeply_nested_config_rejected(self, capsys, tmp_path):
         path = os.path.join(tmp_path, "config.json")
@@ -283,6 +283,59 @@ class TestConfigTypes:
         code, _, err = run_cli(capsys, ["gen", "--config", path, "--out", out])
         assert_single_line_error(code, err, 1)
         assert err == f"error: {path}: JSON nests too deeply to parse\n"
+        assert not os.path.exists(out)
+
+
+class TestConfigErrorsNameFile:
+    """Every error in a config file's contents ends in one line naming the file."""
+
+    @pytest.mark.parametrize("command,text,message", [
+        ("gen", "[1]", "config file must hold a JSON object"),
+        ("gen", '{"num_classes": 3, "typo_key": 1}', "unknown config keys: ['typo_key']"),
+        ("gen", '{"seed": 2.5}', "config key 'seed' must be an integer, got 2.5"),
+        ("gen", '{"noise_scale": 1' + "0" * 400 + "}",
+         "config key 'noise_scale' must be within float64 range"),
+        ("sweep", '{"grid": [0.5, 1' + "0" * 400 + "]}",
+         "config key 'grid' must be within float64 range"),
+    ], ids=["not_object", "unknown_key", "mistyped", "float_range", "grid_float_range"])
+    def test_error_names_config(self, capsys, pipeline, tmp_path, command, text, message):
+        path = os.path.join(tmp_path, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out = os.path.join(tmp_path, "out")
+        argv = TestConfigTypes.argv(command, pipeline, out) + ["--config", path]
+        code, _, err = run_cli(capsys, argv)
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {path}: {message}\n"
+        assert not os.path.exists(out)
+
+
+class TestCsvErrorsNameFile:
+    """load_csv's preamble and row errors name the file before the line."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("# classes=x\nf0,label\n0.5,0\n", "line 1: bad class directive '# classes=x'"),
+        ("# classes=1\nf0,label\n0.5,0\n", "line 1: declared class count must be at least 2"),
+        ("f0,lbl\n0.5,0\n", "line 1: header must end with a 'label' column"),
+        ("f1,label\n0.5,0\n", "line 1: feature columns must be named f0..f0"),
+        ("f0,label\n0.5,0\n0.5,0,1\n", "line 3: expected 2 fields, got 3"),
+        ("f0,label\n0.5,0\nx,1\n", "line 3: non-numeric feature value 'x'"),
+        ("f0,label\n0.5,-1\n", "line 2: negative label -1"),
+        ("f0,label\n", "no data rows"),
+        ("f0,label\n0.5,0\n0.25,0\n", "num_classes must be at least 2"),
+    ], ids=["directive", "class_count", "label_column", "feature_names", "fields",
+            "non_numeric", "negative_label", "no_rows", "one_class"])
+    def test_error_names_csv(self, capsys, pipeline, tmp_path, text, message):
+        data = os.path.join(tmp_path, "bad.csv")
+        with open(data, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out = os.path.join(tmp_path, "out")
+        # eval reads a model and a CSV, so only the file name says which failed.
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", data, "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {data}: {message}\n"
         assert not os.path.exists(out)
 
 

@@ -11,6 +11,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vbselect import training
 from vbselect.dataset import FeatureDataset, SyntheticConfig, generate_synthetic
@@ -33,6 +36,8 @@ from vbselect.vbll import (
     init_layer,
     kl_to_prior,
     log_softmax,
+    sigmoid,
+    softplus,
     softplus_inverse,
 )
 
@@ -57,6 +62,70 @@ def random_layer(rng, num_classes=3, feature_dim=4, prior_scale=1.0):
         bias_rho=rng.uniform(-3.0, 0.5, num_classes),
         prior_scale=prior_scale,
     )
+
+
+def _unfused_elbo_core(layer, batch, labels, n_train, rng, mc_passes):
+    """The ELBO step as it was before the fused one, kept as a bit-exact oracle.
+
+    Returns (mean NLL, (weight_mu, weight_rho, bias_mu, bias_rho) gradients).
+    Every array is allocated afresh, sigma and sigmoid(rho) come from
+    vbll.softplus and vbll.sigmoid, the noise is drawn and the logits formed
+    as Flipout first did, and the KL chain runs once per parameter block.
+    """
+    b = batch.shape[0]
+    rows = np.arange(b)
+    k, d = layer.num_classes, layer.feature_dim
+    sigma_w, sigma_b = softplus(layer.weight_rho), softplus(layer.bias_rho)
+
+    nll = 0.0
+    gw_mu, gw_rho = np.zeros((k, d)), np.zeros((k, d))
+    gb_mu, gb_rho = np.zeros(k), np.zeros(k)
+    for _ in range(mc_passes):
+        eps_w = rng.standard_normal((k, d))
+        eps_b = rng.standard_normal(k)
+        sign_in = rng.integers(0, 2, size=(b, d)) * 2.0 - 1.0
+        sign_out = rng.integers(0, 2, size=(b, k)) * 2.0 - 1.0
+        flipped = batch * sign_in
+        logits = (
+            batch @ layer.weight_mu.T + layer.bias_mu
+            + (flipped @ (sigma_w * eps_w).T + sigma_b * eps_b) * sign_out
+        )
+        logp = log_softmax(logits)
+        nll += float(-logp[rows, labels].mean())
+        g = np.exp(logp)
+        g[rows, labels] -= 1.0
+        g /= b
+        gw_mu += g.T @ batch
+        gb_mu += g.sum(axis=0)
+        gr = g * sign_out
+        gw_rho += (gr.T @ flipped) * eps_w
+        gb_rho += gr.sum(axis=0) * eps_b
+
+    s2 = layer.prior_scale**2
+    inv_n = 1.0 / n_train
+    for g_mu, g_rho, mu, rho, sigma in (
+        (gw_mu, gw_rho, layer.weight_mu, layer.weight_rho, sigma_w),
+        (gb_mu, gb_rho, layer.bias_mu, layer.bias_rho, sigma_b),
+    ):
+        g_mu /= mc_passes
+        g_mu += mu / s2 * inv_n
+        g_rho /= mc_passes
+        g_rho += (sigma / s2 - 1.0 / sigma) * inv_n
+        g_rho *= sigmoid(rho)
+    return nll / mc_passes, (gw_mu, gw_rho, gb_mu, gb_rho)
+
+
+def _unfused_adam_step(params, grads, m, v, step_index, config):
+    """Adam as one allocating expression per line, kept as a bit-exact oracle."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    lr, eps = config.learning_rate, config.adam_epsilon
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads**2
+    m_hat = m / (1.0 - b1**step_index)
+    v_hat = v / (1.0 - b2**step_index)
+    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 class TestElboLoss:
@@ -263,6 +332,108 @@ class TestAdam:
         np.testing.assert_array_equal(params, np.zeros(2))
 
 
+@st.composite
+def elbo_problems(draw):
+    """A layer, two batches (the second no larger) and the ELBO settings.
+
+    rho spans both sides of 0, so sigmoid's x >= 0 branch runs, and reaches
+    -40, where sigma and sigmoid(rho) are tiny; mu may be -0.0.
+    """
+    k = draw(st.integers(2, 6))
+    d = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 9))
+    last = draw(st.integers(1, b))
+    values = st.floats(-3.0, 3.0)
+    rhos = st.floats(-40.0, 4.0)
+    layer = VBLinearLayer(
+        weight_mu=draw(arrays(np.float64, (k, d), elements=values)),
+        weight_rho=draw(arrays(np.float64, (k, d), elements=rhos)),
+        bias_mu=draw(arrays(np.float64, k, elements=values)),
+        bias_rho=draw(arrays(np.float64, k, elements=rhos)),
+        prior_scale=draw(st.sampled_from([1.0, 0.3, 2.5]) | st.floats(0.1, 10.0)),
+    )
+    batches = [
+        (draw(arrays(np.float64, (n, d), elements=values)),
+         draw(arrays(np.int64, n, elements=st.integers(0, k - 1))))
+        for n in (b, last)
+    ]
+    n_train = draw(st.integers(b, b + 1000))
+    mc_passes = draw(st.sampled_from([1, 2, 3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return layer, batches, n_train, mc_passes, seed
+
+
+class TestFusedStepBitExact:
+    """The fused step and in-place Adam give the unfused oracles' bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=elbo_problems())
+    def test_core_matches_unfused(self, problem):
+        layer, batches, n_train, mc_passes, seed = problem
+        k, d = layer.num_classes, layer.feature_dim
+        params = training._flatten(layer)
+        step_layer = VBLinearLayer(*training._blocks(params, k, d), layer.prior_scale)
+        work = training._StepBuffers(k, d)
+        # One set of buffers serves a full batch and then a shorter last one,
+        # as in train.
+        for i, (batch, labels) in enumerate(batches):
+            nll, grads = training._elbo_core(
+                step_layer, params, batch, labels, n_train,
+                np.random.default_rng([seed, i]), mc_passes, work,
+            )
+            ref_nll, ref_grads = _unfused_elbo_core(
+                layer, batch, labels, n_train, np.random.default_rng([seed, i]), mc_passes
+            )
+            assert type(nll) is float
+            assert np.float64(nll).tobytes() == np.float64(ref_nll).tobytes()
+            expected = np.empty_like(grads)
+            for view, ref in zip(training._blocks(expected, k, d), ref_grads):
+                view[...] = ref
+            assert grads.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(problem=elbo_problems())
+    def test_public_objectives_match_unfused(self, problem):
+        layer, ((batch, labels), _), n_train, mc_passes, seed = problem
+        loss = elbo_loss(layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes)
+        grads = elbo_gradients(
+            layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
+        )
+        ref_nll, ref_grads = _unfused_elbo_core(
+            layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
+        )
+        assert np.float64(loss.nll).tobytes() == np.float64(ref_nll).tobytes()
+        for got, ref in zip(
+            (grads.weight_mu, grads.weight_rho, grads.bias_mu, grads.bias_rho), ref_grads
+        ):
+            assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        step=st.integers(1, 5000),
+        beta1=st.floats(0.0, 0.999),
+        beta2=st.floats(0.0, 0.9999),
+        lr=st.floats(1e-5, 1.0),
+        eps=st.floats(1e-12, 1e-2),
+        seed=st.integers(0, 2**32 - 1),
+        with_scratch=st.booleans(),
+    )
+    def test_adam_matches_unfused(self, n, step, beta1, beta2, lr, eps, seed, with_scratch):
+        config = TrainConfig(
+            learning_rate=lr, adam_beta1=beta1, adam_beta2=beta2, adam_epsilon=eps
+        )
+        rng = np.random.default_rng(seed)
+        params, grads = rng.standard_normal(n), rng.standard_normal(n)
+        m, v = 0.1 * rng.standard_normal(n), rng.random(n)
+        ref = [a.copy() for a in (params, m, v)]
+        scratch = np.empty((2, n)) if with_scratch else None
+        adam_step(params, grads, m, v, step, config, scratch)
+        _unfused_adam_step(ref[0], grads, ref[1], ref[2], step, config)
+        for got, want in zip((params, m, v), ref):
+            assert got.tobytes() == want.tobytes()
+
+
 def small_separable_splits(seed, per_class=30):
     cfg = SyntheticConfig(3, 4, (per_class,) * 3, class_separation=3.0, noise_scale=1.0)
     ds = generate_synthetic(cfg, seed=seed)
@@ -413,8 +584,8 @@ class TestTrain:
 
 def _reference_train(train_ds, val_ds, init_config, config):
     """The training loop as first written, kept as an oracle: a fresh layer
-    per step, the step NLL replayed through elbo_loss, and Adam over a dict
-    of the four parameter arrays."""
+    per step, its NLL and gradient from the unfused ELBO step, and Adam over
+    a dict of the four parameter arrays."""
     layer = init_layer(
         feature_dim=train_ds.feature_dim,
         num_classes=train_ds.num_classes,
@@ -444,13 +615,11 @@ def _reference_train(train_ds, val_ds, init_config, config):
             stream = [config.seed, 1, epoch, batch_index]
             mc = config.train_mc_samples
             layer = VBLinearLayer(prior_scale=prior_scale, **params)
-            nll = elbo_loss(layer, *batch, np.random.default_rng(stream), mc).nll
-            grads = elbo_gradients(layer, *batch, np.random.default_rng(stream), mc)
+            nll, grads = _unfused_elbo_core(layer, *batch, np.random.default_rng(stream), mc)
             nll_weighted_sum += nll * sel.size
             step += 1
             new_params = {}
-            for name in names:
-                grad = getattr(grads, name)
+            for name, grad in zip(names, grads):
                 m[name] = b1 * m[name] + (1.0 - b1) * grad
                 v[name] = b2 * v[name] + (1.0 - b2) * grad**2
                 m_hat = m[name] / (1.0 - b1**step)

@@ -19,6 +19,7 @@ from vbselect.training import elbo_gradients, elbo_loss
 from vbselect.vbll import (
     VBLinearLayer,
     check_features,
+    flipout_noise,
     forward_flipout,
     forward_mean,
     init_layer,
@@ -367,6 +368,28 @@ class TestForwardFlipout:
         a = forward_flipout(layer, batch, np.random.default_rng(8))
         b = forward_flipout(layer, batch, np.random.default_rng(8))
         np.testing.assert_array_equal(a, b)
+
+
+class TestFlipoutNoise:
+    def test_draws_in_the_documented_order(self):
+        layer = random_layer(np.random.default_rng(3), 3, 4)
+        eps_w, eps_b, sign_in, sign_out = flipout_noise(layer, 6, np.random.default_rng(17))
+        stream = np.random.default_rng(17)
+        assert eps_w.tobytes() == stream.standard_normal((3, 4)).tobytes()
+        assert eps_b.tobytes() == stream.standard_normal(3).tobytes()
+        for signs, shape in ((sign_in, (6, 4)), (sign_out, (6, 3))):
+            expected = stream.integers(0, 2, size=shape) * 2.0 - 1.0
+            assert signs.dtype == np.float64
+            assert signs.tobytes() == expected.tobytes()
+
+    def test_out_buffers_receive_the_same_draws(self):
+        layer = random_layer(np.random.default_rng(4), 3, 4)
+        fresh = flipout_noise(layer, 5, np.random.default_rng(23))
+        out = (np.full((3, 4), np.nan), np.full(3, np.nan))
+        filled = flipout_noise(layer, 5, np.random.default_rng(23), out=out)
+        assert filled[0] is out[0] and filled[1] is out[1]
+        for a, b in zip(fresh, filled):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestSoftmax:

@@ -162,6 +162,18 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
     mistyped_config = os.path.join(errors, "mistyped_config.json")
     with open(mistyped_config, "w", encoding="utf-8") as handle:
         json.dump({"mc_samples": 2.5}, handle)
+    # Config files that parse but break a config rule, and CSVs that decode
+    # but break a preamble or row rule: each error names its file.
+    bad_inputs = {
+        "list_config.json": "[1]",
+        "unknown_key_config.json": '{"threshold": 0.5, "typo_key": 1}',
+        "huge_float_config.json": '{"threshold": 1' + "0" * 400 + "}",
+        "bad_directive.csv": "# classes=x\nf0,label\n0.5,0\n",
+        "bad_row.csv": "# classes=2\nf0,label\n0.5,0\nnot_a_number,1\n",
+    }
+    for name, text in bad_inputs.items():
+        with open(os.path.join(errors, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
 
     # The test split declared with one class more than the training split.
     six_classes = os.path.join(errors, "six_classes.csv")
@@ -201,6 +213,14 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("non_utf8_csv", evaluate(model, non_utf8)),
         ("non_utf8_config", evaluate(model, test, "--config", non_utf8)),
         ("non_utf8_model", evaluate(non_utf8, test)),
+        ("config_not_object",
+         evaluate(model, test, "--config", os.path.join(errors, "list_config.json"))),
+        ("config_unknown_key",
+         evaluate(model, test, "--config", os.path.join(errors, "unknown_key_config.json"))),
+        ("config_float_range",
+         evaluate(model, test, "--config", os.path.join(errors, "huge_float_config.json"))),
+        ("csv_bad_directive", evaluate(model, os.path.join(errors, "bad_directive.csv"))),
+        ("csv_bad_row", evaluate(model, os.path.join(errors, "bad_row.csv"))),
     ]
 
 
