@@ -34,16 +34,21 @@ from .calibration import (
     save_calibration_json,
     save_histogram_csv,
 )
-from .dataset import (
+# stratified_split is unused here but stays bound: perfbench/tracer.py wraps it.
+from .dataset import (  # noqa: F401
     SplitRatios,
     SyntheticConfig,
+    csv_preamble,
+    format_rows,
     generate_synthetic,
     load_csv,
+    load_csv_rows,
     save_csv,
     smote_oversample,
     stratified_split,
+    stratified_split_indices,
 )
-from .atomic import atomic_write, write_json
+from .atomic import atomic_write, write_json, write_lines
 # predictive_posterior, uncertainty_scores and save_prob_samples_csv are
 # unused here but stay bound: perfbench/tracer.py wraps these names.
 from .inference import (  # noqa: F401
@@ -343,17 +348,20 @@ def _cmd_gen(opts: dict) -> int:
 
 
 def _cmd_split(opts: dict) -> int:
-    ds = load_csv(opts["in_path"])
+    # Each part's rows keep their input text: a %.17g row reloads bit for
+    # bit, so formatting it again would only write the same text.
+    ds, rows = load_csv_rows(opts["in_path"])
     ratios = _config(SplitRatios, opts)
-    parts = stratified_split(ds, ratios, seed=role_seed(opts["seed"], "split"))
+    parts = stratified_split_indices(ds, ratios, seed=role_seed(opts["seed"], "split"))
     os.makedirs(opts["out"], exist_ok=True)
     for name, part in zip(("train", "val", "test"), parts):
-        save_csv(part, os.path.join(opts["out"], f"{name}.csv"))
+        lines = csv_preamble(ds) + [rows[i] for i in part.tolist()]
+        write_lines(os.path.join(opts["out"], f"{name}.csv"), lines)
     return 0
 
 
 def _cmd_balance(opts: dict) -> int:
-    ds = load_csv(opts["in_path"])
+    ds, rows = load_csv_rows(opts["in_path"])
     if opts["target"] is None:
         targets = (max(ds.class_counts()),) * ds.num_classes
     else:
@@ -361,7 +369,11 @@ def _cmd_balance(opts: dict) -> int:
     balanced = smote_oversample(
         ds, targets, opts["k_neighbors"], seed=role_seed(opts["seed"], "balance")
     )
-    save_csv(balanced, opts["out"])
+    # The originals come first, in input order, and keep their text; only
+    # the synthesized rows are formatted.
+    n = ds.n_samples
+    synthetic = format_rows(balanced.features[n:], balanced.labels[n:])
+    write_lines(opts["out"], [*csv_preamble(ds), *rows, *synthetic])
     return 0
 
 

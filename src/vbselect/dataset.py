@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,43 +124,62 @@ def save_csv(ds: FeatureDataset, path) -> None:
 
     %.17g (the same text as format(x, ".17g")) round-trips every float64.
     """
+    write_lines(path, [*csv_preamble(ds), *format_rows(ds.features, ds.labels)])
+
+
+def csv_preamble(ds: FeatureDataset) -> list[str]:
+    """The class directive and header lines of ds's CSV."""
     header = ",".join(f"f{j}" for j in range(ds.feature_dim)) + ",label"
-    lines = [f"{_CLASS_DIRECTIVE}{ds.num_classes}", header]
-    template = "%.17g," * ds.feature_dim + "%d"
+    return [f"{_CLASS_DIRECTIVE}{ds.num_classes}", header]
+
+
+def format_rows(features: np.ndarray, labels: np.ndarray) -> Iterator[str]:
+    """Yield the CSV data row of each sample: features at %.17g, then the label."""
+    template = "%.17g," * features.shape[1] + "%d"
     # About 64k values at a time: a whole-file tolist() holds more memory
     # in Python floats than the lines themselves.
-    step, labels = max(1, 2**16 // ds.feature_dim), ds.labels.tolist()
-    for first in range(0, ds.n_samples, step):
-        rows = zip(ds.features[first : first + step].tolist(), labels[first : first + step])
-        lines.extend(template % (*row, label) for row, label in rows)
-    write_lines(path, lines)
+    step, labels = max(1, 2**16 // features.shape[1]), labels.tolist()
+    for first in range(0, len(labels), step):
+        rows = zip(features[first : first + step].tolist(), labels[first : first + step])
+        yield from (template % (*row, label) for row, label in rows)
 
 
 def load_csv(path) -> FeatureDataset:
     """Read a dataset CSV written by :func:`save_csv` or by hand.
 
     Layout: optional first line ``# classes=K``, then a header naming the
-    feature columns ``f0..f{D-1}`` plus ``label``, then data rows. Every
-    error in the contents raises ValueError naming the file, and a malformed
-    line's also names its 1-based physical line number (``FILE: line N: ...``).
+    feature columns ``f0..f{D-1}`` plus ``label``, then data rows. One
+    byte-order mark before the first line is skipped. Every error in the
+    contents raises ValueError naming the file, and a malformed line's also
+    names its 1-based physical line number (``FILE: line N: ...``).
 
     numpy's parser reads the data rows; any row it rejects or that fails a
     check sends the whole file through the line-by-line loop instead, so the
     result and every error message are the loop's.
     """
+    return load_csv_rows(path)[0]
+
+
+def load_csv_rows(path) -> tuple[FeatureDataset, list[str]]:
+    """:func:`load_csv`'s dataset and the file's data rows, from one read.
+
+    The rows are the non-blank lines after the header, in row order, with
+    their text as read (no line ending), so row i holds sample i.
+    """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     try:
         lineno, dim, declared_classes = _read_preamble(lines)
-        parsed = _parse_rows_numpy(lines[lineno:], dim, declared_classes)
+        rows = [row for row in lines[lineno:] if row.strip()]
+        parsed = _parse_rows_numpy(rows, dim, declared_classes)
         if parsed is None:
             parsed = _parse_rows_checked(lines, lineno, dim, declared_classes)
         features, labels = parsed
         num_classes = declared_classes if declared_classes is not None else int(labels.max()) + 1
-        return FeatureDataset(features, labels, num_classes)
+        return FeatureDataset(features, labels, num_classes), rows
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -193,7 +213,7 @@ def _read_preamble(lines: list[str]) -> tuple[int, int, int | None]:
 
 
 def _parse_rows_numpy(rows: list[str], dim: int, declared_classes: int | None):
-    """(features, labels) of the data rows by one np.loadtxt pass, or None to defer.
+    """(features, labels) of the non-blank rows by one np.loadtxt pass, or None to defer.
 
     numpy reads a float with the routine float() uses, so the arrays equal
     the checked loop's bit for bit. It is stricter than float() and int()
@@ -204,7 +224,6 @@ def _parse_rows_numpy(rows: list[str], dim: int, declared_classes: int | None):
     takes "\\x1c", "\\x85" and "\\u2028" for spaces inside a line, where
     splitlines() ends the line.
     """
-    rows = [row for row in rows if row.strip()]
     if not rows:
         return None
     row_type = np.dtype([("features", np.float64, (dim,)), ("label", np.int64)])
@@ -302,11 +321,23 @@ def _largest_remainder_counts(n: int, fractions: tuple[float, ...]) -> list[int]
 def stratified_split(
     ds: FeatureDataset, ratios: SplitRatios, seed: int
 ) -> tuple[FeatureDataset, FeatureDataset, FeatureDataset]:
+    """The train, val and test datasets of :func:`stratified_split_indices`."""
+    train, val, test = (
+        FeatureDataset(ds.features[sel], ds.labels[sel], ds.num_classes)
+        for sel in stratified_split_indices(ds, ratios, seed)
+    )
+    return train, val, test
+
+
+def stratified_split_indices(
+    ds: FeatureDataset, ratios: SplitRatios, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shuffle each class with a seeded RNG and partition it by the ratios.
 
+    Returns the train, val and test row indices into ds, class by class.
     Per-class counts follow largest-remainder rounding, with every split
-    receiving at least one sample of every class. The three outputs are
-    disjoint and their union is the input.
+    receiving at least one sample of every class. The three parts are
+    disjoint and their union is every row.
     """
     counts = ds.class_counts()
     for c, count in enumerate(counts):
@@ -324,11 +355,8 @@ def stratified_split(
         parts[0].append(idx[:n_train])
         parts[1].append(idx[n_train : n_train + n_val])
         parts[2].append(idx[n_train + n_val :])
-    out = []
-    for bucket in parts:
-        sel = np.concatenate(bucket)
-        out.append(FeatureDataset(ds.features[sel], ds.labels[sel], ds.num_classes))
-    return out[0], out[1], out[2]
+    train, val, test = (np.concatenate(bucket) for bucket in parts)
+    return train, val, test
 
 
 def smote_oversample(
@@ -367,11 +395,8 @@ def smote_oversample(
             continue
         members = ds.features[ds.labels == c]
         n_c = members.shape[0]
-        sq = (members**2).sum(axis=1)
-        dist = np.maximum(sq[:, None] + sq[None, :] - 2.0 * members @ members.T, 0.0)
-        np.fill_diagonal(dist, np.inf)
         k_eff = min(k_neighbors, n_c - 1)
-        neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
+        neighbors = _nearest_neighbors(members, k_eff)
         for _ in range(need):
             i = int(rng.integers(n_c))
             j = int(neighbors[i, rng.integers(k_eff)])
@@ -384,6 +409,33 @@ def smote_oversample(
     features = np.vstack([ds.features, np.array(new_rows)])
     labels = np.concatenate([ds.labels, np.array(new_labels, dtype=np.int64)])
     return FeatureDataset(features, labels, ds.num_classes)
+
+
+def _nearest_neighbors(members: np.ndarray, k: int) -> np.ndarray:
+    """Each member's k nearest other members (Euclidean), nearest first.
+
+    Equal to the first k columns of a stable argsort of each distance row,
+    so ties go to the lower index. np.partition finds each row's k-th
+    smallest distance; a row with exactly k entries at or below it sorts
+    only those k. Any other row, with a tie at the k-th distance or a NaN
+    there (from an overflowing square), takes the full stable argsort.
+    """
+    sq = (members**2).sum(axis=1)
+    dist = np.maximum(sq[:, None] + sq[None, :] - 2.0 * members @ members.T, 0.0)
+    np.fill_diagonal(dist, np.inf)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
+    within = dist <= kth
+    exact = np.count_nonzero(within, axis=1) == k
+    neighbors = np.empty((members.shape[0], k), dtype=np.intp)
+    rows = np.flatnonzero(exact)
+    # nonzero() lists each row's k columns in index order; the stable sort
+    # by distance then breaks ties as the full argsort does.
+    cols = np.nonzero(within[rows])[1].reshape(-1, k)
+    order = np.argsort(dist[rows[:, None], cols], axis=1, kind="stable")
+    neighbors[rows] = np.take_along_axis(cols, order, axis=1)
+    rest = np.flatnonzero(~exact)
+    neighbors[rest] = np.argsort(dist[rest], axis=1, kind="stable")[:, :k]
+    return neighbors
 
 
 def generate_synthetic(cfg: SyntheticConfig, seed: int) -> FeatureDataset:

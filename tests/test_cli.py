@@ -30,7 +30,9 @@ from vbselect.dataset import (
     generate_synthetic,
     load_csv,
     save_csv,
+    smote_oversample,
     stratified_split,
+    stratified_split_indices,
 )
 from vbselect.training import LayerInitConfig, TrainConfig, save_trace_csv, train
 from vbselect.vbll import load_layer, save_layer
@@ -488,6 +490,141 @@ class TestBalance:
                 "balance", "--in", imbalanced, "--seed", "6", "--out", path,
             ])
         assert read_bytes(paths[0]) == read_bytes(paths[1])
+
+
+def quiet_cli(argv):
+    """The exit code of one CLI run, its stdout and stderr discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return entrypoint(argv)
+
+
+def same_arrays(a, b):
+    return (a.num_classes == b.num_classes
+            and a.features.tobytes() == b.features.tobytes()
+            and a.labels.tobytes() == b.labels.tobytes())
+
+
+CSV_EDGE_FEATURES = np.array([
+    -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+    -1.7976931348623157e308,
+])
+
+
+@st.composite
+def split_inputs(draw):
+    """(dataset, seed): K classes of 4 to 12 rows in random order, features
+    at random scales, in half the draws with about 15% edge values (-0.0,
+    subnormals, the float64 extremes)."""
+    k = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(4, 12), min_size=k, max_size=k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(counts)
+    features = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d))
+    edge = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.15]))
+    features = np.where(edge, rng.choice(CSV_EDGE_FEATURES, (n, d)), features)
+    labels = rng.permutation(np.repeat(np.arange(k), counts))
+    return FeatureDataset(features, labels, k), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=split_inputs())
+def test_split_and_balance_write_save_csv_bytes_of_library_parts(case):
+    """On save_csv-written input, the copied rows are the bytes save_csv
+    writes for the library's split and SMOTE datasets."""
+    ds, seed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data, splits = os.path.join(tmp, "data.csv"), os.path.join(tmp, "splits")
+        expected, balanced = os.path.join(tmp, "expected.csv"), os.path.join(tmp, "bal.csv")
+        save_csv(ds, data)
+        assert quiet_cli(["split", "--in", data, "--seed", str(seed), "--out", splits]) == 0
+        parts = stratified_split(ds, SplitRatios(), seed=role_seed(seed, "split"))
+        for name, part in zip(("train", "val", "test"), parts):
+            save_csv(part, expected)
+            assert read_bytes(os.path.join(splits, f"{name}.csv")) == read_bytes(expected)
+        code = quiet_cli(["balance", "--in", os.path.join(splits, "train.csv"),
+                          "--seed", str(seed), "--out", balanced])
+        train_ds = parts[0]
+        try:
+            with np.errstate(all="ignore"):
+                want = smote_oversample(
+                    train_ds, (max(train_ds.class_counts()),) * train_ds.num_classes,
+                    seed=role_seed(seed, "balance"),
+                )
+        except ValueError:  # a synthesized row overflowed to inf
+            assert code == 1 and not os.path.exists(balanced)
+            return
+        assert code == 0
+        save_csv(want, expected)
+        assert read_bytes(balanced) == read_bytes(expected)
+
+
+class TestRowsKeepTheirText:
+    """split and balance copy each input row's text; only SMOTE rows are
+    formatted, and the preamble is always the canonical one."""
+
+    # CRLF line ends, no class directive, blank and whitespace-only lines,
+    # and fields %.17g would write otherwise. Class 0 has 8 rows, 1 has 5
+    # and 2 has 4, so balance synthesizes rows for classes 1 and 2.
+    ROWS = [
+        "1.0,1e0,0", " 2.5,+3,0", "3.50,-0,0", "4,.5,0", "5.0 ,6,+0", "6e0,7E0,0",
+        "7,8.000,0", "8.0,9,0 ",
+        "-1.0,1e1,1", "-2,2.0,1", " -3,3,1", "-4.5,+4,1", "-5,5e0, 1",
+        "10.0,-10,2", "11,-11.0,2", "1.2e1,-12,2", "13,-13,2",
+    ]
+
+    @pytest.fixture()
+    def hand_written(self, tmp_path):
+        lines = ["f0,f1,label", *self.ROWS[:9], "", "   ", *self.ROWS[9:], ""]
+        path = os.path.join(tmp_path, "hand.csv")
+        with open(path, "wb") as handle:
+            handle.write("\r\n".join(lines).encode("utf-8"))
+        return path
+
+    def test_split_copies_rows(self, capsys, hand_written, tmp_path):
+        out = os.path.join(tmp_path, "splits")
+        code, _, err = run_cli(capsys, ["split", "--in", hand_written, "--seed", "2",
+                                        "--out", out])
+        assert_clean_success(code, err)
+        ds = load_csv(hand_written)
+        indices = stratified_split_indices(ds, SplitRatios(), seed=role_seed(2, "split"))
+        parts = stratified_split(ds, SplitRatios(), seed=role_seed(2, "split"))
+        for name, sel, part in zip(("train", "val", "test"), indices, parts):
+            path = os.path.join(out, f"{name}.csv")
+            assert read_bytes(path).decode("utf-8") == "\n".join(
+                ["# classes=3", "f0,f1,label", *(self.ROWS[i] for i in sel)]
+            ) + "\n"
+            assert same_arrays(load_csv(path), part)
+
+    def test_balance_copies_rows_and_formats_synthetic_ones(
+        self, capsys, hand_written, tmp_path
+    ):
+        out = os.path.join(tmp_path, "balanced.csv")
+        code, _, err = run_cli(capsys, ["balance", "--in", hand_written, "--seed", "2",
+                                        "--out", out])
+        assert_clean_success(code, err)
+        ds = load_csv(hand_written)
+        want = smote_oversample(ds, (8, 8, 8), seed=role_seed(2, "balance"))
+        lines = read_bytes(out).decode("utf-8").split("\n")
+        assert lines[:2] == ["# classes=3", "f0,f1,label"]
+        assert lines[2:19] == self.ROWS
+        synthetic = want.features[ds.n_samples:].tolist(), want.labels[ds.n_samples:]
+        assert lines[19:] == [
+            ",".join(format(x, ".17g") for x in row) + f",{label}"
+            for row, label in zip(*synthetic)
+        ] + [""]
+        assert len(lines) == 2 + 24 + 1
+        assert same_arrays(load_csv(out), want)
+
+    def test_byte_order_mark_input(self, capsys, tmp_path):
+        data = os.path.join(tmp_path, "bom.csv")
+        text = "f0,label\n" + "".join(f"{i}.5,{i % 2}\n" for i in range(8))
+        with open(data, "w", encoding="utf-8") as handle:
+            handle.write("\ufeff" + text)
+        out = os.path.join(tmp_path, "splits")
+        code, _, err = run_cli(capsys, ["split", "--in", data, "--out", out])
+        assert_clean_success(code, err)
+        assert read_bytes(os.path.join(out, "val.csv")).startswith(b"# classes=2\nf0,label\n")
 
 
 class TestTrain:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vbselect import dataset
 from vbselect.dataset import (
@@ -10,9 +12,11 @@ from vbselect.dataset import (
     SyntheticConfig,
     generate_synthetic,
     load_csv,
+    load_csv_rows,
     save_csv,
     smote_oversample,
     stratified_split,
+    stratified_split_indices,
 )
 
 
@@ -159,6 +163,33 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    @pytest.mark.parametrize("directive", ["# classes=3\n", ""])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, directive):
+        text = directive + "f0,f1,label\n1.5,2.5,0\n-3,0.25,1\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        want, got = load_csv(plain), load_csv(marked)
+        assert got.num_classes == want.num_classes == (3 if directive else 2)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_only_one_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("\ufeff\ufefff0,label\n1.5,0\n2.5,1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1: feature columns must be named"):
+            load_csv(path)
+
+    def test_rows_are_the_data_lines_as_read(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"f0,f1,label\r\n 1.0,+2,0\r\n\r\n  \n1e0,-0,1 \n")
+        ds, rows = load_csv_rows(path)
+        assert rows == [" 1.0,+2,0", "1e0,-0,1 "]
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [1.0, -0.0]])
+        back = load_csv(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
@@ -224,6 +255,14 @@ class TestStratifiedSplit:
             c = stratified_split(ds, ratios, seed=seed + 1000)
             for x, y in zip(a, c):
                 assert list(x.class_counts()) == list(y.class_counts())
+
+    def test_indices_select_the_split_datasets(self):
+        ds = random_dataset(np.random.default_rng(6), n_classes=3, dim=2, per_class=11)
+        indices = stratified_split_indices(ds, SplitRatios(), seed=4)
+        assert sorted(np.concatenate(indices).tolist()) == list(range(ds.n_samples))
+        for sel, part in zip(indices, stratified_split(ds, SplitRatios(), seed=4)):
+            np.testing.assert_array_equal(part.features, ds.features[sel])
+            np.testing.assert_array_equal(part.labels, ds.labels[sel])
 
     def test_small_class_rejected_by_name(self):
         ds = FeatureDataset([[0.0], [1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 1, 1], 2)
@@ -305,6 +344,49 @@ class TestSmote:
         b = smote_oversample(ds, [9, 9], seed=31)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def argsort_neighbors(members, k):
+    """The neighbor search as a full stable argsort of every distance row."""
+    sq = (members**2).sum(axis=1)
+    dist = np.maximum(sq[:, None] + sq[None, :] - 2.0 * members @ members.T, 0.0)
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def smote_classes(draw):
+    """(members, k): a class of 2 to 24 rows, often with duplicate rows and
+    integer features, so distances tie; k from 1 to n_c - 1."""
+    n_c = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        pool = draw(st.lists(
+            st.lists(st.integers(-2, 2).map(float), min_size=d, max_size=d),
+            min_size=1, max_size=n_c,
+        ))
+        rows = draw(st.lists(st.sampled_from(pool), min_size=n_c, max_size=n_c))
+    else:
+        value = st.floats(-1e3, 1e3) | st.sampled_from([-0.0, 5e-324, 1e200, -1e200])
+        rows = draw(st.lists(
+            st.lists(value, min_size=d, max_size=d), min_size=n_c, max_size=n_c,
+        ))
+    k = draw(st.sampled_from([1, n_c - 1]) | st.integers(1, n_c - 1))
+    return np.array(rows, dtype=np.float64), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=smote_classes())
+@example(case=(np.array([[0.0], [0.0]]), 1))
+@example(case=(np.array([[1.0, 2.0]] * 5 + [[0.0, 0.0]]), 5))
+@example(case=(np.array([[1e200], [-1e200], [0.0], [3.0]]), 2))
+def test_nearest_neighbors_match_stable_argsort(case):
+    members, k = case
+    with np.errstate(all="ignore"):
+        want = argsort_neighbors(members, k)
+        got = dataset._nearest_neighbors(members, k)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
 
 
 class TestGenerateSynthetic:

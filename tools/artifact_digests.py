@@ -32,7 +32,9 @@ Chains (all at seed 0):
   ``--save-samples`` and sweep at S=100 on its test split;
 * ``bulk.csv``, ``bulk_eval/``, ``bulk_sweep.csv``, ``bulk_eval_samples/``:
   eval and sweep of the README model at S=100 on 100 000 rows, and eval at
-  S=4 with ``--save-samples``.
+  S=4 with ``--save-samples``;
+* ``hand/``: split and balance of a hand-written CSV (see
+  ``_write_hand_written_csv``), whose rows those commands copy as read.
 """
 
 from __future__ import annotations
@@ -105,7 +107,32 @@ def _chains(out: str) -> list[list[str]]:
          "--seed", "0", "--out", p("bulk_sweep.csv")],
         ["eval", "--model", model, "--data", p("bulk.csv"), "--mc-samples", "4",
          "--seed", "0", "--save-samples", "--out", p("bulk_eval_samples")],
+        ["split", "--in", p("hand", "data.csv"), "--seed", "0",
+         "--out", p("hand", "splits")],
+        ["balance", "--in", p("hand", "splits", "train.csv"), "--seed", "0",
+         "--out", p("hand", "balanced.csv")],
     ]
+
+
+def _write_hand_written_csv(path: str) -> None:
+    """A dataset CSV as typed by hand: CRLF line ends, no class directive,
+    blank lines, and fields that %.17g would write otherwise ("-2.2",
+    "1.500000e+00", " 3 ", "+0.5"). Its classes hold 12, 8 and 6 rows, so
+    balance synthesizes rows for two of them."""
+    forms = ["{:.1f}", "{:e}", " {:g} ", "{:+}", "{:.3f}", "{}"]
+    lines = ["f0,f1,f2,label"]
+    counts = (12, 8, 6)
+    for i in range(max(counts)):
+        for c, count in enumerate(counts):
+            if i < count:
+                values = (c * 3 + i * 0.5, i - c * 2.25, (i % 4) * 1.5 - c)
+                lines.append(",".join(
+                    forms[(i + j + c) % len(forms)].format(v) for j, v in enumerate(values)
+                ) + f",{c}")
+        if i % 5 == 4:
+            lines.append("")
+    with open(path, "wb") as handle:
+        handle.write(("\r\n".join(lines) + "\r\n").encode("utf-8"))
 
 
 def _error_cases(out: str) -> list[tuple[str, list[str]]]:
@@ -261,8 +288,9 @@ def main(argv: list[str]) -> int:
     info = blas_info()
     blas = "BLAS not found" if info is None else "%s %s, BLAS threads %d" % info
     print(f"# numpy {np.__version__}, {blas}")
-    for directory in ("readme", "wide"):
+    for directory in ("readme", "wide", "hand"):
         os.makedirs(os.path.join(out, directory))
+    _write_hand_written_csv(os.path.join(out, "hand", "data.csv"))
     for command in _chains(out):
         code, stderr = _run(command)
         if code != 0 or stderr:
