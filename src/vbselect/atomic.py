@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 
 __all__ = ["atomic_write", "write_json", "write_lines"]
+
+# Lines per write in write_lines: a standalone `gen --classes 100 --dim 256
+# --per-class 50` peaked at 68 MiB with 1024, 87 MiB with 2048 and 122 MiB
+# joining the whole file (ru_maxrss, 2-core VM), in the same time.
+_BLOCK_LINES = 1024
 
 
 @contextlib.contextmanager
@@ -30,9 +36,14 @@ def atomic_write(path):
 
 
 def write_lines(path, lines) -> None:
-    """Commit `lines` as one newline-terminated line each."""
+    """Commit `lines`, any iterable, as one newline-terminated line each,
+    _BLOCK_LINES at a time; no lines at all write one "\\n"."""
+    lines = iter(lines)
+    blocks = iter(lambda: list(itertools.islice(lines, _BLOCK_LINES)), [])
     with atomic_write(path) as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(next(blocks, [])) + "\n")
+        for block in blocks:
+            handle.write("\n".join(block) + "\n")
 
 
 def write_json(path, doc) -> None:

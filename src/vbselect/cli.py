@@ -445,9 +445,9 @@ def _write_eval_reports(ds, pred, opts: dict) -> None:
         )
     else:
         calibration = ece(scores.confidence, correctness, opts["ece_bins"])
-    histogram = confidence_histogram(
-        scores.confidence, num_bins=20, threshold=opts["threshold"]
-    )
+    # The marker is a point on the confidence axis: only a confidence gate has one.
+    marker = opts["threshold"] if opts["measure"] == "confidence" else None
+    histogram = confidence_histogram(scores.confidence, num_bins=20, threshold=marker)
     out = opts["out"]
     save_predictions_csv(
         pred, scores, ds.labels, os.path.join(out, "predictions.csv")

@@ -6,6 +6,7 @@ pipelines rerun bit-identically. Datasets are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Iterator
@@ -124,7 +125,7 @@ def save_csv(ds: FeatureDataset, path) -> None:
 
     %.17g (the same text as format(x, ".17g")) round-trips every float64.
     """
-    write_lines(path, [*csv_preamble(ds), *format_rows(ds.features, ds.labels)])
+    write_lines(path, itertools.chain(csv_preamble(ds), format_rows(ds.features, ds.labels)))
 
 
 def csv_preamble(ds: FeatureDataset) -> list[str]:
@@ -168,7 +169,8 @@ def load_csv_rows(path) -> tuple[FeatureDataset, list[str]]:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        # Not "utf-8-sig": its error positions count from after the mark.
+        lines = path.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     try:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vbselect.atomic import atomic_write, write_json, write_lines
+from vbselect.atomic import _BLOCK_LINES, atomic_write, write_json, write_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vbselect"
 
@@ -19,6 +19,14 @@ def test_write_lines_layout(tmp_path):
     path = tmp_path / "out.csv"
     write_lines(path, ["a,b", "1,2"])
     assert path.read_bytes() == b"a,b\n1,2\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK_LINES, _BLOCK_LINES + 1, 2 * _BLOCK_LINES + 3])
+def test_write_lines_streams_any_iterable(tmp_path, count):
+    lines = [f"row {i}" for i in range(count)]
+    path = tmp_path / "out.csv"
+    write_lines(path, iter(lines))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def test_write_json_layout(tmp_path):

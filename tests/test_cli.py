@@ -781,6 +781,20 @@ class TestEval:
         assert len(counts) == 20
         assert sum(counts) == 36
 
+    @pytest.mark.parametrize("measure", ["entropy", "mutual_info"])
+    def test_histogram_has_no_marker_for_another_measure(
+        self, capsys, pipeline, tmp_path, measure
+    ):
+        # The histogram's axis is confidence; an entropy or mutual-information
+        # threshold is not a point on it.
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = self.run_eval(capsys, pipeline, out, ["--measure", measure])
+        assert_clean_success(code, err)
+        with open(os.path.join(out, "histogram.csv"), encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == 21
+        assert not any(line.startswith("#") for line in lines)
+
     def test_save_samples_flag(self, capsys, pipeline, tmp_path):
         out = os.path.join(tmp_path, "eval")
         code, _, err = self.run_eval(capsys, pipeline, out, ["--save-samples"])

@@ -180,6 +180,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 1: feature columns must be named"):
             load_csv(path)
 
+    @pytest.mark.parametrize("body", [
+        b"ab", b"f0,label\n" + b"0.5,0\n" * 4000,
+    ], ids=["short", "past_the_first_read_block"])
+    def test_undecodable_byte_after_byte_order_mark_names_file_offset(
+        self, tmp_path, body
+    ):
+        path = tmp_path / "bad.csv"
+        data = b"\xef\xbb\xbf" + body + b"\xff"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert f"byte 0xff in position {len(data) - 1}:" in str(info.value)
+
     def test_rows_are_the_data_lines_as_read(self, tmp_path):
         path = tmp_path / "rows.csv"
         path.write_bytes(b"f0,f1,label\r\n 1.0,+2,0\r\n\r\n  \n1e0,-0,1 \n")

@@ -885,6 +885,31 @@ class TestChunkPool:
             assert fails
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("engine", [score_posterior, predictive_posterior])
+    def test_interrupt_in_a_pool_thread_reaches_the_caller(self, monkeypatch, engine):
+        # The first chunk another thread takes raises KeyboardInterrupt; any
+        # chunk on the calling thread waits until it has.
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * 5 * 3 * 8)
+        use_workers(monkeypatch, 2)
+        layer = init_layer(4, 3, seed=0)
+        features = np.random.default_rng(0).standard_normal((10 * CHUNK_ROWS, 4))
+        caller, interrupted = threading.get_ident(), threading.Event()
+
+        def before(start):
+            if threading.get_ident() == caller:
+                interrupted.wait(timeout=10)
+            elif not interrupted.is_set():
+                interrupted.set()
+                raise KeyboardInterrupt
+
+        wrap_kernel(monkeypatch, before)
+        threads, blas = threading.active_count(), blas_threads()
+        with pytest.raises(KeyboardInterrupt):
+            engine(layer, features, 5, seed=0)
+        assert interrupted.is_set()
+        assert threading.active_count() == threads
+        assert blas_threads() == blas
+
 
 class TestPosteriorDraws:
     @pytest.mark.parametrize("engine", [score_posterior, predictive_posterior])

@@ -183,6 +183,10 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
     non_utf8 = os.path.join(errors, "non_utf8")
     with open(non_utf8, "wb") as handle:
         handle.write(b"\xff\n")
+    # The same byte after a byte-order mark, at file offset 5.
+    bom_non_utf8 = os.path.join(errors, "bom_non_utf8.csv")
+    with open(bom_non_utf8, "wb") as handle:
+        handle.write(b"\xef\xbb\xbfab\xff")
     nested_config = os.path.join(errors, "nested_config.json")
     with open(nested_config, "w", encoding="utf-8") as handle:
         handle.write('{"seed": ' + "[" * 50_000 + "]" * 50_000 + "}")
@@ -238,6 +242,7 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("big_int_model", evaluate(big_int, test)),
         ("big_int_config", evaluate(model, test, "--config", big_int_config)),
         ("non_utf8_csv", evaluate(model, non_utf8)),
+        ("bom_non_utf8_csv", evaluate(model, bom_non_utf8)),
         ("non_utf8_config", evaluate(model, test, "--config", non_utf8)),
         ("non_utf8_model", evaluate(non_utf8, test)),
         ("config_not_object",
