@@ -13,9 +13,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import os
 import threading
 
-__all__ = ["blas_info", "one_blas_thread"]
+__all__ = ["blas_info", "one_blas_thread", "usable_cpus"]
 
 # The thread count is process-global, so the pin's bookkeeping is too: how
 # many blocks hold it now, and the count the first of them found.
@@ -52,6 +53,14 @@ def blas_info() -> tuple[str, str, int] | None:
     get_threads, _, get_config = library
     name, version = get_config().decode("ascii", "replace").split()[:2]
     return name, version, get_threads()
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @contextlib.contextmanager

@@ -49,6 +49,7 @@ from .dataset import (  # noqa: F401
     stratified_split_indices,
 )
 from .atomic import atomic_write, write_json, write_lines
+from .blas import one_blas_thread
 # predictive_posterior, uncertainty_scores and save_prob_samples_csv are
 # unused here but stay bound: perfbench/tracer.py wraps these names.
 from .inference import (  # noqa: F401
@@ -522,7 +523,9 @@ def entrypoint(argv=None) -> int:
         options = _merge_options(args, _COMMANDS[args.command][1])
         # The NonFiniteError guard inside training is the real detector;
         # numpy's own warnings would only smear multi-line noise on stderr.
-        with np.errstate(all="ignore"):
+        # OpenBLAS splits some products by its thread count, so artifacts are
+        # byte-identical across thread counts only with it held at one.
+        with np.errstate(all="ignore"), one_blas_thread():
             return _HANDLERS[args.command](options)
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0

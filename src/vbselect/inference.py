@@ -33,7 +33,6 @@ thread scores every chunk.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import atomic_write, write_lines
-from .blas import one_blas_thread
+from .blas import one_blas_thread, usable_cpus
 from .vbll import VBLinearLayer, check_features, sample_weights
 
 __all__ = [
@@ -320,11 +319,7 @@ def _softmax_chunk(features, start, weights_t, biases, probs, peak) -> None:
 
 def _worker_count(chunks: int) -> int:
     """How many threads score `chunks` chunks: at most one per usable CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, chunks, _MAX_WORKERS)
+    return min(usable_cpus(), chunks, _MAX_WORKERS)
 
 
 def _score_chunks(

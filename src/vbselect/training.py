@@ -16,21 +16,33 @@ A step does its elementwise work on whole halves. exp(-|rho|) is taken once
 over the rho half; sigma = softplus(rho) and sigmoid(rho) both come from it,
 with the float operations of vbll.softplus and vbll.sigmoid, and the KL
 chain is one run over each half. The K * (D + 1)-sized arrays a step needs
-(sigma, sigmoid(rho), the noise and sigma * noise, the gradient, one pass's
-gradient, Adam's scratch) live in a `_StepBuffers` that `train` allocates
-once per call, and Adam updates the parameters and its two moments in place
-in the operation order of the textbook expression. Every result is bit for
-bit that of the allocating, block-by-block form.
+(sigma, sigmoid(rho), sigma * noise, the gradient, one pass's gradient,
+Adam's scratch) live in a `_StepBuffers` that `train` allocates once per
+call, and Adam updates the parameters and its two moments in place in the
+operation order of the textbook expression. Every result is bit for bit
+that of the allocating, block-by-block form.
+
+`_elbo_core` takes a step's Flipout noise already drawn (`_draw_noise`).
+The noise depends only on its stream, never on the parameters, so `train`
+may draw the next step's while this one computes. It does so on one helper
+thread when that pays: numpy's OpenBLAS is pinned to one thread (`train`
+always runs under `blas.one_blas_thread`), the process may use two or more
+CPUs, and a step draws at least `_DRAW_AHEAD_MIN_VALUES` values. Smaller
+steps, such as a 5 x 16 head's, draw inline, since a handoff costs more
+than the draw. Which thread drew changes no bit of any result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import vbll
 from .atomic import write_lines
+from .blas import one_blas_thread, usable_cpus
 from .vbll import (
     VBLinearLayer,
     check_features,
@@ -159,8 +171,8 @@ class _StepBuffers:
     """The arrays one ELBO-and-Adam step of a K x D head works in, made once.
 
     `grads`, `pass_grads` and the two rows of `scratch` have the flat
-    layout; the rest are one half long. `noise` holds a pass's eps_w and
-    eps_b, and `delta` sigma * noise, each split like a half.
+    layout; the rest are one half long. `delta` holds a pass's sigma * eps,
+    split like a half.
     """
 
     def __init__(self, num_classes, feature_dim):
@@ -168,11 +180,10 @@ class _StepBuffers:
         self.grads = np.empty(2 * half)
         self.pass_grads = np.empty(2 * half)
         self.scratch = np.empty((2, 2 * half))
-        self.t, self.one_plus_t, self.sigma, self.sigmoid, self.noise, self.delta = (
-            np.empty(half) for _ in range(6)
+        self.t, self.one_plus_t, self.sigma, self.sigmoid, self.delta = (
+            np.empty(half) for _ in range(5)
         )
         self.rho_nonneg = np.empty(half, dtype=bool)
-        self.eps = _split(self.noise, num_classes, feature_dim)
         self.delta_w, self.delta_b = _split(self.delta, num_classes, feature_dim)
         self.pass_blocks = _blocks(self.pass_grads, num_classes, feature_dim)
         self.pass_rho = _halves(self.pass_grads)[1]
@@ -194,18 +205,37 @@ def _validate_batch_inputs(layer, batch, labels, n_train, mc_passes):
     return batch, labels.astype(np.int64)
 
 
-def _elbo_core(layer, params, batch, labels, n_train, rng, mc_passes, work):
+def _draw_noise(layer, n_rows, rng, noise, draw):
+    """One step's Flipout bundles from `rng`: [(eps, sign_in, sign_out)], pass by pass.
+
+    `noise` is an (mc_passes, K * (D + 1)) array; pass p's eps_w and eps_b
+    land in row p, split like a half (`_split`), and `eps` is that row.
+    `draw` is vbll.flipout_noise, or a name bound to it; the passes draw in
+    order from the one stream, so the bundles are those that one
+    flipout_noise call per pass gives.
+    """
+    k, d = layer.num_classes, layer.feature_dim
+    bundles = []
+    for eps in noise:
+        _, _, sign_in, sign_out = draw(layer, n_rows, rng, out=_split(eps, k, d))
+        bundles.append((eps, sign_in, sign_out))
+    return bundles
+
+
+def _elbo_core(layer, params, batch, labels, n_train, bundles, work):
     """(mean NLL, flat gradient of the negative ELBO): the one loss-and-gradient path.
 
-    `params` is the layer's flat vector (see `_blocks`); `work` is a
-    `_StepBuffers` for the layer's shape, and the gradient returned is
-    `work.grads`, valid until the next call with the same buffers. It checks
-    nothing: elbo_loss and elbo_gradients check their inputs first
-    (`_validate_batch_inputs`) and train's datasets and config hold the same
-    rules. Each pass's batch * sign_in is formed once and shared by the
-    logits and the rho gradient.
+    `params` is the layer's flat vector (see `_blocks`); `bundles` holds one
+    `_draw_noise` bundle per Monte Carlo pass; `work` is a `_StepBuffers`
+    for the layer's shape, and the gradient returned is `work.grads`, valid
+    until the next call with the same buffers. It checks nothing: elbo_loss
+    and elbo_gradients check their inputs first (`_validate_batch_inputs`)
+    and train's datasets and config hold the same rules. Each pass's
+    batch * sign_in is formed once and shared by the logits and the rho
+    gradient.
     """
     b = batch.shape[0]
+    mc_passes = len(bundles)
     rows = np.arange(b)
     mu, rho = _halves(params)
 
@@ -226,9 +256,8 @@ def _elbo_core(layer, params, batch, labels, n_train, rng, mc_passes, work):
     grads, pass_grads = work.grads, work.pass_grads
     grads.fill(0.0)
     pass_w_mu, pass_w_rho, pass_b_mu, pass_b_rho = work.pass_blocks
-    for _ in range(mc_passes):
-        _, _, sign_in, sign_out = flipout_noise(layer, b, rng, out=work.eps)
-        np.multiply(sigma, work.noise, out=work.delta)
+    for eps, sign_in, sign_out in bundles:
+        np.multiply(sigma, eps, out=work.delta)
         flipped = batch * sign_in
         logp = log_softmax(
             flipout_logits(layer, batch, flipped, work.delta_w, work.delta_b, sign_out)
@@ -242,7 +271,7 @@ def _elbo_core(layer, params, batch, labels, n_train, rng, mc_passes, work):
         g *= sign_out
         np.matmul(g.T, flipped, out=pass_w_rho)
         g.sum(axis=0, out=pass_b_rho)
-        work.pass_rho *= work.noise
+        work.pass_rho *= eps
         grads += pass_grads
 
     # Until here the rho half holds the pass-summed d(NLL)/d(sigma); add the
@@ -266,11 +295,24 @@ def _elbo_core(layer, params, batch, labels, n_train, rng, mc_passes, work):
     return nll / mc_passes, grads
 
 
+def _checked_problem(layer, batch, labels, n_train, rng, mc_passes):
+    """(batch, labels, bundles, work) for `_elbo_core`, after the input checks.
+
+    The bundles are drawn from `rng`, and `work` fits the layer's shape.
+    """
+    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
+    k, d = layer.num_classes, layer.feature_dim
+    noise = np.empty((mc_passes, k * (d + 1)))
+    bundles = _draw_noise(layer, batch.shape[0], rng, noise, flipout_noise)
+    return batch, labels, bundles, _StepBuffers(k, d)
+
+
 def _checked_elbo(layer, batch, labels, n_train, rng, mc_passes):
     """`_elbo_core` on a flat copy of the layer, after the input checks."""
-    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
-    work = _StepBuffers(layer.num_classes, layer.feature_dim)
-    return _elbo_core(layer, _flatten(layer), batch, labels, n_train, rng, mc_passes, work)
+    batch, labels, bundles, work = _checked_problem(
+        layer, batch, labels, n_train, rng, mc_passes
+    )
+    return _elbo_core(layer, _flatten(layer), batch, labels, n_train, bundles, work)
 
 
 def elbo_loss(layer, batch, labels, n_train, rng, mc_passes=1) -> LossBreakdown:
@@ -330,6 +372,64 @@ def adam_step(
     params -= a
 
 
+# The smallest step, in noise values drawn (mc_passes * (B * (D + K) +
+# K * (D + 1))), whose draws go to a helper thread. On a 2-core host
+# (B = 128, 3500 rows, median of 7) the helper cost about 200 us a step at
+# 2.8k-12k values, broke even at 19k-25k and gained from 29k: 1215 -> 1093
+# us a step at K = 50, D = 128 and 2795 -> 2069 us at K = 100, D = 256.
+_DRAW_AHEAD_MIN_VALUES = 25_000
+
+
+def _noise_helper(pinned, step_values):
+    """The executor that draws train's noise ahead, or a null context giving None.
+
+    A helper thread pays only with a second CPU, with BLAS held at one
+    thread (an OpenBLAS thread of its own competes with it) and with a step
+    whose draw outweighs a handoff; otherwise train draws inline.
+    """
+    if pinned and step_values >= _DRAW_AHEAD_MIN_VALUES and usable_cpus() >= 2:
+        # Only here: the import costs about 7 ms.
+        from concurrent.futures import ThreadPoolExecutor
+        return ThreadPoolExecutor(1)
+    return contextlib.nullcontext()
+
+
+def _step_noise(layer, config, n_train, pool):
+    """Every step's Flipout bundles, in step order over all epochs.
+
+    Step j of an epoch draws from the stream [config.seed, 1, epoch, j]; no
+    draw depends on the parameters. Inline (`pool` None) each step is drawn
+    when asked for. With `pool`, a one-thread executor, step i + 1 is drawn
+    there, into the other of two buffer sets, while the caller runs step i:
+    the caller must be done with a step's bundles when it asks for the next,
+    and at most one draw is in flight. The helper calls vbll.flipout_noise,
+    not the name this module binds: a tracer may wrap that name, and its
+    spans belong to the calling thread.
+    """
+    mc_passes = config.train_mc_samples
+    noise = np.empty((2, mc_passes, layer.num_classes * (layer.feature_dim + 1)))
+    steps = enumerate(
+        ([config.seed, 1, epoch, batch_index], min(config.batch_size, n_train - start))
+        for epoch in range(config.epochs)
+        for batch_index, start in enumerate(range(0, n_train, config.batch_size))
+    )
+
+    def draw(i, step, flipout):
+        stream, rows = step
+        return _draw_noise(layer, rows, np.random.default_rng(stream), noise[i % 2], flipout)
+
+    if pool is None:
+        for i, step in steps:
+            yield draw(i, step, flipout_noise)
+        return
+    pending = pool.submit(draw, *next(steps), vbll.flipout_noise)
+    for i, step in steps:
+        bundles = pending.result()
+        pending = pool.submit(draw, i, step, vbll.flipout_noise)
+        yield bundles
+    yield pending.result()
+
+
 def _dataset_nll_acc(layer, features, labels):
     logits = forward_mean(layer, features)
     logp = log_softmax(logits)
@@ -351,7 +451,9 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
     Determinism contract: the epoch shuffle comes from a stream seeded with
     [config.seed, 0, epoch] and the Flipout noise of each batch from
     [config.seed, 1, epoch, batch_index], so reruns are bit-identical and
-    batches could in principle be evaluated in parallel.
+    each batch's noise can be drawn ahead of its step (see the module
+    docstring). BLAS is held at one thread for the whole call, so the
+    result does not depend on the caller's BLAS thread count either.
 
     Each step runs `_elbo_core` on its slice unchecked: FeatureDataset,
     TrainConfig and the train/val checks below already hold every rule that
@@ -386,50 +488,53 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
     step = 0
     step_layer = VBLinearLayer(*_blocks(params, k, d), prior_scale)
 
-    for epoch in range(config.epochs):
-        perm = np.random.default_rng([config.seed, 0, epoch]).permutation(n_train)
-        nll_weighted_sum = 0.0
-        for batch_index, start in enumerate(range(0, n_train, config.batch_size)):
-            sel = perm[start : start + config.batch_size]
-            noise_rng = np.random.default_rng([config.seed, 1, epoch, batch_index])
-            nll, grads = _elbo_core(
-                step_layer, params, train_ds.features[sel], train_ds.labels[sel], n_train,
-                noise_rng, config.train_mc_samples, work,
-            )
-            nll_weighted_sum += nll * sel.size
-            step += 1
-            adam_step(params, grads, m, v, step, config, work.scratch)
-            if not np.isfinite(params).all():
-                raise NonFiniteError(
-                    f"non-finite parameter after step {step} (epoch {epoch + 1})"
+    b = min(config.batch_size, n_train)
+    step_values = config.train_mc_samples * (b * (d + k) + k * (d + 1))
+    with one_blas_thread() as pinned, _noise_helper(pinned, step_values) as pool:
+        noise = _step_noise(step_layer, config, n_train, pool)
+        for epoch in range(config.epochs):
+            perm = np.random.default_rng([config.seed, 0, epoch]).permutation(n_train)
+            nll_weighted_sum = 0.0
+            for start in range(0, n_train, config.batch_size):
+                sel = perm[start : start + config.batch_size]
+                nll, grads = _elbo_core(
+                    step_layer, params, train_ds.features[sel], train_ds.labels[sel], n_train,
+                    next(noise), work,
                 )
+                nll_weighted_sum += nll * sel.size
+                step += 1
+                adam_step(params, grads, m, v, step, config, work.scratch)
+                if not np.isfinite(params).all():
+                    raise NonFiniteError(
+                        f"non-finite parameter after step {step} (epoch {epoch + 1})"
+                    )
 
-        layer = VBLinearLayer(*_blocks(params.copy(), k, d), prior_scale)
-        epoch_nll = nll_weighted_sum / n_train
-        kl = kl_to_prior(layer)
-        val_nll, val_acc = _dataset_nll_acc(layer, val_ds.features, val_ds.labels)
-        record = EpochRecord(
-            epoch=epoch + 1,
-            total=epoch_nll + kl / n_train,
-            nll=epoch_nll,
-            kl=kl,
-            val_nll=val_nll,
-            val_acc=val_acc,
-        )
-        for value in (record.total, record.nll, record.kl, record.val_nll):
-            if not np.isfinite(value):
-                raise NonFiniteError(f"non-finite loss at epoch {epoch + 1}")
-        records.append(record)
+            layer = VBLinearLayer(*_blocks(params.copy(), k, d), prior_scale)
+            epoch_nll = nll_weighted_sum / n_train
+            kl = kl_to_prior(layer)
+            val_nll, val_acc = _dataset_nll_acc(layer, val_ds.features, val_ds.labels)
+            record = EpochRecord(
+                epoch=epoch + 1,
+                total=epoch_nll + kl / n_train,
+                nll=epoch_nll,
+                kl=kl,
+                val_nll=val_nll,
+                val_acc=val_acc,
+            )
+            for value in (record.total, record.nll, record.kl, record.val_nll):
+                if not np.isfinite(value):
+                    raise NonFiniteError(f"non-finite loss at epoch {epoch + 1}")
+            records.append(record)
 
-        if config.early_stop_patience is not None:
-            if val_nll < best_val_nll:
-                best_val_nll = val_nll
-                best_layer = layer
-                epochs_since_improvement = 0
-            else:
-                epochs_since_improvement += 1
-                if epochs_since_improvement >= config.early_stop_patience:
-                    break
+            if config.early_stop_patience is not None:
+                if val_nll < best_val_nll:
+                    best_val_nll = val_nll
+                    best_layer = layer
+                    epochs_since_improvement = 0
+                else:
+                    epochs_since_improvement += 1
+                    if epochs_since_improvement >= config.early_stop_patience:
+                        break
 
     return (best_layer if config.early_stop_patience is not None else layer), tuple(records)
 
@@ -452,9 +557,10 @@ def gradcheck_instance(num_classes, feature_dim, batch_size, seed):
 def gradcheck(layer, batch, labels, n_train, h=1e-5, seed=0, mc_passes=1) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Every loss evaluation replays the same noise (a fresh stream seeded with
-    `seed`), so the comparison is exact up to the O(h^2) difference error
-    and the difference's round-off, about eps * |loss| / h. The relative
+    The noise is drawn once, from a stream seeded with `seed`, as elbo_loss
+    and elbo_gradients draw it, and every loss evaluation reuses it, so the
+    comparison is exact up to the O(h^2) difference error and the
+    difference's round-off, about eps * |loss| / h. The relative
     error uses |a - d| / max(1e-8, |a| + |d|), so an entry whose gradient is
     near that round-off scale can exceed 1e-4 although the analytic value is
     right. Larger problems have more such entries: at K=10, D=64, B=128,
@@ -463,19 +569,22 @@ def gradcheck(layer, batch, labels, n_train, h=1e-5, seed=0, mc_passes=1) -> flo
     """
     if not (np.isfinite(h) and h != 0):
         raise ValueError(f"h must be finite and nonzero, got {h!r}")
-    analytic = elbo_gradients(
+    batch, labels, bundles, work = _checked_problem(
         layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
     )
 
+    def elbo_at(candidate):
+        return _elbo_core(candidate, _flatten(candidate), batch, labels, n_train, bundles, work)
+
+    analytic = _blocks(elbo_at(layer)[1].copy(), layer.num_classes, layer.feature_dim)
+
     def loss_at(candidate):
-        return elbo_loss(
-            candidate, batch, labels, n_train, np.random.default_rng(seed), mc_passes
-        ).total
+        return elbo_at(candidate)[0] + kl_to_prior(candidate) / n_train
 
     worst = 0.0
-    for name in ("weight_mu", "weight_rho", "bias_mu", "bias_rho"):
+    for name, grad in zip(("weight_mu", "weight_rho", "bias_mu", "bias_rho"), analytic):
         base = getattr(layer, name)
-        grad = getattr(analytic, name).ravel()
+        grad = grad.ravel()
         for i in range(base.size):
             shifted = {}
             for sign in (1.0, -1.0):

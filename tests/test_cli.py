@@ -1,8 +1,8 @@
 """End-to-end tests for the command-line interface.
 
 Commands are exercised in-process through ``entrypoint`` so exit codes,
-stdout, and stderr can be asserted exactly; one subprocess test covers the
-``python -m vbselect`` wiring.
+stdout, and stderr can be asserted exactly; subprocess tests cover the
+``python -m vbselect`` wiring and training under two BLAS thread counts.
 """
 
 import contextlib
@@ -54,6 +54,17 @@ def assert_single_line_error(code, err, expected_code):
     assert err.startswith("error:")
     assert err.endswith("\n")
     assert err.count("\n") == 1
+
+
+def child_env(**extra):
+    """os.environ for a `python -m vbselect` child, plus `extra`.
+
+    The child must import the same vbselect as this process, whether that
+    came from an install, PYTHONPATH or pytest's pythonpath.
+    """
+    src = os.path.dirname(os.path.dirname(vbselect.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
 
 
 def read_bytes(path):
@@ -708,6 +719,31 @@ class TestTrain:
         assert_single_line_error(code, err, 1)
         assert "line 5" in err
 
+    def test_artifacts_do_not_depend_on_blas_thread_count(self, capsys, tmp_path):
+        # OpenBLAS splits some products by its thread count; a K=100, D=256
+        # head on 300 rows ends each epoch on a 44-row batch, whose x @ W.T
+        # gave other last bits at two threads before the CLI held one.
+        data = os.path.join(tmp_path, "data.csv")
+        code, _, err = run_cli(capsys, [
+            "gen", "--classes", "100", "--dim", "256", "--per-class", "3",
+            "--seed", "0", "--out", data,
+        ])
+        assert_clean_success(code, err)
+        outputs = []
+        for threads in ("1", "2"):
+            model = os.path.join(tmp_path, f"model{threads}.json")
+            trace = os.path.join(tmp_path, f"trace{threads}.csv")
+            result = subprocess.run(
+                [sys.executable, "-m", "vbselect", "train", "--train", data,
+                 "--val", data, "--epochs", "2", "--batch-size", "128", "--seed", "0",
+                 "--model-out", model, "--trace-out", trace],
+                capture_output=True, text=True,
+                env=child_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert (result.returncode, result.stderr) == (0, "")
+            outputs.append((read_bytes(model), read_bytes(trace)))
+        assert outputs[0] == outputs[1]
+
 
 class TestEval:
     def run_eval(self, capsys, pipeline, out, extra=()):
@@ -1348,14 +1384,9 @@ class TestParserBehavior:
         assert "gen" in out and "gradcheck" in out
 
     def test_module_invocation(self):
-        # The child must import the same vbselect as this process, whether
-        # that came from an install, PYTHONPATH or pytest's pythonpath.
-        src = os.path.dirname(os.path.dirname(vbselect.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         result = subprocess.run(
             [sys.executable, "-m", "vbselect", "gradcheck"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 0
         assert result.stdout.startswith("max_relative_error=")

@@ -5,7 +5,10 @@ replayed noise (gradcheck), and isolation of the KL path by differencing two
 runs that share noise but use different dataset sizes.
 """
 
+import contextlib
 import math
+import sys
+import threading
 import time
 from unittest import mock
 
@@ -15,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vbselect import training
+from vbselect import training, vbll
+from vbselect.blas import blas_info
 from vbselect.dataset import FeatureDataset, SyntheticConfig, generate_synthetic
 from vbselect.training import (
     EpochRecord,
@@ -32,6 +36,7 @@ from vbselect.training import (
 )
 from vbselect.vbll import (
     VBLinearLayer,
+    flipout_noise,
     forward_mean,
     init_layer,
     kl_to_prior,
@@ -374,12 +379,16 @@ class TestFusedStepBitExact:
         params = training._flatten(layer)
         step_layer = VBLinearLayer(*training._blocks(params, k, d), layer.prior_scale)
         work = training._StepBuffers(k, d)
+        noise = np.empty((mc_passes, k * (d + 1)))
         # One set of buffers serves a full batch and then a shorter last one,
         # as in train.
         for i, (batch, labels) in enumerate(batches):
+            bundles = training._draw_noise(
+                step_layer, batch.shape[0], np.random.default_rng([seed, i]), noise,
+                flipout_noise,
+            )
             nll, grads = training._elbo_core(
-                step_layer, params, batch, labels, n_train,
-                np.random.default_rng([seed, i]), mc_passes, work,
+                step_layer, params, batch, labels, n_train, bundles, work
             )
             ref_nll, ref_grads = _unfused_elbo_core(
                 layer, batch, labels, n_train, np.random.default_rng([seed, i]), mc_passes
@@ -687,6 +696,125 @@ class TestTrainMatchesReferenceLoop:
         for name in ("weight_mu", "weight_rho", "bias_mu", "bias_rho"):
             assert getattr(layer, name).tobytes() == getattr(ref_layer, name).tobytes()
         assert trace == ref_trace
+
+
+@pytest.fixture
+def draw_ahead(monkeypatch):
+    """Open the helper thread's gate for any step, and record each draw's thread.
+
+    Yields {"helper": [...], "inline": [...]}: the thread of each
+    vbll.flipout_noise call the helper makes and of each call through the
+    name training binds. The interpreter switches threads every microsecond
+    meanwhile, so a draw that overlapped the buffers its step reads would
+    show.
+    """
+    if blas_info() is None:
+        pytest.skip("the helper runs only under numpy's OpenBLAS pin")
+    monkeypatch.setattr(training, "_DRAW_AHEAD_MIN_VALUES", 0)
+    monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+    threads = {"helper": [], "inline": []}
+
+    def recorded(fn, key):
+        def draw(*args, **kwargs):
+            threads[key].append(threading.current_thread())
+            return fn(*args, **kwargs)
+        return draw
+
+    monkeypatch.setattr(vbll, "flipout_noise", recorded(vbll.flipout_noise, "helper"))
+    monkeypatch.setattr(
+        training, "flipout_noise", recorded(training.flipout_noise, "inline")
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def helper_problem(**overrides):
+    """140 rows in batches of 32, so each epoch ends on a 12-row batch."""
+    cfg = SyntheticConfig(5, 16, (40, 30, 30, 20, 20), class_separation=2.0)
+    train_ds = generate_synthetic(cfg, seed=3)
+    val_ds = generate_synthetic(cfg, seed=4)
+    config = TrainConfig(**{"epochs": 6, "batch_size": 32, "seed": 8, **overrides})
+    return train_ds, val_ds, LayerInitConfig(seed=5), config
+
+
+class TestDrawAhead:
+    """Noise drawn one step ahead on a helper thread changes no bit."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"train_mc_samples": 2},
+            # Stops after an epoch whose successor's first draw is in flight.
+            {"early_stop_patience": 3, "learning_rate": 0.5, "epochs": 40},
+        ],
+        ids=["plain", "two_mc_passes", "early_stop"],
+    )
+    def test_bit_identical_to_inline(self, draw_ahead, overrides):
+        train_ds, val_ds, init, config = helper_problem(**overrides)
+        layer, trace = train(train_ds, val_ds, init, config)
+        helper_draws = len(draw_ahead["helper"])
+        assert draw_ahead["inline"] == []
+        assert threading.main_thread() not in draw_ahead["helper"]
+        steps = len(trace) * 5 * config.train_mc_samples
+        if "early_stop_patience" in overrides:
+            assert len(trace) < config.epochs
+            assert helper_draws == steps + config.train_mc_samples
+        else:
+            assert helper_draws == steps
+
+        with mock.patch.object(training, "_DRAW_AHEAD_MIN_VALUES", math.inf):
+            inline_layer, inline_trace = train(train_ds, val_ds, init, config)
+        assert len(draw_ahead["helper"]) == helper_draws
+        assert set(draw_ahead["inline"]) == {threading.main_thread()}
+        for name in ("weight_mu", "weight_rho", "bias_mu", "bias_rho"):
+            assert getattr(layer, name).tobytes() == getattr(inline_layer, name).tobytes()
+        assert trace == inline_trace
+
+    def test_small_head_draws_inline(self, monkeypatch):
+        # 5 x 16 at B = 32: 32 * 21 + 5 * 17 = 757 values a step.
+        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        with mock.patch.object(
+            vbll, "flipout_noise", side_effect=AssertionError("drawn on the helper")
+        ):
+            train(*helper_problem(epochs=2))
+
+    @pytest.mark.parametrize("failure", ["none", "non_finite", "interrupt", "draw"])
+    def test_threads_and_blas_count_come_back(self, draw_ahead, monkeypatch, failure):
+        train_ds, val_ds, init, config = helper_problem()
+        adam, draw = training.adam_step, vbll.flipout_noise
+        pinned = []
+
+        def step(params, grads, m, v, step_index, *args):
+            pinned.append(blas_info()[2])
+            adam(params, grads, m, v, step_index, *args)
+            if step_index == 3 and failure == "non_finite":
+                params[0] = np.nan
+            if step_index == 3 and failure == "interrupt":
+                raise KeyboardInterrupt
+
+        def failing_draw(*args, **kwargs):
+            if len(draw_ahead["helper"]) == 4:
+                raise MemoryError("no room for the noise")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(training, "adam_step", step)
+        if failure == "draw":
+            monkeypatch.setattr(vbll, "flipout_noise", failing_draw)
+        expected = {
+            "none": None, "non_finite": NonFiniteError,
+            "interrupt": KeyboardInterrupt, "draw": MemoryError,
+        }[failure]
+        threads, blas_threads = threading.active_count(), blas_info()[2]
+        with pytest.raises(expected) if expected else contextlib.nullcontext():
+            train(train_ds, val_ds, init, config)
+        assert threading.active_count() == threads
+        assert blas_info()[2] == blas_threads
+        assert pinned and set(pinned) == {1}
 
 
 class TestTraceCsv:

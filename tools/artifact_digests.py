@@ -11,7 +11,9 @@ OUT_DIR, sorted. Two checkouts whose outputs match byte for byte print the
 same lines, so a change meant to keep every artifact can be checked with
 ``diff`` on the two listings. A leading ``#`` line names the numpy version
 and numpy's BLAS with its version and thread count
-(``vbselect.blas.blas_info``): the build and setting the digests hold for.
+(``vbselect.blas.blas_info``): the build the digests hold for. The thread
+count is the caller's; every command runs with BLAS held at one thread, so
+no digest depends on it.
 
 After the digests it runs a fixed list of commands that must fail (see
 ``_error_cases``), with inputs written under ``OUT_DIR/errors/``, and prints

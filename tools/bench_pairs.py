@@ -11,6 +11,12 @@ Pair i runs the parent first when i is even and the change first when it is
 odd, so a host that speeds up or slows down over time favours neither side.
 The last stdout line of every run is its JSON result.
 
+Each complete pair prints both runs' ``wall_s`` with the share of the
+host's CPU time that the hypervisor stole during the run, read from the
+``cpu`` line of ``/proc/stat`` before and after it (``n/a`` where that file
+is missing). A high share marks a run slowed by other guests; such runs are
+reported and kept, never dropped.
+
 For each end-to-end metric that BENCHMARK.json (in CHANGE_DIR) declares,
 the report gives each side's median and quartiles, the number of pairs the
 change wins (strictly better in the metric's direction), and whether the
@@ -27,6 +33,29 @@ import os
 import statistics
 import subprocess
 import sys
+
+
+def cpu_times() -> list[int] | None:
+    """user .. steal of the /proc/stat ``cpu`` line, in ticks, or None.
+
+    guest and guest_nice are left out: user and nice already count them.
+    """
+    try:
+        with open("/proc/stat", encoding="ascii") as f:
+            fields = f.readline().split()
+    except OSError:
+        return None
+    if fields[:1] != ["cpu"] or len(fields) < 9:
+        return None
+    return [int(value) for value in fields[1:9]]
+
+
+def steal_text(before: list[int] | None, after: list[int] | None) -> str:
+    """"steal P%": the share of CPU ticks between two cpu_times readings stolen."""
+    if before is None or after is None:
+        return "steal n/a"
+    ticks = [b - a for a, b in zip(before, after)]
+    return f"steal {100 * ticks[7] / sum(ticks):.1f}%" if sum(ticks) > 0 else "steal n/a"
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict | None:
@@ -94,10 +123,12 @@ def main(argv=None) -> int:
     pairs, failures = [], 0
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
-        results = {}
+        results, steal = {}, {}
         for side in order:
             checkout = args.parent_dir if side == "parent" else args.change_dir
+            before = cpu_times()
             results[side] = run_once(checkout, args.workload, args.seed)
+            steal[side] = steal_text(before, cpu_times())
             if results[side] is None:
                 failures += 1
                 print(f"pair {i}: {side} run failed", flush=True)
@@ -106,7 +137,8 @@ def main(argv=None) -> int:
         pairs.append((results["parent"], results["change"]))
         wall = {side: result["metrics"]["wall_s"]["value"] for side, result in results.items()}
         print(f"pair {i} ({order[0]} first): wall_s parent {wall['parent']:.4g} "
-              f"change {wall['change']:.4g}", flush=True)
+              f"({steal['parent']}) change {wall['change']:.4g} ({steal['change']})",
+              flush=True)
 
     rows = summarise(pairs, metrics) if pairs else []
     print(f"{args.workload} seed {args.seed}: {len(pairs)} complete pairs, "
