@@ -6,9 +6,11 @@ is counted once per dataset. Loss and gradient evaluation consume identical
 noise when given identically seeded streams; gradcheck leans on that replay
 contract to compare analytic gradients with central finite differences.
 
-Training holds the posterior as one flat float64 vector laid out as
+Training and the three objective calls (elbo_loss, elbo_gradients,
+gradcheck) hold the posterior as one flat float64 vector laid out as
 weight_mu, bias_mu, weight_rho, bias_rho, so the mu half and the rho half
-are each one contiguous block of K * (D + 1) values. `_halves`, `_split` and
+are each one contiguous block of K * (D + 1) values, and run the ELBO
+through a layer built on views of it. `_halves`, `_split` and
 `_blocks` are the only code that knows this layout; they give the halves
 and the four arrays as views. The gradient is a vector of the same layout.
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -157,14 +159,10 @@ def _blocks(flat, num_classes, feature_dim):
 
 
 def _flatten(layer):
-    """A new flat vector holding the layer's four arrays."""
-    flat = np.empty(2 * layer.num_classes * (layer.feature_dim + 1))
-    for view, name in zip(
-        _blocks(flat, layer.num_classes, layer.feature_dim),
-        ("weight_mu", "weight_rho", "bias_mu", "bias_rho"),
-    ):
-        view[...] = getattr(layer, name)
-    return flat
+    """A new flat vector holding the layer's four arrays (see `_blocks`)."""
+    return np.concatenate(
+        [layer.weight_mu.ravel(), layer.bias_mu, layer.weight_rho.ravel(), layer.bias_rho]
+    )
 
 
 class _StepBuffers:
@@ -296,28 +294,28 @@ def _elbo_core(layer, params, batch, labels, n_train, bundles, work):
 
 
 def _checked_problem(layer, batch, labels, n_train, rng, mc_passes):
-    """(batch, labels, bundles, work) for `_elbo_core`, after the input checks.
+    """(layer, params, batch, labels, bundles, work) for `_elbo_core`, after the input checks.
 
-    The bundles are drawn from `rng`, and `work` fits the layer's shape.
+    `params` is a flat copy of the given layer and the layer returned is
+    built on views of it, as train's step layer is, so writing an entry of
+    `params` moves the layer with it. The bundles are drawn from `rng`, and
+    `work` fits the layer's shape.
     """
     batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
     k, d = layer.num_classes, layer.feature_dim
+    params = _flatten(layer)
+    step_layer = VBLinearLayer(*_blocks(params, k, d), layer.prior_scale)
     noise = np.empty((mc_passes, k * (d + 1)))
-    bundles = _draw_noise(layer, batch.shape[0], rng, noise, flipout_noise)
-    return batch, labels, bundles, _StepBuffers(k, d)
-
-
-def _checked_elbo(layer, batch, labels, n_train, rng, mc_passes):
-    """`_elbo_core` on a flat copy of the layer, after the input checks."""
-    batch, labels, bundles, work = _checked_problem(
-        layer, batch, labels, n_train, rng, mc_passes
-    )
-    return _elbo_core(layer, _flatten(layer), batch, labels, n_train, bundles, work)
+    bundles = _draw_noise(step_layer, batch.shape[0], rng, noise, flipout_noise)
+    return step_layer, params, batch, labels, bundles, _StepBuffers(k, d)
 
 
 def elbo_loss(layer, batch, labels, n_train, rng, mc_passes=1) -> LossBreakdown:
     """Negative ELBO for one minibatch: mean Flipout cross-entropy + KL/n_train."""
-    nll, _ = _checked_elbo(layer, batch, labels, n_train, rng, mc_passes)
+    layer, params, batch, labels, bundles, work = _checked_problem(
+        layer, batch, labels, n_train, rng, mc_passes
+    )
+    nll, _ = _elbo_core(layer, params, batch, labels, n_train, bundles, work)
     kl = kl_to_prior(layer)
     return LossBreakdown(nll=nll, kl=kl, total=nll + kl / n_train)
 
@@ -328,7 +326,10 @@ def elbo_gradients(layer, batch, labels, n_train, rng, mc_passes=1) -> Gradients
     A stream seeded identically to an elbo_loss call yields the gradient of
     exactly that loss value.
     """
-    _, grads = _checked_elbo(layer, batch, labels, n_train, rng, mc_passes)
+    layer, params, batch, labels, bundles, work = _checked_problem(
+        layer, batch, labels, n_train, rng, mc_passes
+    )
+    _, grads = _elbo_core(layer, params, batch, labels, n_train, bundles, work)
     return Gradients(*_blocks(grads, layer.num_classes, layer.feature_dim))
 
 
@@ -566,34 +567,34 @@ def gradcheck(layer, batch, labels, n_train, h=1e-5, seed=0, mc_passes=1) -> flo
     right. Larger problems have more such entries: at K=10, D=64, B=128,
     seed 0 gives 3.6e-5 but seed 1 gives 2.3e-4, from a weight_rho entry of
     1.5163e-7 whose difference quotient is 1.5170e-7.
+
+    The differences move one entry of the flat parameter vector at a time
+    (see `_blocks`): it is set to base + h, then base - h, in place, and
+    then restored, so the layer on views of the vector sees each value
+    without being rebuilt or re-checked.
     """
     if not (np.isfinite(h) and h != 0):
         raise ValueError(f"h must be finite and nonzero, got {h!r}")
-    batch, labels, bundles, work = _checked_problem(
+    layer, params, batch, labels, bundles, work = _checked_problem(
         layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
     )
 
-    def elbo_at(candidate):
-        return _elbo_core(candidate, _flatten(candidate), batch, labels, n_train, bundles, work)
+    def loss():
+        nll, _ = _elbo_core(layer, params, batch, labels, n_train, bundles, work)
+        return nll + kl_to_prior(layer) / n_train
 
-    analytic = _blocks(elbo_at(layer)[1].copy(), layer.num_classes, layer.feature_dim)
-
-    def loss_at(candidate):
-        return elbo_at(candidate)[0] + kl_to_prior(candidate) / n_train
-
+    analytic = _elbo_core(layer, params, batch, labels, n_train, bundles, work)[1].copy()
     worst = 0.0
-    for name, grad in zip(("weight_mu", "weight_rho", "bias_mu", "bias_rho"), analytic):
-        base = getattr(layer, name)
-        grad = grad.ravel()
-        for i in range(base.size):
-            shifted = {}
-            for sign in (1.0, -1.0):
-                arr = base.copy()
-                arr.ravel()[i] += sign * h
-                shifted[sign] = loss_at(replace(layer, **{name: arr}))
-            diff = (shifted[1.0] - shifted[-1.0]) / (2.0 * h)
-            rel = abs(grad[i] - diff) / max(1e-8, abs(grad[i]) + abs(diff))
-            worst = np.maximum(worst, rel)  # unlike max(), keeps a NaN
+    for i, grad in enumerate(analytic):
+        base = params[i]
+        params[i] = base + h
+        up = loss()
+        params[i] = base - h
+        down = loss()
+        params[i] = base
+        diff = (up - down) / (2.0 * h)
+        rel = abs(grad - diff) / max(1e-8, abs(grad) + abs(diff))
+        worst = np.maximum(worst, rel)  # unlike max(), keeps a NaN
     return float(worst)
 
 

@@ -149,6 +149,13 @@ class TestGen:
         assert_single_line_error(code, err, 1)
         assert "class 1" in err
 
+    def test_unparseable_per_class_rejected(self, capsys, tmp_path):
+        out = os.path.join(tmp_path, "data.csv")
+        code, _, err = run_cli(capsys, ["gen", "--per-class", "3,x", "--out", out])
+        assert_single_line_error(code, err, 1)
+        assert err == "error: cannot parse class counts from '3,x'\n"
+        assert not os.path.exists(out)
+
     def test_same_seed_byte_identical(self, capsys, tmp_path):
         paths = [os.path.join(tmp_path, name) for name in ("a.csv", "b.csv")]
         for path in paths:
@@ -336,8 +343,9 @@ class TestCsvErrorsNameFile:
         ("f0,label\n0.5,-1\n", "line 2: negative label -1"),
         ("f0,label\n", "no data rows"),
         ("f0,label\n0.5,0\n0.25,0\n", "num_classes must be at least 2"),
+        ("# classes=3\n", "missing header row"),
     ], ids=["directive", "class_count", "label_column", "feature_names", "fields",
-            "non_numeric", "negative_label", "no_rows", "one_class"])
+            "non_numeric", "negative_label", "no_rows", "one_class", "directive_only"])
     def test_error_names_csv(self, capsys, pipeline, tmp_path, text, message):
         data = os.path.join(tmp_path, "bad.csv")
         with open(data, "w", encoding="utf-8") as handle:
@@ -705,6 +713,25 @@ class TestTrain:
         assert "prior_scale must have a finite square, got 1e+200" in err
         assert not os.path.exists(model)
 
+    @pytest.mark.parametrize("flags,message", [
+        # One step per epoch moves every mean by about 1e300: the parameters
+        # stay finite, but the epoch's KL (mu squared) does not.
+        (["--lr", "1e300", "--epochs", "2", "--batch-size", "256"],
+         "non-finite loss at epoch 1"),
+        # s^2 underflows to 0, so the first step's KL gradient divides by it.
+        (["--prior-scale", "1e-300"], "non-finite parameter after step 1 (epoch 1)"),
+    ], ids=["loss", "parameter"])
+    def test_non_finite_training_exits_3(self, capsys, pipeline, tmp_path, flags, message):
+        model = os.path.join(tmp_path, "m.json")
+        trace = os.path.join(tmp_path, "t.csv")
+        code, _, err = run_cli(capsys, [
+            "train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+            "--val", pipeline["val"], *flags, "--model-out", model, "--trace-out", trace,
+        ])
+        assert_single_line_error(code, err, 3)
+        assert err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_corrupt_csv_names_line(self, capsys, tmp_path):
         bad = os.path.join(tmp_path, "bad.csv")
         with open(bad, "w", encoding="utf-8") as handle:
@@ -900,6 +927,46 @@ class TestEval:
         ])
         assert_single_line_error(code, err, 1)
 
+    def test_model_data_class_count_mismatch(self, capsys, pipeline, tmp_path):
+        other = os.path.join(tmp_path, "other.csv")
+        run_cli(capsys, [
+            "gen", "--classes", "4", "--dim", "8", "--per-class", "10",
+            "--seed", "1", "--out", other,
+        ])
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", other, "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == "error: model/data class count mismatch: 3 vs 4\n"
+        assert not os.path.exists(out)
+
+    def test_accepted_only_ece_with_nothing_accepted(self, capsys, pipeline, tmp_path):
+        # No mean confidence reaches 1.0 here, so the gate accepts no row.
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--threshold", "1.0", "--ece-accepted-only", "--seed", "7", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == (
+            "error: no samples accepted: accepted-only calibration is undefined\n"
+        )
+        assert os.listdir(out) == []
+
+    def test_model_not_json_names_the_model(self, capsys, pipeline, tmp_path):
+        model = os.path.join(tmp_path, "model.json")
+        with open(model, "w", encoding="utf-8") as handle:
+            handle.write('{"weight_mu": ')
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", model, "--data", pipeline["val"], "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err.startswith(f"error: {model}: not valid JSON (")
+        assert err.endswith(")\n")
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("field,value", [
         ("weight_mu", "1.5"),
         ("bias_rho", True),
@@ -1003,8 +1070,9 @@ class TestEval:
         ("weight_rho", [[0.0]], "weight_rho shape must match weight_mu"),
         ("bias_rho", [float("nan")] * 3, "bias_rho contains non-finite values"),
         ("prior_scale", -1.0, "prior_scale must be positive and finite"),
+        ("feature_dim", 9, "declared dimensions do not match arrays"),
     ], ids=["bias_mu_length", "weight_mu_ndim", "weight_rho_shape", "bias_rho_nan",
-            "prior_scale_negative"])
+            "prior_scale_negative", "feature_dim_mismatch"])
     def test_invalid_layer_names_the_model(
         self, capsys, pipeline, tmp_path, field, value, message
     ):
@@ -1020,6 +1088,7 @@ class TestEval:
         ])
         assert_single_line_error(code, err, 1)
         assert err == f"error: {model}: {message}\n"
+        assert not os.path.exists(out)
 
     def test_overflowing_sigma_blames_the_model(self, capsys, pipeline, tmp_path):
         # A legal weight_rho of 1e308 makes sigma * eps overflow in a draw.
@@ -1207,6 +1276,16 @@ class TestSweep:
         ])
         assert_single_line_error(code, err, 1)
         assert err == "error: grid must be strictly increasing\n"
+
+    def test_unparseable_grid_rejected(self, capsys, pipeline, tmp_path):
+        out = os.path.join(tmp_path, "c.csv")
+        code, _, err = run_cli(capsys, [
+            "sweep", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--grid", "0.5,x", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == "error: cannot parse threshold grid from '0.5,x'\n"
+        assert not os.path.exists(out)
 
     def test_out_of_range_threshold_reported_before_order(
         self, capsys, pipeline, tmp_path

@@ -6,6 +6,7 @@ runs that share noise but use different dataset sizes.
 """
 
 import contextlib
+import dataclasses
 import math
 import sys
 import threading
@@ -441,6 +442,82 @@ class TestFusedStepBitExact:
         _unfused_adam_step(ref[0], grads, ref[1], ref[2], step, config)
         for got, want in zip((params, m, v), ref):
             assert got.tobytes() == want.tobytes()
+
+
+def _replace_gradcheck(layer, batch, labels, n_train, h, seed, mc_passes=1):
+    """gradcheck as a loop that builds a new, validated layer per shifted entry.
+
+    Each array is copied, one entry shifted by +h or -h, and put back with
+    dataclasses.replace; the loss comes from elbo_loss on a fresh stream
+    seeded with `seed`, so every evaluation replays the same noise.
+    """
+    def loss_at(candidate):
+        rng = np.random.default_rng(seed)
+        return elbo_loss(candidate, batch, labels, n_train, rng, mc_passes).total
+
+    analytic = elbo_gradients(
+        layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
+    )
+    worst = 0.0
+    for name in ("weight_mu", "weight_rho", "bias_mu", "bias_rho"):
+        base, grad = getattr(layer, name), getattr(analytic, name).ravel()
+        for i in range(base.size):
+            shifted = {}
+            for sign in (1.0, -1.0):
+                arr = base.copy()
+                arr.ravel()[i] += sign * h
+                shifted[sign] = loss_at(dataclasses.replace(layer, **{name: arr}))
+            diff = (shifted[1.0] - shifted[-1.0]) / (2.0 * h)
+            rel = abs(grad[i] - diff) / max(1e-8, abs(grad[i]) + abs(diff))
+            worst = np.maximum(worst, rel)
+    return float(worst)
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (
+        math.isnan(a) and math.isnan(b)
+    )
+
+
+class TestGradcheckInPlaceBitExact:
+    """Shifting the flat vector in place gives the rebuild-per-entry loop's float."""
+
+    @pytest.mark.parametrize(
+        "shape, instance_seed, kwargs",
+        [((3, 4, 8), s, {"seed": s}) for s in range(10)]
+        + [
+            ((3, 4, 8), 55, {"seed": 4, "mc_passes": 2}),
+            ((2, 3, 4), 21, {"seed": 9}),
+            ((3, 4, 8), 0, {"seed": 0, "h": 1e300}),
+            ((3, 4, 8), 0, {"seed": 0, "h": 1.0}),
+        ],
+    )
+    def test_small_cases(self, shape, instance_seed, kwargs):
+        layer, batch, labels = gradcheck_instance(*shape, seed=instance_seed)
+        n_train = shape[2]
+        kwargs = {"h": 1e-5, "mc_passes": 1, **kwargs}
+        with np.errstate(all="ignore"):
+            got = gradcheck(layer, batch, labels, n_train, **kwargs)
+            want = _replace_gradcheck(layer, batch, labels, n_train, **kwargs)
+        assert _same_float(got, want), (got, want)
+
+    @pytest.mark.parametrize(
+        "seed, expected", [(0, 3.6295095910278835e-05), (1, 0.0002264650975412452)]
+    )
+    def test_larger_problem(self, seed, expected):
+        layer, batch, labels = gradcheck_instance(10, 64, 128, seed=seed)
+        got = gradcheck(layer, batch, labels, 128, h=1e-5, seed=seed)
+        assert got == expected
+        assert got == _replace_gradcheck(layer, batch, labels, 128, h=1e-5, seed=seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=elbo_problems(), h=st.sampled_from([1e-5, 1e-3, 0.5]))
+    def test_random_problems(self, problem, h):
+        layer, ((batch, labels), _), n_train, mc_passes, seed = problem
+        with np.errstate(all="ignore"):
+            got = gradcheck(layer, batch, labels, n_train, h, seed, mc_passes)
+            want = _replace_gradcheck(layer, batch, labels, n_train, h, seed, mc_passes)
+        assert _same_float(got, want), (got, want)
 
 
 def small_separable_splits(seed, per_class=30):

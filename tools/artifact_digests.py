@@ -36,7 +36,11 @@ Chains (all at seed 0):
   eval and sweep of the README model at S=100 on 100 000 rows, and eval at
   S=4 with ``--save-samples``;
 * ``hand/``: split and balance of a hand-written CSV (see
-  ``_write_hand_written_csv``), whose rows those commands copy as read.
+  ``_write_hand_written_csv``), whose rows those commands copy as read;
+* ``paper/``: the README pipeline on class counts 1600, 1200, 1000, 700 and
+  500 at separation 2.0, where a confidence gate rejects a real share of the
+  test split, then eval of its model at S=100 with ``--threshold 0.7``
+  (``paper/eval_0.7/``) and ``0.9`` (``paper/eval_0.9/``).
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def _chains(out: str) -> list[list[str]]:
     def p(*parts):
         return os.path.join(out, *parts)
 
-    readme, wide = p("readme"), p("wide")
+    readme, wide, paper = p("readme"), p("wide"), p("paper")
     model, test = p("readme", "model.json"), p("readme", "splits", "test.csv")
     wide_model, wide_test = p("wide", "model.json"), p("wide", "splits", "test.csv")
 
@@ -113,6 +117,12 @@ def _chains(out: str) -> list[list[str]]:
          "--out", p("hand", "splits")],
         ["balance", "--in", p("hand", "splits", "train.csv"), "--seed", "0",
          "--out", p("hand", "balanced.csv")],
+        *data_prep(paper, ["--classes", "5", "--dim", "16",
+                           "--per-class", "1600,1200,1000,700,500", "--separation", "2.0"]),
+        *(["eval", "--model", p("paper", "model.json"),
+           "--data", p("paper", "splits", "test.csv"), "--threshold", threshold,
+           "--mc-samples", "100", "--seed", "0", "--out", p("paper", f"eval_{threshold}")]
+          for threshold in ("0.7", "0.9")),
     ]
 
 
@@ -241,6 +251,10 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("train_val_dimension_mismatch",
          train(os.path.join(out, "wide", "splits", "val.csv"))),
         ("train_val_class_count_mismatch", train(six_classes)),
+        # One step per epoch moves every mean by about 1e300: the parameters
+        # stay finite, but the epoch's KL (mu squared) does not.
+        ("train_non_finite_loss",
+         train(test, "--lr", "1e300", "--epochs", "2", "--batch-size", "4096")),
         ("big_int_model", evaluate(big_int, test)),
         ("big_int_config", evaluate(model, test, "--config", big_int_config)),
         ("non_utf8_csv", evaluate(model, non_utf8)),
@@ -295,7 +309,7 @@ def main(argv: list[str]) -> int:
     info = blas_info()
     blas = "BLAS not found" if info is None else "%s %s, BLAS threads %d" % info
     print(f"# numpy {np.__version__}, {blas}")
-    for directory in ("readme", "wide", "hand"):
+    for directory in ("readme", "wide", "hand", "paper"):
         os.makedirs(os.path.join(out, directory))
     _write_hand_written_csv(os.path.join(out, "hand", "data.csv"))
     for command in _chains(out):
