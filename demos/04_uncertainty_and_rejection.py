@@ -13,11 +13,10 @@ from vbselect import (
     apply_rejection,
     confusion_matrix,
     generate_synthetic,
-    predictive_posterior,
+    score_posterior,
     stratified_split,
     threshold_sweep,
     train,
-    uncertainty_scores,
 )
 
 # train a small model (same recipe as demo 03, noisier data so the
@@ -30,13 +29,14 @@ train_ds, val_ds, test_ds = stratified_split(ds, SplitRatios(0.7, 0.15, 0.15), s
 layer, _ = train(train_ds, val_ds,
                  LayerInitConfig(seed=2), TrainConfig(epochs=20, seed=2))
 
-# S Monte Carlo weight draws -> S probability vectors per example.
+# S Monte Carlo weight draws -> S probability vectors per example, reduced
+# to their mean and the three scores without keeping the S vectors.
 # Sample s comes from a stream seeded [seed, s], so running with a larger
 # S extends the smaller run instead of reshuffling it.
-preds = predictive_posterior(layer, test_ds.features, mc_samples=20, seed=2)
-print("prob_samples:", preds.prob_samples.shape, " mean_probs:", preds.mean_probs.shape)
+preds = score_posterior(layer, test_ds.features, mc_samples=20, seed=2)
+print("mean_probs:", preds.mean_probs.shape)
 
-scores = uncertainty_scores(preds)
+scores = preds.scores
 print("\nfirst five test examples:")
 print(f"{'pred':>4} {'label':>5} {'conf':>7} {'entropy':>8} {'mutual_info':>12}")
 for i in range(5):

@@ -14,10 +14,9 @@ from vbselect import (
     confidence_histogram,
     ece,
     generate_synthetic,
-    predictive_posterior,
+    score_posterior,
     stratified_split,
     train,
-    uncertainty_scores,
 )
 
 cfg = SyntheticConfig(num_classes=4, feature_dim=10,
@@ -28,8 +27,8 @@ train_ds, val_ds, test_ds = stratified_split(ds, SplitRatios(0.7, 0.15, 0.15), s
 layer, _ = train(train_ds, val_ds,
                  LayerInitConfig(seed=2), TrainConfig(epochs=20, seed=2))
 
-preds = predictive_posterior(layer, test_ds.features, mc_samples=20, seed=2)
-scores = uncertainty_scores(preds)
+preds = score_posterior(layer, test_ds.features, mc_samples=20, seed=2)
+scores = preds.scores
 correct = preds.predicted == test_ds.labels
 
 # ECE: bin confidences into 15 equal-width bins on [0,1], then take the

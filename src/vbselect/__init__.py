@@ -29,13 +29,9 @@ from .dataset import (
 )
 from .inference import (
     PosteriorSummary,
-    PredictionSet,
     UncertaintyScores,
-    predictive_posterior,
     save_predictions_csv,
-    save_prob_samples_csv,
     score_posterior,
-    uncertainty_scores,
 )
 from .selection import (
     RejectionCurve,
@@ -87,13 +83,9 @@ __all__ = [
     "smote_oversample",
     "stratified_split",
     "PosteriorSummary",
-    "PredictionSet",
     "UncertaintyScores",
-    "predictive_posterior",
     "save_predictions_csv",
-    "save_prob_samples_csv",
     "score_posterior",
-    "uncertainty_scores",
     "RejectionCurve",
     "RejectionReport",
     "apply_rejection",

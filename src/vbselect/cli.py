@@ -111,6 +111,11 @@ class _Option:
 
 
 _SEED = _Option("--seed", "seed", int, 0, "global seed; fanned out per role")
+_MODEL = _Option("--model", "model", str, None, "model JSON path", required=True)
+_DATA = _Option("--data", "data", str, None, "evaluation dataset CSV", required=True)
+_MEASURE = _Option("--measure", "measure", str, "confidence",
+                   "gate measure: confidence, entropy, or mutual_info")
+_MC_SAMPLES = _Option("--mc-samples", "mc_samples", int, 20, "posterior samples")
 
 # command -> (help, options). An option whose dest names a library config
 # field takes its default from that field, so each default is declared once.
@@ -177,12 +182,9 @@ _COMMANDS = {
                 "output training-trace CSV path", required=True),
     ]),
     "eval": ("rejection + calibration report for a trained model", [
-        _Option("--model", "model", str, None, "model JSON path", required=True),
-        _Option("--data", "data", str, None, "evaluation dataset CSV", required=True),
+        _MODEL, _DATA,
         _Option("--threshold", "threshold", float, 0.7, "rejection threshold"),
-        _Option("--measure", "measure", str, "confidence",
-                "gate measure: confidence, entropy, or mutual_info"),
-        _Option("--mc-samples", "mc_samples", int, 20, "posterior samples"),
+        _MEASURE, _MC_SAMPLES,
         _Option("--ece-bins", "ece_bins", int, 15, "calibration bins"),
         _Option("--ece-accepted-only", "ece_accepted_only", "flag", False,
                 "compute calibration over accepted samples only"),
@@ -192,13 +194,10 @@ _COMMANDS = {
         _Option("--out", "out", str, None, "output directory", required=True),
     ]),
     "sweep": ("rejection metrics across a threshold grid", [
-        _Option("--model", "model", str, None, "model JSON path", required=True),
-        _Option("--data", "data", str, None, "evaluation dataset CSV", required=True),
+        _MODEL, _DATA,
         _Option("--grid", "grid", str, None,
                 "comma list of thresholds; default 0.50..0.90 step 0.05"),
-        _Option("--measure", "measure", str, "confidence",
-                "gate measure: confidence, entropy, or mutual_info"),
-        _Option("--mc-samples", "mc_samples", int, 20, "posterior samples"),
+        _MEASURE, _MC_SAMPLES,
         _SEED,
         _Option("--out", "out", str, None, "output curve CSV path", required=True),
     ]),

@@ -15,20 +15,23 @@ Sample s always draws from ``default_rng([seed, s])``, so runs with a larger
 S extend a smaller run sample-for-sample and samples can be computed in any
 order (or in parallel) without changing results.
 
-One row-chunk engine does all the sampling. It takes the S weight draws
-once, then scores the row chunks on a ``ThreadPoolExecutor``: each pool
-thread fills its own draw-major (S, rows, K) buffer with one batched matmul
-per chunk, checks it and hands it on. ``score_posterior`` reduces each chunk to its own rows of
-the per-row results, so it needs O(N·K + threads x chunk) memory and never
-holds the N x S x K grid; the ``eval`` and ``sweep`` commands use it.
-``predictive_posterior`` copies the transposed chunks into the full grid for
-callers that want the samples themselves. Both give the same numbers bit for
-bit, whatever the thread count: every sum over the K classes is a
+``score_posterior`` is the scoring engine, and the one the ``eval`` and
+``sweep`` commands use. It takes the S weight draws once, then scores the
+row chunks on a ``ThreadPoolExecutor``: each pool thread fills its own
+draw-major (S, rows, K) buffer with one batched matmul per chunk, checks it
+and reduces it to its own rows of the per-row results. So it needs
+O(N·K + threads x chunk) memory and never holds the N x S x K grid. No
+result depends on the thread count: every sum over the K classes is a
 left-to-right fold of the class columns in numpy's own order
 (``_sum_classes``), and every mean over the S draws keeps the order numpy
 uses on the (N, S, K) grid. While the threads run, numpy's OpenBLAS is held
 at one thread (``blas.one_blas_thread``); where it cannot be, the calling
 thread scores every chunk.
+
+``predictive_posterior``, ``PredictionSet``, ``uncertainty_scores`` and
+``save_prob_samples_csv`` copy the same chunks into the full grid and match
+``score_posterior`` bit for bit. They are left out of ``__all__``: they stay
+only because the benchmark under ``perfbench/`` binds them.
 """
 
 from __future__ import annotations
@@ -44,14 +47,10 @@ from .blas import one_blas_thread, usable_cpus
 from .vbll import VBLinearLayer, check_features, sample_weights
 
 __all__ = [
-    "PredictionSet",
     "PosteriorSummary",
     "UncertaintyScores",
-    "predictive_posterior",
     "score_posterior",
-    "uncertainty_scores",
     "save_predictions_csv",
-    "save_prob_samples_csv",
 ]
 
 # Size of one chunk's draw-major (S, rows, K) float64 buffer; the rows per
@@ -131,7 +130,7 @@ class PredictionSet:
 
 @dataclass(frozen=True)
 class UncertaintyScores:
-    """Per-sample uncertainty measures derived from a PredictionSet.
+    """Per-sample uncertainty measures of the predictive posterior.
 
     expected_entropy and mutual_info are both None when the scores were
     taken without the per-draw entropies (score_posterior's
@@ -167,11 +166,11 @@ class UncertaintyScores:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Per-row results of the predictive posterior, without the sample grid.
+    """Per-row results of the predictive posterior, as score_posterior returns them.
 
-    mean_probs and predicted equal those of the PredictionSet that
-    predictive_posterior returns for the same arguments, and scores equals
-    uncertainty_scores of it, bit for bit (less expected_entropy and
+    mean_probs is the N x K mean over the S draws of each row's softmax;
+    predicted is its argmax, ties broken toward the lowest class index;
+    scores holds the row's uncertainty measures (less expected_entropy and
     mutual_info, which are None, when taken with ``mutual_info=False``).
     """
 
@@ -407,13 +406,13 @@ def score_posterior(
 ) -> PosteriorSummary:
     """Mean probabilities, predictions and scores, streamed over row chunks.
 
-    Equal bit for bit to uncertainty_scores(predictive_posterior(...)), in
-    O(N·K + threads x chunk) memory. With `samples`, an open text file, the
-    sample grid is also written there chunk by chunk, in
-    save_prob_samples_csv's format and row order. With ``mutual_info=False``
-    the S per-draw entropies of each row, about a quarter of the scoring
-    time, are not taken, and the scores' expected_entropy and mutual_info
-    are None.
+    `data` may be a FeatureDataset or a raw N x D array. Sample s draws its
+    weights from ``default_rng([seed, s])``. Memory is O(N·K + threads x
+    chunk). With `samples`, an open text file, the sample grid is also
+    written there chunk by chunk, as `index,sample,p0..p{K-1}` lines in row
+    order. With ``mutual_info=False`` the S per-draw entropies of each row,
+    about a quarter of the scoring time, are not taken, and the scores'
+    expected_entropy and mutual_info are None.
     """
     features = _checked_features(layer, data, mc_samples)
     n, k = features.shape[0], layer.num_classes

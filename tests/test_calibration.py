@@ -192,9 +192,20 @@ class TestEceValidation:
         with pytest.raises(ValueError):
             ece(np.array([-0.1, 0.5]), np.array([True, False]), num_bins=5)
 
-    def test_bad_bin_count(self):
-        with pytest.raises(ValueError):
-            ece(np.array([0.5]), np.array([True]), num_bins=0)
+    @pytest.mark.parametrize("call,message", [
+        (lambda: ece(np.zeros((1, 1)), np.array([True])), "confidences must be a 1-D array"),
+        (lambda: ece(np.zeros(0), np.zeros(0, dtype=bool)), "confidences must be nonempty"),
+        (lambda: ece(np.array([np.nan]), np.array([True])),
+         "confidences contain non-finite values"),
+        (lambda: ece(np.array([0.5]), np.array([True]), num_bins=0),
+         "num_bins must be at least 1"),
+        (lambda: confidence_histogram(np.array([0.5]), num_bins=0),
+         "num_bins must be at least 1"),
+    ], ids=["two_dimensional", "empty", "non_finite", "ece_bins", "histogram_bins"])
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -340,12 +340,16 @@ class TestCsvErrorsNameFile:
         ("f1,label\n0.5,0\n", "line 1: feature columns must be named f0..f0"),
         ("f0,label\n0.5,0\n0.5,0,1\n", "line 3: expected 2 fields, got 3"),
         ("f0,label\n0.5,0\nx,1\n", "line 3: non-numeric feature value 'x'"),
+        ("# classes=2\nf0,label\n0.5,0\ninf,1\n", "line 4: non-finite feature value 'inf'"),
+        ("# classes=2\nf0,label\n0.5,0\nnan,1\n", "line 4: non-finite feature value 'nan'"),
         ("f0,label\n0.5,-1\n", "line 2: negative label -1"),
+        ("# classes=2\nf0,label\n0.5,0\n0.5,2\n", "line 4: label 2 exceeds declared classes 2"),
         ("f0,label\n", "no data rows"),
         ("f0,label\n0.5,0\n0.25,0\n", "num_classes must be at least 2"),
         ("# classes=3\n", "missing header row"),
     ], ids=["directive", "class_count", "label_column", "feature_names", "fields",
-            "non_numeric", "negative_label", "no_rows", "one_class", "directive_only"])
+            "non_numeric", "inf", "nan", "negative_label", "undeclared_label", "no_rows",
+            "one_class", "directive_only"])
     def test_error_names_csv(self, capsys, pipeline, tmp_path, text, message):
         data = os.path.join(tmp_path, "bad.csv")
         with open(data, "w", encoding="utf-8") as handle:
@@ -1470,3 +1474,12 @@ class TestParserBehavior:
         assert result.returncode == 0
         assert result.stdout.startswith("max_relative_error=")
         assert result.stderr == ""
+
+    def test_module_invocation_reports_missing_option(self, tmp_path):
+        result = subprocess.run(
+            [sys.executable, "-m", "vbselect", "eval", "--data", "x.csv"],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: missing required option --model\n"

@@ -94,6 +94,25 @@ class TestFeatureDataset:
             ds.features[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: FeatureDataset([1.0, 2.0], [0, 1], 2), "features must be a 2-D array"),
+    (lambda: FeatureDataset(np.zeros((0, 2)), [], 2), "dataset must contain at least one sample"),
+    (lambda: FeatureDataset(np.zeros((2, 0)), [0, 1], 2), "dataset must have at least one feature"),
+    (lambda: SyntheticConfig(1, 3, (4,)), "num_classes must be at least 2"),
+    (lambda: SyntheticConfig(2, 0, (4, 4)), "feature_dim must be at least 1"),
+    (lambda: smote_oversample(FeatureDataset([[0.0], [1.0]], [0, 1], 2), [1, 1, 1], seed=0),
+     "target_counts must list one count per class"),
+    (lambda: smote_oversample(FeatureDataset([[0.0], [1.0]], [0, 1], 2), [1, 1], seed=0,
+                              k_neighbors=0),
+     "k_neighbors must be at least 1"),
+], ids=["two_dimensional", "no_samples", "no_features", "config_classes", "config_dim",
+        "smote_targets", "smote_neighbors"])
+def test_rejected_with_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestCsvRoundTrip:
     def test_tiny_file_read_back(self, tmp_path):
         path = tmp_path / "tiny.csv"

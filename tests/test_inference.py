@@ -329,6 +329,16 @@ class TestUncertaintyScores:
             with pytest.raises(ValueError, match="both"):
                 UncertaintyScores(ones, ones, expected_entropy, mutual_info)
 
+    @pytest.mark.parametrize("given,message", [
+        ({"confidence": np.zeros((2, 1))}, "confidence must be one-dimensional"),
+        ({"mutual_info": np.zeros(3)}, "all score arrays must share one length"),
+    ], ids=["two_dimensional", "lengths"])
+    def test_rejected_with_message(self, given, message):
+        names = ("confidence", "entropy", "expected_entropy", "mutual_info")
+        with pytest.raises(ValueError) as info:
+            UncertaintyScores(**{**dict.fromkeys(names, np.zeros(2)), **given})
+        assert str(info.value) == message
+
     def test_uniform_mean_probabilities(self):
         pred = make_prediction_set(np.full((1, 1, 5), 0.2))
         scores = uncertainty_scores(pred)

@@ -183,12 +183,15 @@ class TestApplyRejection:
                 threshold=0.5, measure="variance",
             )
 
-    def test_length_mismatch_rejected(self):
-        scores = scores_from_confidence([0.5, 0.6])
-        with pytest.raises(ValueError, match="length"):
-            apply_rejection(
-                scores, np.array([0, 1]), np.array([0]), threshold=0.5
-            )
+    @pytest.mark.parametrize("confidence,labels,message", [
+        ([0.5, 0.6], [0], "predicted and labels must share one length"),
+        ([0.5, 0.6, 0.7], [0, 1], "scores and predictions must share one length"),
+    ], ids=["labels", "scores"])
+    def test_length_mismatch_rejected(self, confidence, labels, message):
+        scores = scores_from_confidence(confidence)
+        with pytest.raises(ValueError) as info:
+            apply_rejection(scores, np.array([0, 1]), np.array(labels), threshold=0.5)
+        assert str(info.value) == message
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(42)

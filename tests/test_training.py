@@ -202,7 +202,10 @@ class TestElboInputChecks:
         ([0, 1], 10, 5, 1, "features must be N x 4, got shape (2, 5)"),
         ([0, 3], 10, 4, 0, "labels must lie in [0, 3)"),
         ([0, 1], 10, 5, 0, "features must be N x 4, got shape (2, 5)"),
-    ], ids=["mc_passes", "label", "n_train", "dim", "label_and_mc", "dim_and_mc"])
+        ([0, 1, 2], 10, 4, 1, "labels must be a vector with one entry per batch row"),
+        ([0.0, 1.0], 10, 4, 1, "labels must be integers"),
+    ], ids=["mc_passes", "label", "n_train", "dim", "label_and_mc", "dim_and_mc",
+            "label_shape", "label_dtype"])
     def test_rejected_with_message(self, objective, labels, n_train, dim, mc_passes, message):
         rng = np.random.default_rng(8)
         layer = random_layer(rng)
@@ -550,6 +553,19 @@ class TestTrainConfig:
     def test_layer_init_config_validation(self):
         with pytest.raises(ValueError):
             LayerInitConfig(prior_scale=0.0)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: TrainConfig(adam_epsilon=0.0), "adam_epsilon must be positive"),
+        (lambda: TrainConfig(seed=-1), "seed must be nonnegative"),
+        (lambda: LayerInitConfig(mu_init_scale=-0.1), "mu_init_scale must be nonnegative"),
+        (lambda: LayerInitConfig(seed=-1), "seed must be nonnegative"),
+        (lambda: adam_step(*[np.zeros(3)] * 4, 0, TrainConfig()),
+         "step_index must be at least 1"),
+    ], ids=["adam_epsilon", "train_seed", "mu_init_scale", "init_seed", "adam_step_index"])
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestTrain:

@@ -113,6 +113,17 @@ class TestInitLayer:
 
 
 class TestLayerValidation:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: VBLinearLayer(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0), np.zeros(0), 1.0),
+         "layer needs at least one class and one feature"),
+        (lambda: init_layer(0, 3), "feature_dim and num_classes must be at least 1"),
+        (lambda: init_layer(3, 2, mu_init_scale=-0.1), "mu_init_scale must be nonnegative"),
+    ], ids=["no_classes", "init_dimensions", "init_mu_scale"])
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             VBLinearLayer(

@@ -213,6 +213,7 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         "huge_float_config.json": '{"threshold": 1' + "0" * 400 + "}",
         "bad_directive.csv": "# classes=x\nf0,label\n0.5,0\n",
         "bad_row.csv": "# classes=2\nf0,label\n0.5,0\nnot_a_number,1\n",
+        "non_finite.csv": "# classes=2\nf0,label\n0.5,0\ninf,1\n",
     }
     for name, text in bad_inputs.items():
         with open(os.path.join(errors, name), "w", encoding="utf-8") as handle:
@@ -269,6 +270,7 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
          evaluate(model, test, "--config", os.path.join(errors, "huge_float_config.json"))),
         ("csv_bad_directive", evaluate(model, os.path.join(errors, "bad_directive.csv"))),
         ("csv_bad_row", evaluate(model, os.path.join(errors, "bad_row.csv"))),
+        ("csv_non_finite_feature", evaluate(model, os.path.join(errors, "non_finite.csv"))),
     ]
 
 
