@@ -1,4 +1,9 @@
-"""Atomic text-file writes: an output file is either complete or absent."""
+"""Atomic file writes: an output file is either complete or absent.
+
+Reports, models and traces are text through ``write_lines`` and
+``write_json``; ``score_posterior`` writes its binary ``samples.npy``
+through ``atomic_write``'s file descriptor.
+"""
 
 from __future__ import annotations
 
@@ -21,7 +26,10 @@ def atomic_write(path):
 
     Writes go to a temporary file in the same directory, so the final
     os.replace is an atomic rename. If the block raises, the temporary file
-    is removed and whatever `path` held before stays untouched.
+    is removed and whatever `path` held before stays untouched. A writer of
+    fixed-size binary records may instead ``os.pwrite`` them at their
+    offsets through ``handle.fileno()``, from any thread, as long as it
+    writes nothing through the handle itself.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"

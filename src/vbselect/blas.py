@@ -1,7 +1,8 @@
 """numpy's bundled OpenBLAS: what it is, and a pin to one thread.
 
 numpy's wheels ship OpenBLAS with a ``scipy_openblas_`` symbol prefix and a
-``64_`` suffix. Its thread-count getter and setter are looked up through
+``64_`` suffix. Its thread-count getter and setter, config string and core
+type are looked up through
 numpy's own extension module, whose dependencies include the library, and
 called with ctypes: threadpoolctl's route, without the dependency. A numpy
 built against another BLAS lacks these symbols; then ``blas_info`` returns
@@ -27,32 +28,37 @@ _saved_threads = 0
 
 @functools.cache
 def _openblas():
-    """(get_threads, set_threads, get_config) of numpy's OpenBLAS, or None."""
+    """(get_threads, set_threads, get_config, get_corename) of numpy's
+    OpenBLAS, or None."""
     try:
         from numpy._core import _multiarray_umath as extension
         library = ctypes.CDLL(extension.__file__)
         get_threads = library.scipy_openblas_get_num_threads64_
         set_threads = library.scipy_openblas_set_num_threads64_
         get_config = library.scipy_openblas_get_config64_
+        get_corename = library.scipy_openblas_get_corename64_
     except (ImportError, OSError, AttributeError):
         return None
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-    return get_threads, set_threads, get_config
+    get_corename.argtypes, get_corename.restype = [], ctypes.c_char_p
+    return get_threads, set_threads, get_config, get_corename
 
 
-def blas_info() -> tuple[str, str, int] | None:
-    """(name, version, thread count) of numpy's OpenBLAS, or None.
+def blas_info() -> tuple[str, str, int, str] | None:
+    """(name, version, thread count, core type) of numpy's OpenBLAS, or None.
 
-    For example ("OpenBLAS", "0.3.31.188.0", 2). None where it is not found.
+    For example ("OpenBLAS", "0.3.31.188.0", 2, "SkylakeX"). The core type
+    is the CPU kernel set a DYNAMIC_ARCH build chose for this host (or that
+    ``OPENBLAS_CORETYPE`` forced). None where the library is not found.
     """
     library = _openblas()
     if library is None:
         return None
-    get_threads, _, get_config = library
+    get_threads, _, get_config, get_corename = library
     name, version = get_config().decode("ascii", "replace").split()[:2]
-    return name, version, get_threads()
+    return name, version, get_threads(), get_corename().decode("ascii", "replace")
 
 
 def usable_cpus() -> int:
@@ -78,7 +84,7 @@ def one_blas_thread():
     if library is None:
         yield False
         return
-    get_threads, set_threads, _ = library
+    get_threads, set_threads = library[:2]
     with _lock:
         if _holders == 0:
             _saved_threads = get_threads()

@@ -11,10 +11,14 @@ Exit codes: 0 success, 1 validation error or a request too large for memory,
 2 I/O error, 3 numerical failure (non-finite values encountered during
 training). Error paths print a single diagnostic line to stderr; success
 paths print nothing there. Every output file is written atomically, so a
-failed command never leaves a half-written one behind.
+failed command never leaves a half-written one behind. A command with
+several outputs (split, train, eval) first removes every one it is about to
+write, and writes last the one a reader opens first (model.json,
+summary.json): after a failure, the outputs left all come from one run.
 
 ``eval`` and ``sweep`` score the posterior with ``score_posterior``, which
-streams row chunks and never builds the N x S x K sample grid.
+streams row chunks and never builds the N x S x K sample grid in memory;
+``eval --save-samples`` has it write that grid to ``samples.npy``.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .dataset import (  # noqa: F401
     stratified_split,
     stratified_split_indices,
 )
-from .atomic import atomic_write, write_json, write_lines
+from .atomic import write_json, write_lines
 from .blas import one_blas_thread
 # predictive_posterior, uncertainty_scores and save_prob_samples_csv are
 # unused here but stay bound: perfbench/tracer.py wraps these names.
@@ -189,7 +193,7 @@ _COMMANDS = {
         _Option("--ece-accepted-only", "ece_accepted_only", "flag", False,
                 "compute calibration over accepted samples only"),
         _Option("--save-samples", "save_samples", "flag", False,
-                "also write the full posterior sample grid"),
+                "also write the full posterior sample grid to samples.npy"),
         _SEED,
         _Option("--out", "out", str, None, "output directory", required=True),
     ]),
@@ -339,6 +343,17 @@ def _config(cls, opts: dict, **values):
     return cls(**{field.name: opts[field.name] for field in fields(cls)} | values)
 
 
+def _remove_outputs(paths) -> None:
+    """Unlink the output paths, given in the order written, last one first.
+
+    So none is left from an earlier run, and if one cannot be removed, the
+    last, whose presence marks a complete set, is already gone.
+    """
+    for path in reversed(paths):
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+
+
 def _cmd_gen(opts: dict) -> int:
     counts = _parse_counts(opts["samples_per_class"], opts["num_classes"])
     config = _config(SyntheticConfig, opts, samples_per_class=counts)
@@ -354,9 +369,10 @@ def _cmd_split(opts: dict) -> int:
     ratios = _config(SplitRatios, opts)
     parts = stratified_split_indices(ds, ratios, seed=role_seed(opts["seed"], "split"))
     os.makedirs(opts["out"], exist_ok=True)
-    for name, part in zip(("train", "val", "test"), parts):
-        lines = csv_preamble(ds) + [rows[i] for i in part.tolist()]
-        write_lines(os.path.join(opts["out"], f"{name}.csv"), lines)
+    paths = [os.path.join(opts["out"], f"{name}.csv") for name in ("train", "val", "test")]
+    _remove_outputs(paths)
+    for path, part in zip(paths, parts):
+        write_lines(path, csv_preamble(ds) + [rows[i] for i in part.tolist()])
     return 0
 
 
@@ -383,8 +399,9 @@ def _cmd_train(opts: dict) -> int:
     init_config = _config(LayerInitConfig, opts, seed=role_seed(opts["seed"], "init"))
     config = _config(TrainConfig, opts, seed=role_seed(opts["seed"], "train"))
     layer, trace = train(train_ds, val_ds, init_config, config)
-    save_layer(layer, opts["model_out"])
+    _remove_outputs([opts["trace_out"], opts["model_out"]])
     save_trace_csv(trace, opts["trace_out"])
+    save_layer(layer, opts["model_out"])
     return 0
 
 
@@ -413,18 +430,23 @@ def _score(layer, ds, opts: dict, samples=None, mutual_info=True):
     )
 
 
+# Every file eval writes into --out, in the order written: summary.json,
+# which a reader opens first, goes last. All are removed before the first
+# write, samples.npy even without --save-samples, so no file is left from
+# an earlier run.
+_EVAL_OUTPUTS = (
+    "samples.npy", "predictions.csv", "histogram.csv", "confusion_all.csv",
+    "confusion_accepted.csv", "calibration.json", "summary.json",
+)
+
+
 def _cmd_eval(opts: dict) -> int:
     layer, ds = _load_eval_inputs(opts)
     out = opts["out"]
     os.makedirs(out, exist_ok=True)
-    # samples.csv fills while the chunks are scored; it replaces any old copy
-    # only once every other report file is written.
-    samples_csv = (
-        atomic_write(os.path.join(out, "samples.csv"))
-        if opts["save_samples"] else contextlib.nullcontext()
-    )
-    with samples_csv as samples:
-        _write_eval_reports(ds, _score(layer, ds, opts, samples), opts)
+    _remove_outputs([os.path.join(out, name) for name in _EVAL_OUTPUTS])
+    samples = os.path.join(out, "samples.npy") if opts["save_samples"] else None
+    _write_eval_reports(ds, _score(layer, ds, opts, samples), opts)
     return 0
 
 

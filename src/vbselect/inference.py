@@ -26,7 +26,9 @@ left-to-right fold of the class columns in numpy's own order
 (``_sum_classes``), and every mean over the S draws keeps the order numpy
 uses on the (N, S, K) grid. While the threads run, numpy's OpenBLAS is held
 at one thread (``blas.one_blas_thread``); where it cannot be, the calling
-thread scores every chunk.
+thread scores every chunk. With ``samples``, the thread that scored a chunk
+also writes that chunk's records into an ``.npy`` file at their own offset,
+so the saved grid takes the same pool path.
 
 ``predictive_posterior``, ``PredictionSet``, ``uncertainty_scores`` and
 ``save_prob_samples_csv`` copy the same chunks into the full grid and match
@@ -36,6 +38,9 @@ only because the benchmark under ``perfbench/`` binds them.
 
 from __future__ import annotations
 
+import io
+import math
+import os
 import threading
 from contextvars import copy_context
 from dataclasses import dataclass
@@ -212,7 +217,13 @@ def _entropy(probs: np.ndarray) -> np.ndarray:
 def _scores(
     mean_probs: np.ndarray, expected_entropy: np.ndarray | None
 ) -> UncertaintyScores:
-    entropy = _entropy(mean_probs)
+    # No entropy over K classes exceeds ln K, but a row within about 1e-11 of
+    # uniform can round one ulp past it; the clamp keeps both entropies, and
+    # so mutual_info, within [0, ln K].
+    log_k = math.log(mean_probs.shape[1])
+    entropy = np.minimum(_entropy(mean_probs), log_k)
+    if expected_entropy is not None:
+        expected_entropy = np.minimum(expected_entropy, log_k)
     return UncertaintyScores(
         confidence=mean_probs.max(axis=1),
         entropy=entropy,
@@ -322,8 +333,7 @@ def _worker_count(chunks: int) -> int:
 
 
 def _score_chunks(
-    layer: VBLinearLayer, features: np.ndarray, mc_samples: int, seed: int,
-    reduce, serial: bool = False,
+    layer: VBLinearLayer, features: np.ndarray, mc_samples: int, seed: int, reduce
 ) -> None:
     """Score every row chunk of the posterior on a pool of threads.
 
@@ -332,8 +342,8 @@ def _score_chunks(
     view of that thread's own buffer, which its next chunk overwrites, so
     reduce must be done with it when it returns. It may write only its own
     chunk's rows of any shared output, so no result depends on the thread
-    count or on which thread took a chunk. Without a pool (`serial`, no BLAS
-    pin, or a worker count of 1) the caller scores the chunks in row order.
+    count or on which thread took a chunk. Without a pool (no BLAS pin, or a
+    worker count of 1) the caller scores the chunks in row order.
 
     Pool threads take chunks in row order under the caller's numpy error
     state. The caller awaits them in row order, so the error raised is the
@@ -359,7 +369,7 @@ def _score_chunks(
     with one_blas_thread() as pinned:
         # Without the pin each thread's gemm would start BLAS threads of its
         # own, and two scoring threads ran slower than one.
-        workers = 1 if serial or not pinned else _worker_count(len(bounds))
+        workers = _worker_count(len(bounds)) if pinned else 1
         if workers == 1:
             for start, stop in bounds:
                 score(start, stop)
@@ -400,6 +410,44 @@ def predictive_posterior(
     )
 
 
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of `data` at `offset` of file descriptor `fd`."""
+    view = memoryview(data).cast("B")
+    while view:  # a write may stop short, e.g. at a file-size limit
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+def _npy_records(fd: int, shape: tuple[int, int, int], reduce):
+    """`reduce` that first writes each chunk's rows into an (N, S, K) .npy file.
+
+    Writes the npy 1.0 header of a C-order '<f8' array of `shape` at offset 0
+    of `fd`. The returned function writes row i, draw s at header + (i·S + s)
+    ·K·8, the layout ``np.load`` reads, then calls reduce(start, probs). Each
+    byte range is written once, so the file does not depend on which thread
+    wrote which chunk, or when.
+    """
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": shape}
+    )
+    _pwrite(fd, header.getvalue(), 0)
+    first, row_bytes = header.tell(), shape[1] * shape[2] * 8
+
+    # Rows go out about 64 KiB at a time, so that each thread's copy in
+    # file order stays small next to its chunk.
+    block = max(1, 2**16 // row_bytes)
+
+    def write(start, probs):
+        for row in range(0, probs.shape[1], block):
+            records = probs[:, row : row + block].transpose(1, 0, 2)
+            records = np.ascontiguousarray(records, dtype="<f8")
+            _pwrite(fd, records, first + (start + row) * row_bytes)
+        reduce(start, probs)
+
+    return write
+
+
 def score_posterior(
     layer: VBLinearLayer, data, mc_samples: int = 20, seed: int = 0, samples=None,
     mutual_info: bool = True,
@@ -408,9 +456,10 @@ def score_posterior(
 
     `data` may be a FeatureDataset or a raw N x D array. Sample s draws its
     weights from ``default_rng([seed, s])``. Memory is O(N·K + threads x
-    chunk). With `samples`, an open text file, the sample grid is also
-    written there chunk by chunk, as `index,sample,p0..p{K-1}` lines in row
-    order. With ``mutual_info=False`` the S per-draw entropies of each row,
+    chunk). With `samples`, a path, the N x S x K grid of sampled
+    probabilities is also committed there as an ``.npy`` file, which
+    ``np.load`` reads back bit for bit; each pool thread writes the chunks it
+    scored. With ``mutual_info=False`` the S per-draw entropies of each row,
     about a quarter of the scoring time, are not taken, and the scores'
     expected_entropy and mutual_info are None.
     """
@@ -423,8 +472,6 @@ def score_posterior(
         rows = probs.shape[1]
         # numpy adds the S axis left to right here as over the grid's axis 1.
         mean_probs[start : start + rows] = probs.mean(axis=0)
-        if samples is not None:
-            _write_sample_rows(samples, start, probs.transpose(1, 0, 2))
         if expected_entropy is None:
             return
         # Per-draw entropies as contiguous (rows, S), so each row's S terms
@@ -437,10 +484,12 @@ def score_posterior(
             entropies[:, first : first + step] = _entropy(probs[first : first + step]).T
         expected_entropy[start : start + rows] = entropies.mean(axis=1)
 
-    if samples is not None:
-        samples.write(_samples_header(k))
-    # Sample text is written in row order, so one thread scores every chunk.
-    _score_chunks(layer, features, mc_samples, seed, reduce, serial=samples is not None)
+    if samples is None:
+        _score_chunks(layer, features, mc_samples, seed, reduce)
+    else:
+        with atomic_write(samples) as handle:
+            write = _npy_records(handle.fileno(), (n, mc_samples, k), reduce)
+            _score_chunks(layer, features, mc_samples, seed, write)
     return PosteriorSummary(
         mean_probs=mean_probs,
         predicted=np.argmax(mean_probs, axis=1),
@@ -474,28 +523,21 @@ def save_predictions_csv(pred, scores: UncertaintyScores, labels, path: str) -> 
     write_lines(path, lines)
 
 
-def _samples_header(num_classes: int) -> str:
-    return "index,sample," + ",".join(f"p{j}" for j in range(num_classes)) + "\n"
-
-
-def _write_sample_rows(handle, start: int, probs: np.ndarray) -> None:
-    """Write one `index,sample,p0..p{K-1}` line per (row, sample) of a block."""
-    # About 64k values, some 1.3 MB of text, per write: a whole chunk's lines
-    # and the Python objects behind them take several times the chunk's own
-    # bytes, and the process keeps that memory after they are freed.
-    step = max(1, 2**16 // (probs.shape[1] * probs.shape[2]))
-    for first in range(0, probs.shape[0], step):
-        lines = []
-        for i, row in enumerate(probs[first : first + step].tolist(), start + first):
-            for s, values in enumerate(row):
-                lines.append(f"{i},{s}," + ",".join(map(repr, values)) + "\n")
-        handle.write("".join(lines))
-
-
 def save_prob_samples_csv(pred: PredictionSet, path: str) -> None:
-    """Write the full posterior sample grid: `index,sample,p0..p{K-1}`."""
+    """Write the full posterior sample grid as text: `index,sample,p0..p{K-1}`.
+
+    One line per (row, sample), each probability at ``repr`` precision.
+    """
     n, s, k = pred.prob_samples.shape
+    # About 64k values, some 1.3 MB of text, per write: a whole grid's lines
+    # and the Python objects behind them take several times its own bytes,
+    # and the process keeps that memory after they are freed.
+    step = max(1, 2**16 // (s * k))
     with atomic_write(path) as handle:
-        handle.write(_samples_header(k))
-        for start, stop in _chunk_bounds(n, s, k):
-            _write_sample_rows(handle, start, pred.prob_samples[start:stop])
+        handle.write("index,sample," + ",".join(f"p{j}" for j in range(k)) + "\n")
+        for first in range(0, n, step):
+            lines = []
+            for i, row in enumerate(pred.prob_samples[first : first + step].tolist(), first):
+                for sample, values in enumerate(row):
+                    lines.append(f"{i},{sample}," + ",".join(map(repr, values)) + "\n")
+            handle.write("".join(lines))

@@ -401,15 +401,11 @@ def test_criterion_9_uncertainty_bounds():
             layer, rows, mc_samples=s, seed=int(rng.integers(2**32))
         ).scores
         log_k = math.log(k)
-        # Float rounding can put the entropy of a row within ~1e-11 of
-        # uniform an ulp past ln K (one case here reads ln 2 + 1.1e-16), and
-        # nothing clamps it yet, so that one bound allows four ulps.
-        entropy_cap = log_k * (1 + 4 * np.finfo(float).eps)
         ok = (
             np.all(scores.confidence >= 1.0 / k)
             and np.all(scores.confidence <= 1.0)
             and np.all(scores.entropy >= 0.0)
-            and np.all(scores.entropy <= entropy_cap)
+            and np.all(scores.entropy <= log_k)
             and np.all(scores.expected_entropy >= 0.0)
             and np.all(scores.expected_entropy <= log_k)
             and np.all(scores.mutual_info >= 0.0)

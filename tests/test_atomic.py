@@ -12,7 +12,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "vbselect"
 
 # The writers that stream a file too large to build in memory, by
 # (module, enclosing function); they open atomic_write directly.
-STREAMING_WRITERS = {("cli.py", "_cmd_eval"), ("inference.py", "save_prob_samples_csv")}
+STREAMING_WRITERS = {
+    ("inference.py", "score_posterior"), ("inference.py", "save_prob_samples_csv"),
+}
 
 
 def test_write_lines_layout(tmp_path):

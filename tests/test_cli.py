@@ -6,6 +6,7 @@ stdout, and stderr can be asserted exactly; subprocess tests cover the
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -84,6 +85,53 @@ def write_overflow_csv(pipeline, tmp_path, row):
     path = os.path.join(tmp_path, "overflow.csv")
     save_csv(FeatureDataset(features, val.labels, val.num_classes), path)
     return path
+
+
+def assert_failed_rerun_leaves_one_runs_outputs(capsys, monkeypatch, tmp_path,
+                                                argv_of, last, how):
+    """Fail each output of a second run in turn; what is left is one run's.
+
+    argv_of(run, out) is the command line of run 0 or run 1 (another seed or
+    threshold) writing into the directory out, where it writes nothing else.
+    Run 1 fails on its k-th output, where a directory stands (`how` is
+    "directory") or whose commit fails for want of space ("replace"). Every
+    file left must then equal the same run's copy, and `last`, the file the
+    command writes last, must be absent.
+    """
+    copies = []
+    for run in (0, 1):
+        out = os.path.join(tmp_path, f"run{run}")
+        os.mkdir(out)
+        assert_clean_success(*run_cli(capsys, argv_of(run, out))[::2])
+        copies.append({name: read_bytes(os.path.join(out, name))
+                       for name in os.listdir(out)})
+    assert copies[0].keys() == copies[1].keys() and last in copies[0]
+    real_replace = os.replace
+    for k, name in enumerate(sorted(copies[0])):
+        out = os.path.join(tmp_path, f"fail{k}")
+        os.mkdir(out)
+        assert_clean_success(*run_cli(capsys, argv_of(0, out))[::2])
+        target = os.path.join(out, name)
+        with monkeypatch.context() as patch:
+            if how == "directory":
+                os.unlink(target)
+                os.mkdir(target)
+            else:
+                def replace(src, dst):
+                    if os.fspath(dst) == target:
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+                    real_replace(src, dst)
+
+                patch.setattr(os, "replace", replace)
+            code, _, err = run_cli(capsys, argv_of(1, out))
+        assert_single_line_error(code, err, 2)
+        left = {entry: read_bytes(os.path.join(out, entry))
+                for entry in os.listdir(out) if os.path.isfile(os.path.join(out, entry))}
+        runs = {0, 1}
+        for entry, data in left.items():
+            runs &= {run for run in (0, 1) if copies[run].get(entry) == data}
+        assert runs, f"failing {name}: {sorted(left)} mix two runs"
+        assert last not in left
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +518,17 @@ class TestSplit:
         ])
         assert_single_line_error(code, err, 2)
 
+    @pytest.mark.parametrize("how", ["directory", "replace"])
+    def test_failed_rerun_leaves_one_runs_outputs(
+        self, capsys, monkeypatch, pipeline, tmp_path, how
+    ):
+        def argv_of(run, out):
+            return ["split", "--in", pipeline["data"], "--seed", str(run), "--out", out]
+
+        assert_failed_rerun_leaves_one_runs_outputs(
+            capsys, monkeypatch, tmp_path, argv_of, "test.csv", how
+        )
+
 
 class TestBalance:
     @pytest.fixture()
@@ -674,6 +733,22 @@ class TestTrain:
         assert read_bytes(model) == read_bytes(pipeline["model"])
         assert read_bytes(trace) == read_bytes(pipeline["trace"])
 
+    @pytest.mark.parametrize("how", ["directory", "replace"])
+    def test_failed_rerun_leaves_one_runs_outputs(
+        self, capsys, monkeypatch, pipeline, tmp_path, how
+    ):
+        def argv_of(run, out):
+            return [
+                "train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+                "--val", pipeline["val"], "--epochs", "2", "--seed", str(run),
+                "--model-out", os.path.join(out, "model.json"),
+                "--trace-out", os.path.join(out, "trace.csv"),
+            ]
+
+        assert_failed_rerun_leaves_one_runs_outputs(
+            capsys, monkeypatch, tmp_path, argv_of, "model.json", how
+        )
+
     def test_dim_mismatch_rejected(self, capsys, pipeline, tmp_path):
         other = os.path.join(tmp_path, "other.csv")
         run_cli(capsys, [
@@ -866,11 +941,15 @@ class TestEval:
         out = os.path.join(tmp_path, "eval")
         code, _, err = self.run_eval(capsys, pipeline, out, ["--save-samples"])
         assert_clean_success(code, err)
-        path = os.path.join(out, "samples.csv")
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        assert lines[0] == "index,sample,p0,p1,p2"
-        assert len(lines) == 1 + 36 * 20
+        grid = np.load(os.path.join(out, "samples.npy"))
+        assert grid.shape == (36, 20, 3) and grid.dtype == np.float64
+        layer, ds = load_layer(pipeline["model"]), load_csv(pipeline["val"])
+        seed = role_seed(7, "inference")
+        expected = inference.predictive_posterior(layer, ds, 20, seed=seed).prob_samples
+        assert grid.tobytes() == expected.tobytes()
+        mean_probs = inference.score_posterior(layer, ds, 20, seed=seed).mean_probs
+        assert grid.mean(axis=1).tobytes() == mean_probs.tobytes()
+        assert "samples.csv" not in os.listdir(out)
 
     def test_failed_chunk_leaves_no_partial_report(
         self, capsys, pipeline, tmp_path, monkeypatch
@@ -882,18 +961,15 @@ class TestEval:
         # by _check_probs, which only guards caller-supplied grids.
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 20 * 3 * 8)
         data = write_overflow_csv(pipeline, tmp_path, 5)
-        calls = {"check": 0, "write": 0}
-        real_write = inference._write_sample_rows
+        checks, offsets = [], []
+        real_pwrite = inference._pwrite
 
-        def counting_check(probs):
-            calls["check"] += 1
+        def recording_pwrite(fd, data, offset):
+            offsets.append(offset)
+            real_pwrite(fd, data, offset)
 
-        def counting_write(handle, start, probs):
-            calls["write"] += 1
-            real_write(handle, start, probs)
-
-        monkeypatch.setattr(inference, "_check_probs", counting_check)
-        monkeypatch.setattr(inference, "_write_sample_rows", counting_write)
+        monkeypatch.setattr(inference, "_check_probs", checks.append)
+        monkeypatch.setattr(inference, "_pwrite", recording_pwrite)
         out = os.path.join(tmp_path, "eval")
         code, _, err = run_cli(capsys, [
             "eval", "--model", pipeline["model"], "--data", data,
@@ -901,8 +977,29 @@ class TestEval:
         ])
         assert_single_line_error(code, err, 1)
         assert "data row 5: logits are not finite under posterior draw 0" in err
-        assert calls == {"check": 0, "write": 1}
+        assert checks == []
+        # The header and chunk 0's records were written; the failing chunk's
+        # never were. Chunks after it may have been, by another thread. The
+        # npy header of a (36, 20, 3) array takes 128 bytes.
+        header, chunk = 128, 4 * 20 * 3 * 8
+        assert offsets[0] == 0 and header in offsets
+        assert header + chunk not in offsets
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("how", ["directory", "replace"])
+    def test_failed_rerun_leaves_one_runs_outputs(
+        self, capsys, monkeypatch, pipeline, tmp_path, how
+    ):
+        def argv_of(run, out):
+            return [
+                "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+                "--threshold", ("0.7", "0.9")[run], "--seed", str(run),
+                "--save-samples", "--out", out,
+            ]
+
+        assert_failed_rerun_leaves_one_runs_outputs(
+            capsys, monkeypatch, tmp_path, argv_of, "summary.json", how
+        )
 
     def test_accepted_only_ece(self, capsys, pipeline, tmp_path):
         out = os.path.join(tmp_path, "eval")

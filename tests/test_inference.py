@@ -76,7 +76,8 @@ def full_grid_reference(layer, features, mc_samples, seed):
 
     Fills the whole N x S x K grid with one full-batch product per draw,
     then reduces it: the engine must reproduce every result bit for bit.
-    Returns (grid, mean_probs, scores dict, samples.csv text).
+    Both entropies are clamped at ln K. Returns (grid, mean_probs, scores
+    dict).
     """
     n = features.shape[0]
     grid = np.zeros((n, mc_samples, layer.num_classes))
@@ -91,20 +92,34 @@ def full_grid_reference(layer, features, mc_samples, seed):
         terms[mask] = p[mask] * np.log(p[mask])
         return -terms.sum(axis=axis)
 
-    total = entropy(mean, -1)
-    expected = entropy(grid, 2).mean(axis=1)
+    log_k = math.log(layer.num_classes)
+    total = np.minimum(entropy(mean, -1), log_k)
+    expected = np.minimum(entropy(grid, 2).mean(axis=1), log_k)
     scores = {
         "confidence": mean.max(axis=1),
         "entropy": total,
         "expected_entropy": expected,
         "mutual_info": np.maximum(0.0, total - expected),
     }
-    lines = ["index,sample," + ",".join(f"p{j}" for j in range(layer.num_classes))]
+    return grid, mean, scores
+
+
+def npy_bytes(grid):
+    """What np.save writes for `grid`: the bytes samples.npy must hold."""
+    handle = io.BytesIO()
+    np.save(handle, grid)
+    return handle.getvalue()
+
+
+def samples_csv_text(grid):
+    """save_prob_samples_csv's text for `grid`, one line per (row, sample)."""
+    n, s, k = grid.shape
+    lines = ["index,sample," + ",".join(f"p{j}" for j in range(k))]
     for i in range(n):
-        for s in range(mc_samples):
-            values = ",".join(repr(float(v)) for v in grid[i, s])
-            lines.append(f"{i},{s},{values}")
-    return grid, mean, scores, "\n".join(lines) + "\n"
+        for t in range(s):
+            values = ",".join(repr(float(v)) for v in grid[i, t])
+            lines.append(f"{i},{t},{values}")
+    return "\n".join(lines) + "\n"
 
 
 def assert_same_bits(actual, expected):
@@ -393,6 +408,20 @@ class TestUncertaintyScores:
             assert np.all(scores.mutual_info >= 0.0)
             assert np.all(scores.entropy + 1e-9 >= scores.expected_entropy)
 
+    @pytest.mark.parametrize("row", [
+        ["0x1.ffffffffed3c1p-2", "0x1.000000000961fp-1"],
+        ["0x1.000000000961fp-1", "0x1.ffffffffed3c1p-2"],
+    ], ids=["low_first", "high_first"])
+    def test_entropies_clamped_at_log_k(self, row):
+        # p = 0.5 -/+ 4.3e-12, a mean that 10^4 random heads produced: its
+        # entropy rounds to one ulp above ln 2 before the clamp.
+        probs = np.array([[[float.fromhex(p) for p in row]]])
+        assert inference._entropy(probs)[0, 0] > math.log(2)
+        scores = uncertainty_scores(make_prediction_set(probs))
+        assert scores.entropy[0] == math.log(2)
+        assert scores.expected_entropy[0] == math.log(2)
+        assert scores.mutual_info[0] == 0.0
+
     def test_mutual_info_clamped_at_zero(self):
         # All samples identical: entropy == expected_entropy up to rounding,
         # and the clamp must never let round-off go negative.
@@ -491,15 +520,16 @@ CHUNK_ROWS = 4
 
 def assert_engine_matches_reference(layer, features, s, tmp_path):
     """score_posterior and predictive_posterior equal full_grid_reference."""
-    grid, mean, scores, samples_text = full_grid_reference(layer, features, s, seed=11)
+    grid, mean, scores = full_grid_reference(layer, features, s, seed=11)
 
-    handle = io.StringIO()
-    streamed = score_posterior(layer, features, s, seed=11, samples=handle)
+    samples = tmp_path / "samples.npy"
+    streamed = score_posterior(layer, features, s, seed=11, samples=samples)
     assert_same_bits(streamed.mean_probs, mean)
     assert_same_bits(streamed.predicted, np.argmax(mean, axis=1))
     for name, expected in scores.items():
         assert_same_bits(getattr(streamed.scores, name), expected)
-    assert handle.getvalue() == samples_text
+    assert samples.read_bytes() == npy_bytes(grid)
+    assert_same_bits(np.load(samples), grid)
 
     pred = predictive_posterior(layer, features, s, seed=11)
     assert_same_bits(pred.prob_samples, grid)
@@ -509,7 +539,7 @@ def assert_engine_matches_reference(layer, features, s, tmp_path):
     path = os.path.join(tmp_path, "samples.csv")
     save_prob_samples_csv(pred, path)
     with open(path, encoding="utf-8", newline="") as f:
-        assert f.read() == samples_text
+        assert f.read() == samples_csv_text(grid)
 
 
 class TestStreamingEngine:
@@ -644,15 +674,15 @@ class TestWithoutMutualInfo:
     """score_posterior(..., mutual_info=False) skips the per-draw entropies."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_other_outputs_equal_the_default_call(self, monkeypatch, workers):
+    def test_other_outputs_equal_the_default_call(self, monkeypatch, tmp_path, workers):
         n, s, k = 5 * CHUNK_ROWS + 1, 17, 5
         monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
         use_workers(monkeypatch, workers)
         layer = init_layer(7, k, rho_init=-1.0, seed=3)
         features = 3.0 * np.random.default_rng(3).standard_normal((n, 7))
-        full = score_posterior(layer, features, s, seed=3)
-        # Without samples the chunks go to the pool, with them to one thread.
-        for samples in (None, io.StringIO()):
+        full_samples, lean_samples = tmp_path / "full.npy", tmp_path / "lean.npy"
+        full = score_posterior(layer, features, s, seed=3, samples=full_samples)
+        for samples in (None, lean_samples):
             lean = score_posterior(
                 layer, features, s, seed=3, samples=samples, mutual_info=False
             )
@@ -662,9 +692,8 @@ class TestWithoutMutualInfo:
             assert_same_bits(lean.scores.entropy, full.scores.entropy)
             assert lean.scores.expected_entropy is None
             assert lean.scores.mutual_info is None
-        text = io.StringIO()
-        score_posterior(layer, features, s, seed=3, samples=text)
-        assert samples.getvalue() == text.getvalue()
+        assert lean_samples.read_bytes() == full_samples.read_bytes()
+        assert_same_bits(np.load(full_samples).mean(axis=1), full.mean_probs)
 
     def test_predictions_csv_rejects_the_scores_in_one_line(self, tmp_path):
         layer = init_layer(4, 3, rho_init=-1.0, seed=0)
@@ -691,19 +720,18 @@ class TestWithoutMutualInfo:
         assert peaks[False] <= peaks[True]
 
 
-def engine_outputs(layer, features, s, seed=11):
-    """score_posterior's arrays with and without samples text, the text, and
-    predictive_posterior's grid."""
-    handle = io.StringIO()
+def engine_outputs(layer, features, s, samples, seed=11):
+    """predictive_posterior's grid, score_posterior's arrays without and with
+    a samples file, and that file's bytes; `samples` is its path."""
     results = [predictive_posterior(layer, features, s, seed=seed).prob_samples]
-    for samples in (None, handle):
-        streamed = score_posterior(layer, features, s, seed=seed, samples=samples)
+    for path in (None, samples):
+        streamed = score_posterior(layer, features, s, seed=seed, samples=path)
         results += [streamed.mean_probs, streamed.predicted]
         results += [
             getattr(streamed.scores, name)
             for name in ("confidence", "entropy", "expected_entropy", "mutual_info")
         ]
-    return results, handle.getvalue()
+    return results, samples.read_bytes()
 
 
 def use_workers(monkeypatch, workers):
@@ -737,7 +765,9 @@ class TestChunkPool:
         CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS,
         3 * CHUNK_ROWS + 1, 5 * CHUNK_ROWS + 2,
     ])
-    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch, n, k, d):
+    def test_outputs_do_not_depend_on_the_worker_count(
+        self, monkeypatch, tmp_path, n, k, d
+    ):
         s = 9
         monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
         layer = init_layer(d, k, rho_init=-1.0, seed=n)
@@ -745,29 +775,32 @@ class TestChunkPool:
         outputs = {}
         for workers in (1, 2, 3):
             use_workers(monkeypatch, workers)
-            outputs[workers] = engine_outputs(layer, features, s)
+            outputs[workers] = engine_outputs(
+                layer, features, s, tmp_path / f"samples_{workers}.npy"
+            )
         arrays, text = outputs[1]
-        assert text.count("\n") == 1 + n * s
+        assert text == npy_bytes(arrays[0])
         for workers in (2, 3):
             for got, expected in zip(outputs[workers][0], arrays):
                 assert_same_bits(got, expected)
             assert outputs[workers][1] == text
 
-    def test_many_threads_and_short_switches_keep_the_bits(self, monkeypatch):
+    def test_many_threads_and_short_switches_keep_the_bits(self, monkeypatch, tmp_path):
         # More threads than cores, switching every microsecond: a lost
-        # update or a chunk scored twice would show.
+        # update, a chunk scored twice or a record at a wrong offset would
+        # show.
         n, s, k = 40 * CHUNK_ROWS + 3, 5, 3
         monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
         layer = init_layer(6, k, rho_init=-1.0, seed=3)
         features = np.random.default_rng(3).standard_normal((n, 6))
         use_workers(monkeypatch, 1)
-        arrays, text = engine_outputs(layer, features, s)
+        arrays, text = engine_outputs(layer, features, s, tmp_path / "one.npy")
         use_workers(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                got, got_text = engine_outputs(layer, features, s)
+                got, got_text = engine_outputs(layer, features, s, tmp_path / "eight.npy")
                 for a, b in zip(got, arrays):
                     assert_same_bits(a, b)
                 assert got_text == text
@@ -827,18 +860,69 @@ class TestChunkPool:
         assert sorted(scored)[:2] == [0, CHUNK_ROWS]
         assert len(scored) <= 2 + workers
 
-    def test_sample_text_is_written_by_the_caller_in_row_order(self, monkeypatch):
+    def test_samples_file_is_written_out_of_order_by_the_pool(
+        self, monkeypatch, tmp_path
+    ):
+        # Chunk 0's thread waits until another thread has written a later
+        # chunk's records, so the file is filled out of row order; it must
+        # still equal the one a single thread writes in row order.
         n, s, k = 6 * CHUNK_ROWS, 3, 3
         monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
-        use_workers(monkeypatch, 2)
         layer = init_layer(4, k, seed=0)
         features = np.random.default_rng(0).standard_normal((n, 4))
-        scored = []
-        wrap_kernel(monkeypatch, lambda start: scored.append((threading.get_ident(), start)))
-        score_posterior(layer, features, s, seed=0, samples=io.StringIO())
-        assert scored == [
-            (threading.get_ident(), start) for start in range(0, n, CHUNK_ROWS)
+        use_workers(monkeypatch, 1)
+        serial = tmp_path / "one.npy"
+        score_posterior(layer, features, s, seed=0, samples=serial)
+
+        header = len(serial.read_bytes()) - n * s * k * 8
+        real_pwrite, offsets, later = inference._pwrite, [], threading.Event()
+
+        def pwrite(fd, data, offset):
+            real_pwrite(fd, data, offset)
+            offsets.append(offset)
+            if offset > header:
+                later.set()
+
+        waited, scored = [], []
+
+        def before(start):
+            scored.append(threading.get_ident())
+            if start == 0:
+                waited.append(later.wait(timeout=10))
+
+        monkeypatch.setattr(inference, "_pwrite", pwrite)
+        wrap_kernel(monkeypatch, before)
+        use_workers(monkeypatch, 2)
+        pooled = tmp_path / "two.npy"
+        score_posterior(layer, features, s, seed=0, samples=pooled)
+        assert waited == [True]
+        assert threading.get_ident() not in scored
+        assert len(set(scored)) == 2
+        assert offsets[0] == 0 and offsets[1] > header
+        assert sorted(offsets) == [0] + [
+            header + start * s * k * 8 for start in range(0, n, CHUNK_ROWS)
         ]
+        assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_samples_file_takes_several_writes_per_chunk(self, monkeypatch, tmp_path):
+        # Rows of 20 000 bytes go out three at a time (about 64 KiB), so the
+        # 10-, 10- and 5-row chunks take 4, 4 and 2 writes after the header.
+        n, s, k = 25, 100, 25
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", 10 * s * k * 8)
+        use_workers(monkeypatch, 2)
+        real_pwrite, offsets = inference._pwrite, []
+
+        def pwrite(fd, data, offset):
+            offsets.append(offset)
+            real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(inference, "_pwrite", pwrite)
+        layer = init_layer(4, k, rho_init=-1.0, seed=5)
+        features = np.random.default_rng(5).standard_normal((n, 4))
+        assert_engine_matches_reference(layer, features, s, tmp_path)
+        header = len(npy_bytes(np.zeros((n, s, k)))) - n * s * k * 8
+        rows = [0, 3, 6, 9, 10, 13, 16, 19, 20, 23]
+        assert sorted(offsets) == [0] + [header + row * s * k * 8 for row in rows]
 
     @pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS not found")
     def test_blas_thread_count_is_pinned_then_restored(self, monkeypatch):

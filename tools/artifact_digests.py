@@ -10,10 +10,13 @@ prints one ``sha256  path`` line per file written, with paths relative to
 OUT_DIR, sorted. Two checkouts whose outputs match byte for byte print the
 same lines, so a change meant to keep every artifact can be checked with
 ``diff`` on the two listings. A leading ``#`` line names the numpy version
-and numpy's BLAS with its version and thread count
-(``vbselect.blas.blas_info``): the build the digests hold for. The thread
-count is the caller's; every command runs with BLAS held at one thread, so
-no digest depends on it.
+with the highest CPU dispatch target numpy enabled on this host (e.g.
+``AVX512_SPR``; ``NPY_DISABLE_CPU_FEATURES`` lowers it), and numpy's BLAS
+with its version, core type and thread count (``vbselect.blas.blas_info``;
+``OPENBLAS_CORETYPE`` forces the core type): the build and CPU kernels the
+digests hold for. Two listings from different kernels differ in some float
+digests, and this line shows why. The thread count is the caller's; every
+command runs with BLAS held at one thread, so no digest depends on it.
 
 After the digests it runs a fixed list of commands that must fail (see
 ``_error_cases``), with inputs written under ``OUT_DIR/errors/``, and prints
@@ -274,6 +277,16 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
     ]
 
 
+def _numpy_dispatch() -> str:
+    """The highest of numpy's CPU dispatch targets enabled on this host."""
+    try:
+        from numpy._core import _multiarray_umath as extension
+        targets, enabled = extension.__cpu_dispatch__, extension.__cpu_features__
+    except (ImportError, AttributeError):
+        return "unknown"
+    return next((t for t in reversed(targets) if enabled.get(t)), "baseline")
+
+
 def _run(command: list[str]) -> tuple[int, str]:
     """(exit code, stderr) of one in-process CLI run; stdout is discarded."""
     stderr = io.StringIO()
@@ -309,8 +322,9 @@ def main(argv: list[str]) -> int:
         print(f"error: {out} already exists", file=sys.stderr)
         return 2
     info = blas_info()
-    blas = "BLAS not found" if info is None else "%s %s, BLAS threads %d" % info
-    print(f"# numpy {np.__version__}, {blas}")
+    blas = ("BLAS not found" if info is None
+            else "%s %s, BLAS threads %d, core %s" % info)
+    print(f"# numpy {np.__version__}, CPU dispatch {_numpy_dispatch()}, {blas}")
     for directory in ("readme", "wide", "hand", "paper"):
         os.makedirs(os.path.join(out, directory))
     _write_hand_written_csv(os.path.join(out, "hand", "data.csv"))
