@@ -27,13 +27,12 @@ train_ds, val_ds, test_ds = stratified_split(ds, SplitRatios(0.7, 0.15, 0.15), s
 layer, _ = train(train_ds, val_ds,
                  LayerInitConfig(seed=2), TrainConfig(epochs=20, seed=2))
 
-preds = score_posterior(layer, test_ds.features, mc_samples=20, seed=2)
-scores = preds.scores
-correct = preds.predicted == test_ds.labels
+posterior = score_posterior(layer, test_ds.features, mc_samples=20, seed=2)
+correct = posterior.predicted == test_ds.labels
 
 # ECE: bin confidences into 15 equal-width bins on [0,1], then take the
 # weighted mean of |bin accuracy - bin mean confidence|.
-report = ece(scores.confidence, correct, num_bins=15)
+report = ece(posterior.confidence, correct, num_bins=15)
 print("ECE(15 bins):", round(report.ece, 4))
 
 print(f"\n{'bin':>11} {'count':>6} {'accuracy':>9} {'confidence':>11} {'gap':>8}")
@@ -48,16 +47,15 @@ for b in report.bins:
 
 # Rejection trims the low-confidence tail, which typically leaves the
 # surviving confidences closer to their empirical accuracy.
-rej = apply_rejection(scores, preds.predicted, test_ds.labels,
-                      threshold=0.7, measure="confidence")
-acc_ece = ece(scores.confidence[rej.accepted_mask], correct[rej.accepted_mask],
+rej = apply_rejection(posterior, test_ds.labels, threshold=0.7, measure="confidence")
+acc_ece = ece(posterior.confidence[rej.accepted_mask], correct[rej.accepted_mask],
               num_bins=15)
 print("\nECE all examples:     ", round(report.ece, 4))
 print("ECE accepted subset:  ", round(acc_ece.ece, 4))
 
 #%% where the mass sits relative to the threshold
 
-hist = confidence_histogram(scores.confidence, num_bins=20, threshold=0.7)
+hist = confidence_histogram(posterior.confidence, num_bins=20, threshold=0.7)
 total = int(np.sum(hist.counts))
 print("\nconfidence histogram (20 bins, * = 2 examples):")
 for lo, hi, n in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):

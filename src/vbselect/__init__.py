@@ -29,7 +29,6 @@ from .dataset import (
 )
 from .inference import (
     PosteriorSummary,
-    UncertaintyScores,
     save_predictions_csv,
     score_posterior,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "smote_oversample",
     "stratified_split",
     "PosteriorSummary",
-    "UncertaintyScores",
     "save_predictions_csv",
     "score_posterior",
     "RejectionCurve",

@@ -53,6 +53,12 @@ def _validate_confidences(confidences) -> np.ndarray:
     return conf
 
 
+def check_num_bins(num_bins: int) -> None:
+    """The one rule on a bin count: at least 1."""
+    if num_bins < 1:
+        raise ValueError("num_bins must be at least 1")
+
+
 def _bin_edges(num_bins: int) -> np.ndarray:
     # b / num_bins reproduces the float arithmetic of the interval definition;
     # linspace would round differently at some edges.
@@ -74,8 +80,7 @@ def ece(confidences, correctness, num_bins: int = 15) -> CalibrationReport:
     correct = np.asarray(correctness, dtype=bool)
     if correct.shape != conf.shape:
         raise ValueError("correctness must have the same length as confidences")
-    if num_bins < 1:
-        raise ValueError("num_bins must be at least 1")
+    check_num_bins(num_bins)
 
     edges = _bin_edges(num_bins)
     idx = _bin_indices(conf, edges, num_bins)
@@ -104,8 +109,7 @@ def confidence_histogram(
     """Counts per equal-width bin, with the rejection threshold carried along
     so downstream plotting can mark it."""
     conf = _validate_confidences(confidences)
-    if num_bins < 1:
-        raise ValueError("num_bins must be at least 1")
+    check_num_bins(num_bins)
     edges = _bin_edges(num_bins)
     idx = _bin_indices(conf, edges, num_bins)
     counts = np.bincount(idx, minlength=num_bins)

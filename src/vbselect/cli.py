@@ -18,7 +18,9 @@ summary.json): after a failure, the outputs left all come from one run.
 
 ``eval`` and ``sweep`` score the posterior with ``score_posterior``, which
 streams row chunks and never builds the N x S x K sample grid in memory;
-``eval --save-samples`` has it write that grid to ``samples.npy``.
+``eval --save-samples`` has it write that grid to ``samples.npy``. Both
+check their option values (sample count, threshold or grid, bin count) with
+the library's own rules before they read a file.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    check_num_bins,
     confidence_histogram,
     ece,
     save_calibration_json,
@@ -57,6 +60,7 @@ from .blas import one_blas_thread
 # predictive_posterior, uncertainty_scores and save_prob_samples_csv are
 # unused here but stay bound: perfbench/tracer.py wraps these names.
 from .inference import (  # noqa: F401
+    check_mc_samples,
     predictive_posterior,
     save_predictions_csv,
     save_prob_samples_csv,
@@ -66,6 +70,8 @@ from .inference import (  # noqa: F401
 from .selection import (
     MEASURES,
     apply_rejection,
+    check_grid,
+    check_threshold,
     confusion_matrix,
     save_confusion_csv,
     save_curve_csv,
@@ -441,6 +447,10 @@ _EVAL_OUTPUTS = (
 
 
 def _cmd_eval(opts: dict) -> int:
+    # Option values first, so that a bad one costs no parse, scoring or write.
+    check_mc_samples(opts["mc_samples"])
+    check_threshold(opts["threshold"], opts["measure"])
+    check_num_bins(opts["ece_bins"])
     layer, ds = _load_eval_inputs(opts)
     out = opts["out"]
     os.makedirs(out, exist_ok=True)
@@ -450,34 +460,30 @@ def _cmd_eval(opts: dict) -> int:
     return 0
 
 
-def _write_eval_reports(ds, pred, opts: dict) -> None:
-    scores = pred.scores
+def _write_eval_reports(ds, posterior, opts: dict) -> None:
     report = apply_rejection(
-        scores, pred.predicted, ds.labels, opts["threshold"], measure=opts["measure"]
+        posterior, ds.labels, opts["threshold"], measure=opts["measure"]
     )
-    correctness = pred.predicted == ds.labels
+    confidence = posterior.confidence
+    correctness = posterior.predicted == ds.labels
     if opts["ece_accepted_only"]:
         if report.accepted_count == 0:
             raise ValueError(
                 "no samples accepted: accepted-only calibration is undefined"
             )
         mask = report.accepted_mask
-        calibration = ece(
-            scores.confidence[mask], correctness[mask], opts["ece_bins"]
-        )
+        calibration = ece(confidence[mask], correctness[mask], opts["ece_bins"])
     else:
-        calibration = ece(scores.confidence, correctness, opts["ece_bins"])
+        calibration = ece(confidence, correctness, opts["ece_bins"])
     # The marker is a point on the confidence axis: only a confidence gate has one.
     marker = opts["threshold"] if opts["measure"] == "confidence" else None
-    histogram = confidence_histogram(scores.confidence, num_bins=20, threshold=marker)
+    histogram = confidence_histogram(confidence, num_bins=20, threshold=marker)
     out = opts["out"]
-    save_predictions_csv(
-        pred, scores, ds.labels, os.path.join(out, "predictions.csv")
-    )
+    save_predictions_csv(posterior, ds.labels, os.path.join(out, "predictions.csv"))
     save_histogram_csv(histogram, os.path.join(out, "histogram.csv"))
     for name, mask in (("all", np.ones(ds.n_samples, dtype=bool)),
                        ("accepted", report.accepted_mask)):
-        matrix = confusion_matrix(pred.predicted, ds.labels, mask, ds.num_classes)
+        matrix = confusion_matrix(posterior.predicted, ds.labels, mask, ds.num_classes)
         save_confusion_csv(matrix, os.path.join(out, f"confusion_{name}.csv"))
     save_calibration_json(calibration, os.path.join(out, "calibration.json"))
     summary = {
@@ -497,13 +503,13 @@ def _write_eval_reports(ds, pred, opts: dict) -> None:
 
 
 def _cmd_sweep(opts: dict) -> int:
+    # Option values first, as in eval.
+    check_mc_samples(opts["mc_samples"])
+    grid = check_grid(_parse_grid(opts["grid"]), opts["measure"])
     layer, ds = _load_eval_inputs(opts)
     # Only a mutual_info gate reads the per-draw entropies.
-    pred = _score(layer, ds, opts, mutual_info=opts["measure"] == "mutual_info")
-    curve = threshold_sweep(
-        pred.scores, pred.predicted, ds.labels, grid=_parse_grid(opts["grid"]),
-        measure=opts["measure"],
-    )
+    posterior = _score(layer, ds, opts, mutual_info=opts["measure"] == "mutual_info")
+    curve = threshold_sweep(posterior, ds.labels, grid=grid, measure=opts["measure"])
     save_curve_csv(curve, opts["out"])
     return 0
 

@@ -15,6 +15,10 @@ Sample s always draws from ``default_rng([seed, s])``, so runs with a larger
 S extend a smaller run sample-for-sample and samples can be computed in any
 order (or in parallel) without changing results.
 
+The per-row results, mean_probs, predicted and the four scores, make one
+``PosteriorSummary``. The gate, the threshold sweep and the predictions
+writer take it whole, so its one constructor owns the shape rules.
+
 ``score_posterior`` is the scoring engine, and the one the ``eval`` and
 ``sweep`` commands use. It takes the S weight draws once, then scores the
 row chunks on a ``ThreadPoolExecutor``: each pool thread fills its own
@@ -53,7 +57,6 @@ from .vbll import VBLinearLayer, check_features, sample_weights
 
 __all__ = [
     "PosteriorSummary",
-    "UncertaintyScores",
     "score_posterior",
     "save_predictions_csv",
 ]
@@ -134,54 +137,44 @@ class PredictionSet:
 
 
 @dataclass(frozen=True)
-class UncertaintyScores:
-    """Per-sample uncertainty measures of the predictive posterior.
+class PosteriorSummary:
+    """Per-row results of the predictive posterior, as score_posterior returns them.
 
-    expected_entropy and mutual_info are both None when the scores were
-    taken without the per-draw entropies (score_posterior's
-    ``mutual_info=False``); no gate or writer that needs them accepts such
-    scores.
+    mean_probs is the N x K mean over the S draws of each row's softmax and
+    predicted its argmax, ties broken toward the lowest class index. The
+    scores follow: confidence, entropy, expected_entropy and mutual_info, N
+    each. expected_entropy and mutual_info are both None when the posterior
+    was scored with ``mutual_info=False``; no gate or writer that needs them
+    accepts such a summary. Construction checks only the shapes, not the
+    arithmetic, and freezes the arrays without copying them.
     """
 
+    mean_probs: np.ndarray
+    predicted: np.ndarray
     confidence: np.ndarray
     entropy: np.ndarray
     expected_entropy: np.ndarray | None
     mutual_info: np.ndarray | None
 
     def __post_init__(self):
-        names = ["confidence", "entropy"]
         if (self.expected_entropy is None) != (self.mutual_info is None):
             raise ValueError(
                 "expected_entropy and mutual_info must both be given or both be None"
             )
-        if self.mutual_info is not None:
-            names += ["expected_entropy", "mutual_info"]
-        length = None
-        for name in names:
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            if length is None:
-                length = arr.shape[0]
-            elif arr.shape[0] != length:
-                raise ValueError("all score arrays must share one length")
-            arr.flags.writeable = False
+        mean_probs = np.asarray(self.mean_probs, dtype=np.float64)
+        if mean_probs.ndim != 2:
+            raise ValueError(f"mean_probs must be N x K, got shape {mean_probs.shape}")
+        arrays = {"mean_probs": mean_probs,
+                  "predicted": np.asarray(self.predicted, dtype=np.int64)}
+        for name in ("confidence", "entropy", "expected_entropy", "mutual_info"):
+            if getattr(self, name) is not None:
+                arrays[name] = np.asarray(getattr(self, name), dtype=np.float64)
+        n = mean_probs.shape[0]
+        for name, arr in arrays.items():
+            if name != "mean_probs" and arr.shape != (n,):
+                raise ValueError(f"{name} must have length {n}, got shape {arr.shape}")
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Per-row results of the predictive posterior, as score_posterior returns them.
-
-    mean_probs is the N x K mean over the S draws of each row's softmax;
-    predicted is its argmax, ties broken toward the lowest class index;
-    scores holds the row's uncertainty measures (less expected_entropy and
-    mutual_info, which are None, when taken with ``mutual_info=False``).
-    """
-
-    mean_probs: np.ndarray
-    predicted: np.ndarray
-    scores: UncertaintyScores
 
 
 def _sum_classes(block: np.ndarray) -> np.ndarray:
@@ -216,7 +209,8 @@ def _entropy(probs: np.ndarray) -> np.ndarray:
 
 def _scores(
     mean_probs: np.ndarray, expected_entropy: np.ndarray | None
-) -> UncertaintyScores:
+) -> PosteriorSummary:
+    """The summary of mean probabilities and, if given, per-row expected entropies."""
     # No entropy over K classes exceeds ln K, but a row within about 1e-11 of
     # uniform can round one ulp past it; the clamp keeps both entropies, and
     # so mutual_info, within [0, ln K].
@@ -224,7 +218,9 @@ def _scores(
     entropy = np.minimum(_entropy(mean_probs), log_k)
     if expected_entropy is not None:
         expected_entropy = np.minimum(expected_entropy, log_k)
-    return UncertaintyScores(
+    return PosteriorSummary(
+        mean_probs=mean_probs,
+        predicted=np.argmax(mean_probs, axis=1),
         confidence=mean_probs.max(axis=1),
         entropy=entropy,
         expected_entropy=expected_entropy,
@@ -246,10 +242,10 @@ def _check_probs(probs: np.ndarray) -> None:
         raise ValueError("prob_samples slices must sum to 1 within 1e-9")
 
 
-def _checked_features(layer: VBLinearLayer, data, mc_samples: int) -> np.ndarray:
+def check_mc_samples(mc_samples: int) -> None:
+    """The one rule on a posterior sample count: at least 1."""
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-    return check_features(layer, data)
 
 
 def _chunk_bounds(n: int, mc_samples: int, num_classes: int) -> list[tuple[int, int]]:
@@ -394,7 +390,8 @@ def predictive_posterior(
     weights from ``default_rng([seed, s])``. The result holds the full
     N x S x K grid; use score_posterior when only per-row results are needed.
     """
-    features = _checked_features(layer, data, mc_samples)
+    check_mc_samples(mc_samples)
+    features = check_features(layer, data)
     prob_samples = np.empty((features.shape[0], mc_samples, layer.num_classes))
 
     def copy(start, probs):
@@ -460,10 +457,11 @@ def score_posterior(
     probabilities is also committed there as an ``.npy`` file, which
     ``np.load`` reads back bit for bit; each pool thread writes the chunks it
     scored. With ``mutual_info=False`` the S per-draw entropies of each row,
-    about a quarter of the scoring time, are not taken, and the scores'
+    about a quarter of the scoring time, are not taken, and the summary's
     expected_entropy and mutual_info are None.
     """
-    features = _checked_features(layer, data, mc_samples)
+    check_mc_samples(mc_samples)
+    features = check_features(layer, data)
     n, k = features.shape[0], layer.num_classes
     mean_probs = np.empty((n, k))
     expected_entropy = np.empty(n) if mutual_info else None
@@ -490,33 +488,26 @@ def score_posterior(
         with atomic_write(samples) as handle:
             write = _npy_records(handle.fileno(), (n, mc_samples, k), reduce)
             _score_chunks(layer, features, mc_samples, seed, write)
-    return PosteriorSummary(
-        mean_probs=mean_probs,
-        predicted=np.argmax(mean_probs, axis=1),
-        scores=_scores(mean_probs, expected_entropy),
-    )
+    return _scores(mean_probs, expected_entropy)
 
 
-def uncertainty_scores(pred: PredictionSet) -> UncertaintyScores:
-    """Score each sample; pure function of pred.prob_samples."""
+def uncertainty_scores(pred: PredictionSet) -> PosteriorSummary:
+    """The summary of a full grid; a pure function of pred.prob_samples."""
     return _scores(pred.mean_probs, _entropy(pred.prob_samples).mean(axis=1))
 
 
-def save_predictions_csv(pred, scores: UncertaintyScores, labels, path: str) -> None:
-    """Write `index,label,predicted,confidence,entropy,mutual_info` rows.
-
-    `pred` is a PredictionSet or a PosteriorSummary; only its predicted
-    classes are read.
-    """
-    if scores.mutual_info is None:
+def save_predictions_csv(posterior: PosteriorSummary, labels, path: str) -> None:
+    """Write `index,label,predicted,confidence,entropy,mutual_info` rows."""
+    if posterior.mutual_info is None:
         raise ValueError(
             "predictions need mutual_info scores; score with mutual_info=True"
         )
     labels = np.asarray(labels, dtype=np.int64)
-    n = len(pred.predicted)
-    if labels.shape != (n,) or scores.confidence.shape != (n,):
-        raise ValueError("labels and scores must match the prediction length")
-    columns = (labels, pred.predicted, scores.confidence, scores.entropy, scores.mutual_info)
+    n = len(posterior.predicted)
+    if labels.shape != (n,):
+        raise ValueError("labels must match the prediction length")
+    columns = (labels, posterior.predicted, posterior.confidence, posterior.entropy,
+               posterior.mutual_info)
     rows = zip(range(n), *(column.tolist() for column in columns))
     lines = ["index,label,predicted,confidence,entropy,mutual_info"]
     lines.extend("%d,%d,%d,%r,%r,%r" % row for row in rows)

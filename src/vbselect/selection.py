@@ -3,8 +3,12 @@
 A rejection gate accepts a prediction when its score clears the threshold:
 confidence uses ``score >= threshold`` (a sample exactly at the threshold is
 accepted), entropy and mutual_info use ``score <= threshold`` so that low
-uncertainty is always the accepted side. Everything in this module is a pure
-function of its inputs — no RNG, no hidden state.
+uncertainty is always the accepted side. The gate and the sweep take a
+``PosteriorSummary`` whole: its predictions and the gated score come from
+one object. ``check_threshold`` and ``check_grid`` own the rules on a
+threshold and a grid, so a caller can apply them before it scores anything.
+Everything in this module is a pure function of its inputs — no RNG, no
+hidden state.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import write_lines
-from .inference import UncertaintyScores
+from .inference import PosteriorSummary
 
 __all__ = [
     "RejectionReport",
@@ -61,33 +65,40 @@ class RejectionCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "reports", tuple(self.reports))
-        if not self.reports:
-            raise ValueError("grid must be nonempty")
-        thresholds = [r.threshold for r in self.reports]
-        if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError("grid must be strictly increasing")
+        check_grid([r.threshold for r in self.reports], self.measure)
 
 
-def _gate_mask(scores: UncertaintyScores, threshold: float, measure: str):
-    """The acceptance mask of the chosen measure's gate at threshold."""
+def check_threshold(threshold: float, measure: str) -> float:
+    """The threshold as a float, if `measure` is known and it lies in its range."""
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}; use one of {MEASURES}")
-    values = getattr(scores, measure)
-    if values is None:
-        raise ValueError(
-            f"the scores hold no {measure}; score the posterior with mutual_info=True"
-        )
+    threshold = float(threshold)
     if measure == "confidence":
         if not 0.0 <= threshold <= 1.0:
             raise ValueError(
                 f"threshold must lie in [0, 1] for confidence, got {threshold}"
             )
-        return values >= threshold
-    if not threshold >= 0.0:
+    elif not threshold >= 0.0:
         raise ValueError(
             f"threshold must be nonnegative for {measure}, got {threshold}"
         )
-    return values <= threshold
+    return threshold
+
+
+def check_grid(grid, measure: str) -> tuple[float, ...]:
+    """The grid (None: DEFAULT_GRID) as floats, checked in one fixed order.
+
+    Each threshold's range comes first, in grid order, then that the grid
+    is nonempty and strictly increasing.
+    """
+    thresholds = tuple(
+        check_threshold(t, measure) for t in (DEFAULT_GRID if grid is None else grid)
+    )
+    if not thresholds:
+        raise ValueError("grid must be nonempty")
+    if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("grid must be strictly increasing")
+    return thresholds
 
 
 def confusion_matrix(predicted, labels, mask, num_classes: int) -> np.ndarray:
@@ -106,27 +117,29 @@ def confusion_matrix(predicted, labels, mask, num_classes: int) -> np.ndarray:
 
 
 def apply_rejection(
-    scores: UncertaintyScores,
-    predicted,
+    posterior: PosteriorSummary,
     labels,
     threshold: float,
     measure: str = "confidence",
 ) -> RejectionReport:
-    """Gate predictions at the threshold and report selective metrics."""
-    predicted = np.asarray(predicted, dtype=np.int64)
+    """Gate the posterior's predictions at the threshold and report selective metrics."""
     labels = np.asarray(labels, dtype=np.int64)
-    if predicted.shape != labels.shape or predicted.ndim != 1:
+    if labels.shape != posterior.predicted.shape:
         raise ValueError("predicted and labels must share one length")
-    if predicted.shape[0] != scores.confidence.shape[0]:
-        raise ValueError("scores and predictions must share one length")
-    if predicted.shape[0] == 0:
+    if labels.shape[0] == 0:
         raise ValueError("cannot gate an empty prediction set")
-    threshold = float(threshold)
-    mask = _gate_mask(scores, threshold, measure)
-    n = predicted.shape[0]
+    threshold = check_threshold(threshold, measure)
+    values = getattr(posterior, measure)
+    if values is None:
+        raise ValueError(
+            f"the scores hold no {measure}; score the posterior with mutual_info=True"
+        )
+    mask = values >= threshold if measure == "confidence" else values <= threshold
+    n = labels.shape[0]
+    correct = posterior.predicted == labels
     accepted = int(mask.sum())
-    correct_accepted = int(np.sum(mask & (predicted == labels)))
-    correct_all = int(np.sum(predicted == labels))
+    correct_accepted = int(np.sum(mask & correct))
+    correct_all = int(np.sum(correct))
     mask.flags.writeable = False
     return RejectionReport(
         threshold=threshold,
@@ -142,17 +155,14 @@ def apply_rejection(
 
 
 def threshold_sweep(
-    scores: UncertaintyScores,
-    predicted,
+    posterior: PosteriorSummary,
     labels,
     grid=None,
     measure: str = "confidence",
 ) -> RejectionCurve:
     """One apply_rejection per grid threshold (default 0.50..0.90 step 0.05)."""
-    if grid is None:
-        grid = DEFAULT_GRID
     return RejectionCurve(measure, tuple(
-        apply_rejection(scores, predicted, labels, t, measure) for t in grid
+        apply_rejection(posterior, labels, t, measure) for t in check_grid(grid, measure)
     ))
 
 

@@ -74,13 +74,10 @@ def desk_runs():
             LayerInitConfig(seed=seed),
             TrainConfig(epochs=30, batch_size=128, seed=seed),
         )
-        pred = score_posterior(layer, val_ds, mc_samples=20, seed=seed)
-        scores = pred.scores
-        rejection = apply_rejection(
-            scores, pred.predicted, val_ds.labels, threshold=0.7
-        )
+        posterior = score_posterior(layer, val_ds, mc_samples=20, seed=seed)
+        rejection = apply_rejection(posterior, val_ds.labels, threshold=0.7)
         calibration = ece(
-            scores.confidence, pred.predicted == val_ds.labels, num_bins=15
+            posterior.confidence, posterior.predicted == val_ds.labels, num_bins=15
         )
         runs.append({
             "seed": seed,
@@ -397,9 +394,7 @@ def test_criterion_9_uncertainty_bounds():
             prior_scale=1.0,
         )
         rows = rng.normal(0.0, 2.0, (n, d))
-        scores = score_posterior(
-            layer, rows, mc_samples=s, seed=int(rng.integers(2**32))
-        ).scores
+        scores = score_posterior(layer, rows, mc_samples=s, seed=int(rng.integers(2**32)))
         log_k = math.log(k)
         ok = (
             np.all(scores.confidence >= 1.0 / k)
@@ -464,4 +459,74 @@ def test_criterion_10_split_smote_properties():
         f"20 instances: splits partition exactly with per-class deviation "
         f"<=1 ({split_ok}); SMOTE keeps originals and hits targets exactly "
         f"({smote_ok})",
+    )
+
+
+def paper_chain(root, seed):
+    """tools/artifact_digests.py's paper/ chain at one seed; the summary per threshold.
+
+    Five classes of 1600, 1200, 1000, 700 and 500 rows at separation 2.0,
+    split 0.7/0.15/0.15, SMOTE-balanced, trained for 30 epochs, then eval of
+    the test split at S=100 and tau in {0.7, 0.9}.
+    """
+    def path(*parts):
+        return os.path.join(root, *parts)
+
+    os.makedirs(root)
+    flags = ["--seed", str(seed)]
+    commands = [
+        ["gen", "--classes", "5", "--dim", "16", "--per-class", "1600,1200,1000,700,500",
+         "--separation", "2.0", *flags, "--out", path("data.csv")],
+        ["split", "--in", path("data.csv"), "--train", "0.7", "--val", "0.15",
+         "--test", "0.15", *flags, "--out", path("splits")],
+        ["balance", "--in", path("splits", "train.csv"), *flags,
+         "--out", path("balanced.csv")],
+        ["train", "--train", path("balanced.csv"), "--val", path("splits", "val.csv"),
+         "--epochs", "30", *flags, "--model-out", path("model.json"),
+         "--trace-out", path("trace.csv")],
+    ]
+    thresholds = ("0.7", "0.9")
+    commands += [
+        ["eval", "--model", path("model.json"), "--data", path("splits", "test.csv"),
+         "--threshold", threshold, "--mc-samples", "100", *flags,
+         "--out", path(f"eval_{threshold}")]
+        for threshold in thresholds
+    ]
+    for argv in commands:
+        assert entrypoint(argv) == 0, argv
+    summaries = {}
+    for threshold in thresholds:
+        with open(path(f"eval_{threshold}", "summary.json"), encoding="utf-8") as fh:
+            summaries[float(threshold)] = json.load(fh)
+    return summaries
+
+
+def test_criterion_11_paper_trade_off(tmp_path):
+    """The abstract's trade-off on the paper/ chain, at the criterion-6 seeds.
+
+    On every seed, raising tau from 0.7 to 0.9 gives up coverage and gains
+    selective accuracy, and the gate at 0.7 already beats accepting every row:
+    1 > coverage(0.7) > coverage(0.9) and
+    accuracy < selective accuracy(0.7) < selective accuracy(0.9).
+    """
+    failures, bands = [], {}
+    for seed in range(10):
+        runs = paper_chain(str(tmp_path / f"seed{seed}"), seed)
+        low, high = runs[0.7], runs[0.9]
+        ok = (1.0 > low["coverage"] > high["coverage"]
+              and low["overall_accuracy"] < low.get("accuracy_accepted", -1.0)
+              < high.get("accuracy_accepted", -1.0))
+        if not ok:
+            failures.append(seed)
+        for name, value in (("coverage 0.7", low["coverage"]),
+                            ("coverage 0.9", high["coverage"]),
+                            ("selective 0.7", low.get("accuracy_accepted", math.nan)),
+                            ("selective 0.9", high.get("accuracy_accepted", math.nan)),
+                            ("accuracy", low["overall_accuracy"])):
+            bands.setdefault(name, []).append(value)
+    detail = ", ".join(f"{name} {min(v):.3f}-{max(v):.3f}" for name, v in bands.items())
+    report(
+        "paper-trade-off",
+        not failures,
+        f"10 seeds of the paper/ chain: {detail} (failing seeds: {failures or 'none'})",
     )

@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbselect.calibration import CalibrationReport, confidence_histogram, ece
+from vbselect.calibration import (
+    CalibrationReport,
+    check_num_bins,
+    confidence_histogram,
+    ece,
+)
 
 
 def brute_force_ece(confidences, correctness, num_bins):
@@ -201,7 +206,9 @@ class TestEceValidation:
          "num_bins must be at least 1"),
         (lambda: confidence_histogram(np.array([0.5]), num_bins=0),
          "num_bins must be at least 1"),
-    ], ids=["two_dimensional", "empty", "non_finite", "ece_bins", "histogram_bins"])
+        (lambda: check_num_bins(-2), "num_bins must be at least 1"),
+    ], ids=["two_dimensional", "empty", "non_finite", "ece_bins", "histogram_bins",
+            "rule"])
     def test_rejected_with_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()

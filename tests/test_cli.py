@@ -1402,6 +1402,98 @@ class TestSweep:
         assert not os.path.exists(out)
 
 
+class _Reached(Exception):
+    """Raised by a stand-in for a stage an option check must come before."""
+
+
+def _refuse_stage(name):
+    def stage(*args, **kwargs):
+        raise _Reached(f"{name} was reached")
+
+    return stage
+
+
+UNKNOWN_MEASURE = (
+    "unknown measure 'variance'; use one of ('confidence', 'entropy', 'mutual_info')"
+)
+
+
+class TestOptionsCheckedFirst:
+    """eval and sweep reject a bad option value before they parse or score.
+
+    The CSV parse and the scoring are replaced by stand-ins that raise, so a
+    check that came after either would not give its one error line.
+    """
+
+    @pytest.fixture
+    def staged(self, monkeypatch):
+        monkeypatch.setattr(cli, "load_csv", _refuse_stage("load_csv"))
+        monkeypatch.setattr(cli, "score_posterior", _refuse_stage("score_posterior"))
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--threshold", "1.5"], "threshold must lie in [0, 1] for confidence, got 1.5"),
+        (["--threshold", "-0.5", "--measure", "entropy"],
+         "threshold must be nonnegative for entropy, got -0.5"),
+        (["--threshold", "nan", "--measure", "mutual_info"],
+         "threshold must be nonnegative for mutual_info, got nan"),
+        (["--mc-samples", "0"], "mc_samples must be at least 1, got 0"),
+        (["--ece-bins", "0"], "num_bins must be at least 1"),
+        (["--config", {"measure": "variance"}], UNKNOWN_MEASURE),
+    ], ids=["threshold", "entropy_threshold", "nan_threshold", "mc_samples", "ece_bins",
+            "config_measure"])
+    def test_eval(self, capsys, pipeline, tmp_path, staged, flags, message):
+        flags = self.config_written(tmp_path, flags)
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+            *flags, "--save-samples", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {message}\n"
+        assert not os.path.exists(os.path.join(out, "samples.npy"))
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--grid", "0.8,0.6"], "grid must be strictly increasing"),
+        (["--grid", "0.9,1.5,0.5"], "threshold must lie in [0, 1] for confidence, got 1.5"),
+        (["--grid", "0.5,x"], "cannot parse threshold grid from '0.5,x'"),
+        (["--grid=-0.1,0.5", "--measure", "entropy"],
+         "threshold must be nonnegative for entropy, got -0.1"),
+        (["--mc-samples", "-1"], "mc_samples must be at least 1, got -1"),
+        (["--config", {"grid": []}], "grid must be nonempty"),
+        (["--config", {"measure": "variance"}], UNKNOWN_MEASURE),
+    ], ids=["unsorted", "out_of_range_before_order", "unparseable", "entropy_grid",
+            "mc_samples", "config_empty_grid", "config_measure"])
+    def test_sweep(self, capsys, pipeline, tmp_path, staged, flags, message):
+        flags = self.config_written(tmp_path, flags)
+        out = os.path.join(tmp_path, "curve.csv")
+        code, _, err = run_cli(capsys, [
+            "sweep", "--model", pipeline["model"], "--data", pipeline["val"],
+            *flags, "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
+    @staticmethod
+    def config_written(tmp_path, flags):
+        """The flags, with a config dict written to a file and replaced by its path."""
+        if flags[0] != "--config":
+            return flags
+        path = os.path.join(tmp_path, "config.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(flags[1], handle)
+        return ["--config", path]
+
+    def test_stand_ins_are_reached_by_good_options(self, pipeline, tmp_path, staged):
+        # Guards the tests above: with good options both commands reach a stand-in.
+        for command in (["eval", "--out", os.path.join(tmp_path, "eval")],
+                        ["sweep", "--out", os.path.join(tmp_path, "curve.csv")]):
+            with pytest.raises(_Reached, match="load_csv was reached"):
+                entrypoint([*command, "--model", pipeline["model"],
+                            "--data", pipeline["val"]])
+
+
 def test_confusion_matrices_built_only_where_written(
     capsys, pipeline, tmp_path, monkeypatch
 ):

@@ -25,8 +25,9 @@ from vbselect.dataset import (
     stratified_split,
 )
 from vbselect.inference import (
+    PosteriorSummary,
     PredictionSet,
-    UncertaintyScores,
+    check_mc_samples,
     predictive_posterior,
     save_predictions_csv,
     save_prob_samples_csv,
@@ -273,10 +274,16 @@ class TestPredictivePosterior:
         pred = predictive_posterior(layer, ds, mc_samples=3, seed=0)
         np.testing.assert_array_equal(pred.predicted, np.zeros(6, dtype=np.int64))
 
-    def test_rejects_bad_mc_samples(self, trained_model):
-        layer, val_ds = trained_model
-        with pytest.raises(ValueError, match="mc_samples"):
-            predictive_posterior(layer, val_ds, mc_samples=0, seed=0)
+    @pytest.mark.parametrize("check", [
+        check_mc_samples,
+        lambda s: predictive_posterior(init_layer(8, 3, seed=0), np.zeros((2, 8)), s),
+        lambda s: score_posterior(init_layer(8, 3, seed=0), np.zeros((2, 8)), s),
+    ], ids=["rule", "predictive_posterior", "score_posterior"])
+    @pytest.mark.parametrize("mc_samples", [0, -3])
+    def test_rejects_bad_mc_samples(self, check, mc_samples):
+        with pytest.raises(ValueError) as info:
+            check(mc_samples)
+        assert str(info.value) == f"mc_samples must be at least 1, got {mc_samples}"
 
     def test_rejects_dimension_mismatch(self, trained_model):
         layer, _ = trained_model
@@ -335,24 +342,74 @@ class TestPredictionSetValidation:
             )
 
 
-class TestUncertaintyScores:
+def summary_fields(n=2, k=3):
+    """Keyword arguments of a well-shaped N-row, K-class PosteriorSummary."""
+    scores = ("confidence", "entropy", "expected_entropy", "mutual_info")
+    return {"mean_probs": np.zeros((n, k)), "predicted": np.zeros(n, dtype=np.int64),
+            **{name: np.zeros(n) for name in scores}}
+
+
+class TestPosteriorSummary:
     def test_entropy_terms_absent_only_together(self):
-        ones = np.ones(3)
-        scores = UncertaintyScores(ones, ones, None, None)
-        assert scores.expected_entropy is None and scores.mutual_info is None
-        for expected_entropy, mutual_info in ((ones, None), (None, ones)):
-            with pytest.raises(ValueError, match="both"):
-                UncertaintyScores(ones, ones, expected_entropy, mutual_info)
+        lean = PosteriorSummary(**{**summary_fields(3), "expected_entropy": None,
+                                   "mutual_info": None})
+        assert lean.expected_entropy is None and lean.mutual_info is None
+        for absent in ("expected_entropy", "mutual_info"):
+            with pytest.raises(ValueError) as info:
+                PosteriorSummary(**{**summary_fields(3), absent: None})
+            assert str(info.value) == (
+                "expected_entropy and mutual_info must both be given or both be None"
+            )
 
     @pytest.mark.parametrize("given,message", [
-        ({"confidence": np.zeros((2, 1))}, "confidence must be one-dimensional"),
-        ({"mutual_info": np.zeros(3)}, "all score arrays must share one length"),
-    ], ids=["two_dimensional", "lengths"])
+        ({"mean_probs": np.zeros(2)}, "mean_probs must be N x K, got shape (2,)"),
+        ({"predicted": np.zeros(3, dtype=np.int64)},
+         "predicted must have length 2, got shape (3,)"),
+        ({"confidence": np.zeros((2, 1))}, "confidence must have length 2, got shape (2, 1)"),
+        ({"entropy": np.zeros(1)}, "entropy must have length 2, got shape (1,)"),
+        ({"expected_entropy": np.zeros(3)},
+         "expected_entropy must have length 2, got shape (3,)"),
+        ({"mutual_info": np.float64(0.0)}, "mutual_info must have length 2, got shape ()"),
+    ], ids=["mean_probs", "predicted", "two_dimensional", "entropy", "expected_entropy",
+            "scalar"])
     def test_rejected_with_message(self, given, message):
-        names = ("confidence", "entropy", "expected_entropy", "mutual_info")
         with pytest.raises(ValueError) as info:
-            UncertaintyScores(**{**dict.fromkeys(names, np.zeros(2)), **given})
+            PosteriorSummary(**{**summary_fields(2), **given})
         assert str(info.value) == message
+
+    def test_arrays_frozen_without_copies(self):
+        fields = summary_fields(4)
+        summary = PosteriorSummary(**fields)
+        for name, given in fields.items():
+            held = getattr(summary, name)
+            assert held is given, name
+            assert not held.flags.writeable, name
+
+    def test_arrays_coerced_to_their_dtypes(self):
+        summary = PosteriorSummary(
+            mean_probs=[[0.25, 0.75]], predicted=[1], confidence=[0.75], entropy=[0.5],
+            expected_entropy=np.zeros(1, dtype=np.float32), mutual_info=[0],
+        )
+        assert summary.predicted.dtype == np.int64
+        for name in ("mean_probs", "confidence", "entropy", "expected_entropy",
+                     "mutual_info"):
+            assert getattr(summary, name).dtype == np.float64, name
+
+    def test_arithmetic_not_rechecked(self):
+        # predicted is not the argmax and mean_probs rows do not sum to 1:
+        # the summary holds what it is given.
+        summary = PosteriorSummary(**{**summary_fields(2), "predicted": [2, 1]})
+        assert summary.predicted.tolist() == [2, 1]
+
+
+class TestUncertaintyScores:
+    def test_summary_of_the_grid(self):
+        rng = np.random.default_rng(5)
+        pred = make_prediction_set(random_prob_samples(rng, 6, 4, 3))
+        summary = uncertainty_scores(pred)
+        assert isinstance(summary, PosteriorSummary)
+        assert_same_bits(summary.mean_probs, pred.mean_probs)
+        assert_same_bits(summary.predicted, pred.predicted)
 
     def test_uniform_mean_probabilities(self):
         pred = make_prediction_set(np.full((1, 1, 5), 0.2))
@@ -471,7 +528,7 @@ class TestPredictionExports:
         scores = uncertainty_scores(pred)
         labels = np.array([2, 0, 1, 1], dtype=np.int64)
         path = os.path.join(tmp_path, "predictions.csv")
-        save_predictions_csv(pred, scores, labels, path)
+        save_predictions_csv(scores, labels, path)
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         assert lines[0] == "index,label,predicted,confidence,entropy,mutual_info"
@@ -506,13 +563,12 @@ class TestPredictionExports:
 
     def test_predictions_csv_rejects_length_mismatch(self, tmp_path):
         rng = np.random.default_rng(5)
-        pred = make_prediction_set(random_prob_samples(rng, 4, 2, 3))
-        scores = uncertainty_scores(pred)
-        with pytest.raises(ValueError, match="length"):
-            save_predictions_csv(
-                pred, scores, np.zeros(3, dtype=np.int64),
-                os.path.join(tmp_path, "bad.csv"),
-            )
+        scores = uncertainty_scores(make_prediction_set(random_prob_samples(rng, 4, 2, 3)))
+        path = os.path.join(tmp_path, "bad.csv")
+        with pytest.raises(ValueError) as info:
+            save_predictions_csv(scores, np.zeros(3, dtype=np.int64), path)
+        assert str(info.value) == "labels must match the prediction length"
+        assert not os.path.exists(path)
 
 
 CHUNK_ROWS = 4
@@ -527,7 +583,7 @@ def assert_engine_matches_reference(layer, features, s, tmp_path):
     assert_same_bits(streamed.mean_probs, mean)
     assert_same_bits(streamed.predicted, np.argmax(mean, axis=1))
     for name, expected in scores.items():
-        assert_same_bits(getattr(streamed.scores, name), expected)
+        assert_same_bits(getattr(streamed, name), expected)
     assert samples.read_bytes() == npy_bytes(grid)
     assert_same_bits(np.load(samples), grid)
 
@@ -688,20 +744,20 @@ class TestWithoutMutualInfo:
             )
             assert_same_bits(lean.mean_probs, full.mean_probs)
             assert_same_bits(lean.predicted, full.predicted)
-            assert_same_bits(lean.scores.confidence, full.scores.confidence)
-            assert_same_bits(lean.scores.entropy, full.scores.entropy)
-            assert lean.scores.expected_entropy is None
-            assert lean.scores.mutual_info is None
+            assert_same_bits(lean.confidence, full.confidence)
+            assert_same_bits(lean.entropy, full.entropy)
+            assert lean.expected_entropy is None
+            assert lean.mutual_info is None
         assert lean_samples.read_bytes() == full_samples.read_bytes()
         assert_same_bits(np.load(full_samples).mean(axis=1), full.mean_probs)
 
-    def test_predictions_csv_rejects_the_scores_in_one_line(self, tmp_path):
+    def test_predictions_csv_rejects_the_summary_in_one_line(self, tmp_path):
         layer = init_layer(4, 3, rho_init=-1.0, seed=0)
         features = np.random.default_rng(0).standard_normal((6, 4))
         lean = score_posterior(layer, features, 3, seed=0, mutual_info=False)
         path = os.path.join(tmp_path, "predictions.csv")
         with pytest.raises(ValueError, match="mutual_info") as info:
-            save_predictions_csv(lean, lean.scores, np.zeros(6, dtype=np.int64), path)
+            save_predictions_csv(lean, np.zeros(6, dtype=np.int64), path)
         assert "\n" not in str(info.value)
         assert not os.path.exists(path)
 
@@ -728,7 +784,7 @@ def engine_outputs(layer, features, s, samples, seed=11):
         streamed = score_posterior(layer, features, s, seed=seed, samples=path)
         results += [streamed.mean_probs, streamed.predicted]
         results += [
-            getattr(streamed.scores, name)
+            getattr(streamed, name)
             for name in ("confidence", "entropy", "expected_entropy", "mutual_info")
         ]
     return results, samples.read_bytes()

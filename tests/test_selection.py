@@ -8,12 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vbselect.inference import UncertaintyScores
+from vbselect.inference import PosteriorSummary
 from vbselect.selection import (
+    DEFAULT_GRID,
     MEASURES,
     RejectionCurve,
     RejectionReport,
     apply_rejection,
+    check_grid,
+    check_threshold,
     confusion_matrix,
     save_confusion_csv,
     save_curve_csv,
@@ -21,26 +24,25 @@ from vbselect.selection import (
 )
 
 
-def scores_from_confidence(confidence):
-    confidence = np.asarray(confidence, dtype=np.float64)
-    zeros = np.zeros_like(confidence)
-    return UncertaintyScores(
-        confidence=confidence,
-        entropy=zeros,
-        expected_entropy=zeros,
-        mutual_info=zeros,
-    )
+def posterior_of(predicted, confidence=None, entropy=None, mutual_info=None):
+    """A summary of the given predictions and scores; a score not given is 0.
 
+    The gates read no mean probabilities, so mean_probs is zeros of a
+    plausible N x K shape.
+    """
+    predicted = np.asarray(predicted, dtype=np.int64)
+    n = predicted.shape[0]
 
-def scores_from_uncertainty(entropy, mutual_info=None):
-    entropy = np.asarray(entropy, dtype=np.float64)
-    if mutual_info is None:
-        mutual_info = entropy
-    return UncertaintyScores(
-        confidence=np.full_like(entropy, 0.5),
-        entropy=entropy,
-        expected_entropy=np.zeros_like(entropy),
-        mutual_info=np.asarray(mutual_info, dtype=np.float64),
+    def score(values):
+        return np.zeros(n) if values is None else np.asarray(values, dtype=np.float64)
+
+    return PosteriorSummary(
+        mean_probs=np.zeros((n, int(predicted.max(initial=0)) + 1)),
+        predicted=predicted,
+        confidence=score(confidence),
+        entropy=score(entropy),
+        expected_entropy=np.zeros(n),
+        mutual_info=score(mutual_info),
     )
 
 
@@ -66,15 +68,14 @@ def random_case(rng, n=40, k=4):
     confidence = rng.random(n) * (1.0 - 1.0 / k) + 1.0 / k
     predicted = rng.integers(0, k, size=n)
     labels = rng.integers(0, k, size=n)
-    return scores_from_confidence(confidence), predicted, labels
+    return posterior_of(predicted, confidence), labels
 
 
 class TestApplyRejection:
     def test_hand_enumerated_four_samples(self):
-        scores = scores_from_confidence([0.9, 0.6, 0.8, 0.5])
-        predicted = np.array([0, 1, 2, 0])
+        posterior = posterior_of([0, 1, 2, 0], confidence=[0.9, 0.6, 0.8, 0.5])
         labels = np.array([0, 0, 1, 0])  # correctness T, F, F, T
-        report = apply_rejection(scores, predicted, labels, threshold=0.7)
+        report = apply_rejection(posterior, labels, threshold=0.7)
         assert report.accepted_count == 2
         assert report.rejected_count == 2
         assert report.coverage == 0.5
@@ -86,39 +87,33 @@ class TestApplyRejection:
 
     def test_threshold_zero_accepts_everything(self):
         rng = np.random.default_rng(0)
-        scores, predicted, labels = random_case(rng)
-        report = apply_rejection(scores, predicted, labels, threshold=0.0)
+        posterior, labels = random_case(rng)
+        report = apply_rejection(posterior, labels, threshold=0.0)
         assert report.accepted_count == 40
         assert report.coverage == 1.0
         assert report.rejection_rate == 0.0
         assert report.selective_accuracy == report.overall_accuracy
 
     def test_boundary_sample_is_accepted(self):
-        scores = scores_from_confidence([0.7, 0.69])
-        report = apply_rejection(
-            scores, np.array([0, 0]), np.array([0, 0]), threshold=0.7
-        )
+        posterior = posterior_of([0, 0], confidence=[0.7, 0.69])
+        report = apply_rejection(posterior, np.array([0, 0]), threshold=0.7)
         assert report.accepted_count == 1
 
     def test_threshold_one_accepts_only_full_confidence(self):
-        scores = scores_from_confidence([1.0, 0.999])
-        report = apply_rejection(
-            scores, np.array([1, 0]), np.array([1, 0]), threshold=1.0
-        )
+        posterior = posterior_of([1, 0], confidence=[1.0, 0.999])
+        report = apply_rejection(posterior, np.array([1, 0]), threshold=1.0)
         assert report.accepted_count == 1
         assert report.selective_accuracy == 1.0
 
     def test_threshold_above_one_rejected(self):
-        scores = scores_from_confidence([0.5])
+        posterior = posterior_of([0], confidence=[0.5])
         with pytest.raises(ValueError, match="threshold"):
-            apply_rejection(
-                scores, np.array([0]), np.array([0]), threshold=1.0000001
-            )
+            apply_rejection(posterior, np.array([0]), threshold=1.0000001)
 
     def test_nothing_accepted_reports_absent_accuracy(self):
-        scores = scores_from_confidence([0.55, 0.6, 0.65])
         predicted = np.array([0, 1, 2])
-        report = apply_rejection(scores, predicted, predicted, threshold=0.9)
+        posterior = posterior_of(predicted, confidence=[0.55, 0.6, 0.65])
+        report = apply_rejection(posterior, predicted, threshold=0.9)
         assert report.accepted_count == 0
         assert report.selective_accuracy is None
         assert report.coverage == 0.0
@@ -131,76 +126,57 @@ class TestApplyRejection:
     def test_empty_input_rejected(self):
         empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(ValueError, match="empty prediction set"):
-            apply_rejection(scores_from_confidence([]), empty, empty, 0.7)
+            apply_rejection(posterior_of(empty), empty, 0.7)
 
     def test_entropy_gate_accepts_low_uncertainty(self):
-        scores = scores_from_uncertainty([0.1, 0.9])
-        predicted = np.array([0, 1])
+        posterior = posterior_of([0, 1], entropy=[0.1, 0.9])
         labels = np.array([0, 0])
-        report = apply_rejection(
-            scores, predicted, labels, threshold=0.5, measure="entropy"
-        )
+        report = apply_rejection(posterior, labels, threshold=0.5, measure="entropy")
         assert report.accepted_count == 1
         assert report.selective_accuracy == 1.0
         assert report.measure == "entropy"
 
     def test_mutual_info_gate_accepts_low_uncertainty(self):
-        scores = scores_from_uncertainty([0.0, 0.0], mutual_info=[0.4, 0.01])
+        posterior = posterior_of([0, 1], mutual_info=[0.4, 0.01])
         report = apply_rejection(
-            scores,
-            np.array([0, 1]),
-            np.array([1, 1]),
-            threshold=0.1,
-            measure="mutual_info",
+            posterior, np.array([1, 1]), threshold=0.1, measure="mutual_info"
         )
         assert report.accepted_count == 1
         assert report.selective_accuracy == 1.0
 
     def test_entropy_threshold_may_exceed_one(self):
-        scores = scores_from_uncertainty([1.3, 0.2])
+        posterior = posterior_of([0, 0], entropy=[1.3, 0.2])
         report = apply_rejection(
-            scores,
-            np.array([0, 0]),
-            np.array([0, 0]),
-            threshold=1.5,
-            measure="entropy",
+            posterior, np.array([0, 0]), threshold=1.5, measure="entropy"
         )
         assert report.accepted_count == 2
 
     def test_negative_threshold_rejected_for_entropy(self):
-        scores = scores_from_uncertainty([0.1])
+        posterior = posterior_of([0], entropy=[0.1])
         with pytest.raises(ValueError, match="threshold"):
-            apply_rejection(
-                scores, np.array([0]), np.array([0]),
-                threshold=-0.1, measure="entropy",
-            )
+            apply_rejection(posterior, np.array([0]), threshold=-0.1, measure="entropy")
 
     def test_unknown_measure_rejected(self):
-        scores = scores_from_confidence([0.5])
+        posterior = posterior_of([0], confidence=[0.5])
         with pytest.raises(ValueError, match="measure"):
-            apply_rejection(
-                scores, np.array([0]), np.array([0]),
-                threshold=0.5, measure="variance",
-            )
+            apply_rejection(posterior, np.array([0]), threshold=0.5, measure="variance")
 
-    @pytest.mark.parametrize("confidence,labels,message", [
-        ([0.5, 0.6], [0], "predicted and labels must share one length"),
-        ([0.5, 0.6, 0.7], [0, 1], "scores and predictions must share one length"),
-    ], ids=["labels", "scores"])
-    def test_length_mismatch_rejected(self, confidence, labels, message):
-        scores = scores_from_confidence(confidence)
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 0], [[0, 1]]],
+                             ids=["short", "long", "two_dimensional"])
+    def test_labels_of_another_shape_rejected(self, labels):
+        posterior = posterior_of([0, 1], confidence=[0.5, 0.6])
         with pytest.raises(ValueError) as info:
-            apply_rejection(scores, np.array([0, 1]), np.array(labels), threshold=0.5)
-        assert str(info.value) == message
+            apply_rejection(posterior, np.array(labels), threshold=0.5)
+        assert str(info.value) == "predicted and labels must share one length"
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            scores, predicted, labels = random_case(rng)
+            posterior, labels = random_case(rng)
             threshold = float(rng.random())
-            report = apply_rejection(scores, predicted, labels, threshold)
+            report = apply_rejection(posterior, labels, threshold)
             expected = brute_force_report(
-                scores.confidence, predicted, labels, threshold
+                posterior.confidence, posterior.predicted, labels, threshold
             )
             for field, value in expected.items():
                 assert getattr(report, field) == value, field
@@ -208,8 +184,9 @@ class TestApplyRejection:
     def test_internal_consistency_invariants(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            scores, predicted, labels = random_case(rng, n=25, k=3)
-            report = apply_rejection(scores, predicted, labels, float(rng.random()))
+            posterior, labels = random_case(rng, n=25, k=3)
+            predicted = posterior.predicted
+            report = apply_rejection(posterior, labels, float(rng.random()))
             assert report.accepted_count + report.rejected_count == 25
             assert abs(report.coverage + report.rejection_rate - 1.0) <= 1e-12
             accepted = confusion_matrix(predicted, labels, report.accepted_mask, 3)
@@ -224,29 +201,63 @@ class TestApplyRejection:
             assert abs(overall - report.overall_accuracy) <= 1e-12
 
 
+def lean(posterior):
+    """The summary as score_posterior(..., mutual_info=False) gives it."""
+    return PosteriorSummary(
+        posterior.mean_probs, posterior.predicted, posterior.confidence, posterior.entropy,
+        None, None,
+    )
+
+
 class TestScoresWithoutMutualInfo:
-    """Scores taken with score_posterior(..., mutual_info=False)."""
+    """Summaries scored with score_posterior(..., mutual_info=False)."""
 
     def test_mutual_info_gate_rejects_them_in_one_line(self):
-        scores = UncertaintyScores(np.array([0.9, 0.6]), np.array([0.1, 0.5]), None, None)
-        predicted, labels = np.array([0, 1]), np.array([0, 0])
+        posterior = lean(posterior_of([0, 1], [0.9, 0.6], [0.1, 0.5]))
+        labels = np.array([0, 0])
         for gate in (
-            lambda: apply_rejection(scores, predicted, labels, 0.1, measure="mutual_info"),
-            lambda: threshold_sweep(scores, predicted, labels, measure="mutual_info"),
+            lambda: apply_rejection(posterior, labels, 0.1, measure="mutual_info"),
+            lambda: threshold_sweep(posterior, labels, measure="mutual_info"),
         ):
             with pytest.raises(ValueError, match="no mutual_info") as info:
                 gate()
             assert "\n" not in str(info.value)
 
     def test_confidence_and_entropy_gates_still_work(self):
-        full = scores_from_uncertainty([0.1, 0.5])
-        lean = UncertaintyScores(full.confidence, full.entropy, None, None)
-        predicted, labels = np.array([0, 1]), np.array([0, 0])
-        for measure, threshold in (("confidence", 0.5), ("entropy", 0.2)):
+        full = posterior_of([0, 1], confidence=[0.5, 0.7], entropy=[0.1, 0.5])
+        labels = np.array([0, 0])
+        for measure, threshold in (("confidence", 0.6), ("entropy", 0.2)):
             assert_same_report(
-                apply_rejection(lean, predicted, labels, threshold, measure=measure),
-                apply_rejection(full, predicted, labels, threshold, measure=measure),
+                apply_rejection(lean(full), labels, threshold, measure=measure),
+                apply_rejection(full, labels, threshold, measure=measure),
             )
+
+
+class TestOptionRules:
+    """check_threshold and check_grid, which the CLI runs before any parse."""
+
+    @pytest.mark.parametrize("measure,message", [
+        ("confidence", "threshold must lie in [0, 1] for confidence, got nan"),
+        ("mutual_info", "threshold must be nonnegative for mutual_info, got nan"),
+    ])
+    def test_nan_threshold_rejected(self, measure, message):
+        with pytest.raises(ValueError) as info:
+            check_threshold(float("nan"), measure)
+        assert str(info.value) == message
+
+    def test_threshold_returned_as_float(self):
+        assert check_threshold(1, "confidence") == 1.0
+        assert type(check_threshold(np.float32(0.5), "confidence")) is float
+        assert check_threshold(3, "entropy") == 3.0
+
+    def test_grid_defaults_and_converts(self):
+        assert check_grid(None, "confidence") == DEFAULT_GRID
+        assert check_grid([0, 1], "confidence") == (0.0, 1.0)
+
+    def test_grid_range_reported_before_order(self):
+        with pytest.raises(ValueError) as info:
+            check_grid([0.9, 1.5, 0.5], "confidence")
+        assert str(info.value) == "threshold must lie in [0, 1] for confidence, got 1.5"
 
 
 class TestConfusionMatrix:
@@ -298,8 +309,8 @@ class TestConfusionMatrix:
 class TestThresholdSweep:
     def test_default_grid(self):
         rng = np.random.default_rng(1)
-        scores, predicted, labels = random_case(rng)
-        curve = threshold_sweep(scores, predicted, labels)
+        posterior, labels = random_case(rng)
+        curve = threshold_sweep(posterior, labels)
         assert len(curve.reports) == 9
         thresholds = [r.threshold for r in curve.reports]
         assert thresholds == [i / 100 for i in range(50, 91, 5)]
@@ -307,9 +318,9 @@ class TestThresholdSweep:
 
     def test_singleton_grid_matches_apply_rejection(self):
         rng = np.random.default_rng(2)
-        scores, predicted, labels = random_case(rng)
-        curve = threshold_sweep(scores, predicted, labels, grid=[0.7])
-        single = apply_rejection(scores, predicted, labels, threshold=0.7)
+        posterior, labels = random_case(rng)
+        curve = threshold_sweep(posterior, labels, grid=[0.7])
+        single = apply_rejection(posterior, labels, threshold=0.7)
         swept = curve.reports[0]
         assert swept.threshold == single.threshold
         assert swept.measure == single.measure
@@ -322,28 +333,25 @@ class TestThresholdSweep:
         np.testing.assert_array_equal(swept.accepted_mask, single.accepted_mask)
 
     def test_constant_confidence_step_function(self):
-        scores = scores_from_confidence(np.full(12, 0.8))
         predicted = np.zeros(12, dtype=np.int64)
-        curve = threshold_sweep(
-            scores, predicted, predicted, grid=[0.5, 0.7, 0.9]
-        )
+        posterior = posterior_of(predicted, confidence=np.full(12, 0.8))
+        curve = threshold_sweep(posterior, predicted, grid=[0.5, 0.7, 0.9])
         assert [r.coverage for r in curve.reports] == [1.0, 1.0, 0.0]
 
     def test_coverage_nonincreasing_on_random_inputs(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            scores, predicted, labels = random_case(rng, n=30, k=3)
-            curve = threshold_sweep(scores, predicted, labels)
+            posterior, labels = random_case(rng, n=30, k=3)
+            curve = threshold_sweep(posterior, labels)
             coverages = [r.coverage for r in curve.reports]
             assert all(a >= b for a, b in zip(coverages, coverages[1:]))
 
     def test_entropy_sweep_coverage_nondecreasing(self):
         rng = np.random.default_rng(4)
         entropy = rng.random(30) * 1.5
-        scores = scores_from_uncertainty(entropy)
         predicted = rng.integers(0, 3, size=30)
         curve = threshold_sweep(
-            scores, predicted, predicted,
+            posterior_of(predicted, entropy=entropy), predicted,
             grid=[0.25, 0.5, 0.75, 1.0, 1.25], measure="entropy",
         )
         coverages = [r.coverage for r in curve.reports]
@@ -351,33 +359,33 @@ class TestThresholdSweep:
 
     def test_unsorted_grid_rejected(self):
         rng = np.random.default_rng(5)
-        scores, predicted, labels = random_case(rng)
+        posterior, labels = random_case(rng)
         with pytest.raises(ValueError, match="grid"):
-            threshold_sweep(scores, predicted, labels, grid=[0.7, 0.5])
+            threshold_sweep(posterior, labels, grid=[0.7, 0.5])
 
     def test_duplicate_grid_rejected(self):
         rng = np.random.default_rng(6)
-        scores, predicted, labels = random_case(rng)
+        posterior, labels = random_case(rng)
         with pytest.raises(ValueError, match="grid"):
-            threshold_sweep(scores, predicted, labels, grid=[0.5, 0.5])
+            threshold_sweep(posterior, labels, grid=[0.5, 0.5])
 
     def test_empty_grid_rejected(self):
         rng = np.random.default_rng(7)
-        scores, predicted, labels = random_case(rng)
+        posterior, labels = random_case(rng)
         with pytest.raises(ValueError, match="grid"):
-            threshold_sweep(scores, predicted, labels, grid=[])
+            threshold_sweep(posterior, labels, grid=[])
 
     def test_empty_input_rejected(self):
         empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(ValueError, match="empty prediction set"):
-            threshold_sweep(scores_from_confidence([]), empty, empty)
+            threshold_sweep(posterior_of(empty), empty)
 
     def test_curve_type_rejects_nonincreasing_violation(self):
         # Direct construction is validated too, not just the sweep path.
         rng = np.random.default_rng(8)
-        scores, predicted, labels = random_case(rng)
-        r1 = apply_rejection(scores, predicted, labels, 0.5)
-        r2 = apply_rejection(scores, predicted, labels, 0.8)
+        posterior, labels = random_case(rng)
+        r1 = apply_rejection(posterior, labels, 0.5)
+        r2 = apply_rejection(posterior, labels, 0.8)
         with pytest.raises(ValueError, match="increasing"):
             RejectionCurve(measure="confidence", reports=(r2, r1))
 
@@ -385,8 +393,8 @@ class TestThresholdSweep:
 class TestSelectionExports:
     def test_curve_csv_layout(self, tmp_path):
         rng = np.random.default_rng(9)
-        scores, predicted, labels = random_case(rng)
-        curve = threshold_sweep(scores, predicted, labels)
+        posterior, labels = random_case(rng)
+        curve = threshold_sweep(posterior, labels)
         path = os.path.join(tmp_path, "curve.csv")
         save_curve_csv(curve, path)
         with open(path, "r", encoding="utf-8") as handle:
@@ -401,9 +409,9 @@ class TestSelectionExports:
             assert float(cells[3]) == report.selective_accuracy
 
     def test_curve_csv_empty_cell_when_nothing_accepted(self, tmp_path):
-        scores = scores_from_confidence([0.55, 0.6])
         predicted = np.array([0, 1])
-        curve = threshold_sweep(scores, predicted, predicted, grid=[0.5, 0.9])
+        posterior = posterior_of(predicted, confidence=[0.55, 0.6])
+        curve = threshold_sweep(posterior, predicted, grid=[0.5, 0.9])
         path = os.path.join(tmp_path, "curve.csv")
         save_curve_csv(curve, path)
         with open(path, "r", encoding="utf-8") as handle:
@@ -440,20 +448,17 @@ GATE_VALUES = st.sampled_from(EIGHTHS) | st.floats(0.0, 1.0)
 
 @st.composite
 def gate_cases(draw):
-    """(scores, predicted, labels, grid, measure) for the gates."""
+    """(posterior, labels, grid, measure) for the gates."""
     n = draw(st.integers(1, 30))
     k = draw(st.integers(2, 4))
     classes = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
     values = st.lists(GATE_VALUES, min_size=n, max_size=n)
-    scores = UncertaintyScores(
-        confidence=draw(values), entropy=draw(values),
-        expected_entropy=np.zeros(n), mutual_info=draw(values),
+    posterior = posterior_of(
+        draw(classes), confidence=draw(values), entropy=draw(values),
+        mutual_info=draw(values),
     )
     grid = sorted(draw(st.sets(GATE_VALUES, min_size=1, max_size=6)))
-    return (
-        scores, np.array(draw(classes)), np.array(draw(classes)), grid,
-        draw(st.sampled_from(MEASURES)),
-    )
+    return posterior, np.array(draw(classes)), grid, draw(st.sampled_from(MEASURES))
 
 
 def assert_same_report(actual, expected):
@@ -466,7 +471,7 @@ def assert_same_report(actual, expected):
             assert a == e, field.name
 
 
-TIED = (scores_from_confidence([0.5, 0.5, 0.75]), np.array([0, 1, 1]),
+TIED = (posterior_of([0, 1, 1], confidence=[0.5, 0.5, 0.75]),
         np.array([0, 1, 0]), [0.5, 0.75], "confidence")
 
 
@@ -474,11 +479,11 @@ TIED = (scores_from_confidence([0.5, 0.5, 0.75]), np.array([0, 1, 1]),
 @given(case=gate_cases())
 @example(case=TIED)
 def test_sweep_report_equals_apply_rejection(case):
-    scores, predicted, labels, grid, measure = case
-    curve = threshold_sweep(scores, predicted, labels, grid, measure)
+    posterior, labels, grid, measure = case
+    curve = threshold_sweep(posterior, labels, grid, measure)
     assert [r.threshold for r in curve.reports] == grid
     for threshold, swept in zip(grid, curve.reports):
-        single = apply_rejection(scores, predicted, labels, threshold, measure)
+        single = apply_rejection(posterior, labels, threshold, measure)
         assert_same_report(swept, single)
 
 
@@ -486,11 +491,11 @@ def test_sweep_report_equals_apply_rejection(case):
 @given(case=gate_cases())
 @example(case=TIED)
 def test_gate_splits_every_row(case):
-    scores, predicted, labels, grid, measure = case
-    values = getattr(scores, measure)
+    posterior, labels, grid, measure = case
+    values = getattr(posterior, measure)
     for threshold in grid:
-        report = apply_rejection(scores, predicted, labels, threshold, measure)
-        assert report.accepted_count + report.rejected_count == len(predicted)
+        report = apply_rejection(posterior, labels, threshold, measure)
+        assert report.accepted_count + report.rejected_count == len(labels)
         expected = values >= threshold if measure == "confidence" else values <= threshold
         np.testing.assert_array_equal(report.accepted_mask, expected)
         assert report.accepted_count == int(expected.sum())
@@ -500,8 +505,8 @@ def test_gate_splits_every_row(case):
 @given(case=gate_cases())
 @example(case=TIED)
 def test_coverage_monotone_in_threshold(case):
-    scores, predicted, labels, grid, measure = case
-    curve = threshold_sweep(scores, predicted, labels, grid, measure)
+    posterior, labels, grid, measure = case
+    curve = threshold_sweep(posterior, labels, grid, measure)
     coverages = [r.coverage for r in curve.reports]
     if measure == "confidence":
         coverages.reverse()
