@@ -454,9 +454,17 @@ def _cmd_eval(opts: dict) -> int:
     layer, ds = _load_eval_inputs(opts)
     out = opts["out"]
     os.makedirs(out, exist_ok=True)
-    _remove_outputs([os.path.join(out, name) for name in _EVAL_OUTPUTS])
+    paths = [os.path.join(out, name) for name in _EVAL_OUTPUTS]
+    _remove_outputs(paths)
     samples = os.path.join(out, "samples.npy") if opts["save_samples"] else None
-    _write_eval_reports(ds, _score(layer, ds, opts, samples), opts)
+    posterior = _score(layer, ds, opts, samples)
+    try:
+        _write_eval_reports(ds, posterior, opts)
+    except BaseException:
+        # A report that fails on the scores (no case accepted, say) leaves
+        # no samples.npy, which can be far larger than every report together.
+        _remove_outputs(paths)
+        raise
     return 0
 
 

@@ -22,17 +22,23 @@ writer take it whole, so its one constructor owns the shape rules.
 ``score_posterior`` is the scoring engine, and the one the ``eval`` and
 ``sweep`` commands use. It takes the S weight draws once, then scores the
 row chunks on a ``ThreadPoolExecutor``: each pool thread fills its own
-draw-major (S, rows, K) buffer with one batched matmul per chunk, checks it
-and reduces it to its own rows of the per-row results. So it needs
-O(N·K + threads x chunk) memory and never holds the N x S x K grid. No
-result depends on the thread count: every sum over the K classes is a
-left-to-right fold of the class columns in numpy's own order
-(``_sum_classes``), and every mean over the S draws keeps the order numpy
-uses on the (N, S, K) grid. While the threads run, numpy's OpenBLAS is held
-at one thread (``blas.one_blas_thread``); where it cannot be, the calling
-thread scores every chunk. With ``samples``, the thread that scored a chunk
-also writes that chunk's records into an ``.npy`` file at their own offset,
-so the saved grid takes the same pool path.
+(S, K, rows) view of a chunk's probabilities, checks it and reduces it to
+its own rows of the per-row results. So it needs O(N·K + threads x chunk)
+memory and never holds the N x S x K grid. Below 8 classes the buffer
+behind the view is class-major, so every fold over the K classes, the
+shift, the divide and the mean over draws run over contiguous rows; from 8
+classes it is draw-major (S, rows, K), the layout in which numpy sums the
+contiguous class axis pairwise as over the grid. Either way the logits come
+from one batched matmul per draw block into a draw-major array, each draw
+the same gemm as `rows @ weights[s].T` (``_logits``). No result depends on
+the thread count: every sum over the K classes is a left-to-right fold of
+the classes in numpy's own order (``_sum_classes``), and every mean over
+the S draws keeps the order numpy uses on the (N, S, K) grid. While the
+threads run, numpy's OpenBLAS is held at one thread
+(``blas.one_blas_thread``); where it cannot be, the calling thread scores
+every chunk. With ``samples``, the thread that scored a chunk also writes
+that chunk's records into an ``.npy`` file at their own offset, so the
+saved grid takes the same pool path.
 
 ``predictive_posterior``, ``PredictionSet``, ``uncertainty_scores`` and
 ``save_prob_samples_csv`` copy the same chunks into the full grid and match
@@ -61,14 +67,13 @@ __all__ = [
     "save_predictions_csv",
 ]
 
-# Size of one chunk's draw-major (S, rows, K) float64 buffer; the rows per
-# chunk follow from it. Scoring a chunk allocates about 0.7 times as much
-# again in temporaries. At N=100k, S=100, K=5 on two scoring threads, 2 MiB
-# chunks scored in 0.167 s against 0.173 s for 1 MiB and 0.166 s for 4 MiB
-# ones (median of 7 on a 2-core VM). The draws are the buffer's outer axis
-# so that one batched matmul fills it (one gemm per draw), and the per-row
-# sums over a short K axis and the mean over S become whole-array adds over
-# long contiguous rows.
+# Size of one chunk's (S, K, rows) float64 buffer; the rows per chunk
+# follow from it. At N=100k, S=100, K=5 on two scoring threads, 2 MiB chunks
+# scored in 0.167 s against 0.173 s for 1 MiB and 0.166 s for 4 MiB ones
+# (median of 7 on a 2-core VM, draw-major buffers). The draws are the outer
+# axis so that one batched matmul fills a block of them (one gemm per draw),
+# and the mean over S becomes whole-array adds over long contiguous rows;
+# below 8 classes the per-row folds over K do too (see _class_major).
 # A chunk never holds a single row unless N = 1: numpy sends 1-row matmuls
 # to gemv, which rounds differently from gemm. At small D every larger chunk
 # matches the full-batch product bit for bit; at large D (K=100, D=256
@@ -77,10 +82,11 @@ __all__ = [
 _CHUNK_BYTES = 2 * 2**20
 
 # The most threads that score chunks at once: two, the most that has been
-# benchmarked (on a 2-core VM). Each thread holds about 1.7 x _CHUNK_BYTES of
-# its own (its buffer, row maxima and the kernel's and _entropy's
-# temporaries), and its reductions hold the GIL, so whether more threads pay
-# for that memory is unmeasured.
+# benchmarked (on a 2-core VM). Each thread holds about 1.75 x _CHUNK_BYTES
+# of its own at K=5, S=100 (tracemalloc peak: its buffer, row maxima, and
+# either a class-major chunk's logits scratch or _entropy's temporaries, a
+# quarter of the buffer each), and its reductions hold the GIL, so whether
+# more threads pay for that memory is unmeasured.
 _MAX_WORKERS = 2
 
 
@@ -177,34 +183,55 @@ class PosteriorSummary:
             object.__setattr__(self, name, arr)
 
 
-def _sum_classes(block: np.ndarray) -> np.ndarray:
-    """``block.sum(axis=-1, keepdims=True)`` without its slow loop.
+def _class_major(num_classes: int) -> bool:
+    """Whether a chunk's buffer is class-major (S, K, rows), not (S, rows, K).
+
+    Below 8 classes every sum over them is a fold of K class slices
+    (_sum_classes), which a class-major buffer makes K adds over contiguous
+    rows. From 8 classes numpy sums pairwise along the contiguous class axis
+    of a draw-major buffer, and that order fixes the bits; along a
+    class-major one it would add the K slices left to right.
+    """
+    return num_classes < 8
+
+
+def _sum_classes(block: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``block.sum(axis=axis, keepdims=True)`` without its slow loop.
 
     numpy sums fewer than 8 terms as ``0.0 + a0 + a1 + ...`` from left to
-    right, one short reduction per row. Folding the class columns in that
-    order gives the same bits in K whole-array adds. The 0.0 start matters:
-    it turns a row of -0.0 into 0.0, as numpy does. From 8 terms on numpy
-    sums pairwise, so its own sum is used. Where the sum is NaN, both are
-    NaN but may carry different NaN bits (numpy keeps the first NaN term,
-    the fold the last); the engine never sums a NaN.
+    right, one short reduction per row. Folding the class slices in that
+    order gives the same bits in K whole-array adds, over contiguous rows
+    when `axis` is the class axis of a class-major chunk. The 0.0 start
+    matters: it turns a row of -0.0 into 0.0, as numpy does. From 8 terms on
+    numpy sums pairwise, so its own sum is used. Where the sum is NaN, both
+    are NaN but may carry different NaN bits (numpy keeps the first NaN
+    term, the fold the last); the engine never sums a NaN.
     """
-    k = block.shape[-1]
+    k = block.shape[axis]
     if k == 0 or k >= 8:
-        return block.sum(axis=-1, keepdims=True)
-    total = block[..., :1] + 0.0
+        return block.sum(axis=axis, keepdims=True)
+    head = (slice(None),) * (axis % block.ndim)
+    total = block[(*head, slice(0, 1))] + 0.0
     for j in range(1, k):
-        total += block[..., j : j + 1]
+        total += block[(*head, slice(j, j + 1))]
     return total
 
 
-def _entropy(probs: np.ndarray) -> np.ndarray:
-    """Shannon entropy in nats along the last axis, with 0 ln 0 taken as 0."""
+def _entropy(probs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Shannon entropy in nats along `axis`, with 0 ln 0 taken as 0.
+
+    `probs` holds probability rows: values in [0, 1], some positive in each.
+    """
     p = np.asarray(probs, dtype=np.float64)
-    # ln 1 = 0 stands in where p is 0; one temporary the size of p.
-    terms = np.where(p > 0.0, p, 1.0)
+    # A zero p takes the log of the least subnormal, so its term is -0.0,
+    # where a guard of ln 1 would give +0.0. Each row also holds a p = 1
+    # term (+0.0) or a nonzero one, and beside either a -0.0 changes no sum,
+    # so both guards give the same bits; np.maximum costs about half of
+    # np.where(p > 0, p, 1). One temporary the size of p.
+    terms = np.maximum(p, 5e-324)
     np.log(terms, out=terms)
     terms *= p
-    return -_sum_classes(terms)[..., 0]
+    return -_sum_classes(terms, axis).squeeze(axis)
 
 
 def _scores(
@@ -288,28 +315,66 @@ def _posterior_draws(layer: VBLinearLayer, mc_samples: int, seed: int):
     return weights.transpose(0, 2, 1), biases
 
 
-def _softmax_chunk(features, start, weights_t, biases, probs, peak) -> None:
-    """Fill probs, (S, rows, K), with the softmax of `features` under each draw.
+def _draw_block(mc_samples: int) -> int:
+    """Draws per block, where a chunk is worked a block of draws at a time.
 
-    features holds data rows start.., and peak is (S, rows, 1) scratch. A
+    A quarter of them, rounded up, holds a block's temporaries to a quarter
+    of the chunk.
+    """
+    return -(-mc_samples // 4)
+
+
+def _logits(features, weights_t, biases, probs) -> None:
+    """Write each draw's logits of `features` into probs, an (S, K, rows) view.
+
+    The product is always ``np.matmul(features, weights_t[draws], out=...)``
+    into a draw-major (draws, rows, K) array, so each draw's gemm rounds as
+    `rows @ weights[s].T` does. A draw-major buffer takes the product in
+    place. A class-major one takes it a block of draws at a time through
+    scratch, from which one transposing add of the biases moves it in; the
+    scratch is freed before the entropies' temporaries of the same size are
+    taken. A product written class-major by BLAS itself, ``weights @
+    features.T`` or an ``out`` that numpy meets by swapping the operands, is
+    another gemm: under OPENBLAS_CORETYPE=Haswell it moved the last bits of
+    K=5 probabilities.
+    """
+    draws, k, rows = probs.shape
+    if not _class_major(k):
+        draw_major = probs.transpose(0, 2, 1)
+        np.matmul(features, weights_t, out=draw_major)
+        draw_major += biases
+        return
+    step = _draw_block(draws)
+    scratch = np.empty((step, rows, k))
+    for first in range(0, draws, step):
+        block = slice(first, min(first + step, draws))
+        logits = scratch[: block.stop - first]
+        np.matmul(features, weights_t[block], out=logits)
+        np.add(logits.transpose(0, 2, 1), biases[block].transpose(0, 2, 1),
+               out=probs[block])
+
+
+def _softmax_chunk(features, start, weights_t, biases, probs, peak) -> None:
+    """Fill probs, an (S, K, rows) view, with the softmax of `features` under each draw.
+
+    features holds data rows start.., and peak is (S, 1, rows) scratch. A
     row whose logits are not finite under some draw raises a ValueError that
     names the row's 0-based index and the lowest such draw.
     """
-    k = probs.shape[2]
+    k = probs.shape[1]
     # The finite-maximum check below reports an overflowing row, not numpy's
     # warnings; the caller's error state is back once the chunk is done.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(features, weights_t, out=probs)
-        probs += biases
+        _logits(features, weights_t, biases, probs)
         # vbll.softmax over the whole block, step for step, so the same bits.
-        # numpy's max over a short last axis is slow; folding the K columns
+        # numpy's max over a short axis is slow; folding the K class slices
         # with np.maximum gives the same maximum (NaN still propagates, and a
         # -0.0 against a 0.0 maximum gives the same exp).
-        np.copyto(peak, probs[..., :1])
+        np.copyto(peak, probs[:, :1])
         for j in range(1, k):
-            np.maximum(peak, probs[..., j : j + 1], out=peak)
+            np.maximum(peak, probs[:, j : j + 1], out=peak)
         if not np.isfinite(peak).all():
-            bad = ~np.isfinite(peak[..., 0])
+            bad = ~np.isfinite(peak[:, 0])
             row = int(bad.any(axis=0).argmax())
             raise ValueError(
                 f"data row {start + row}: logits are not finite under "
@@ -320,7 +385,7 @@ def _softmax_chunk(features, start, weights_t, biases, probs, peak) -> None:
         # [1, K], and the K quotients sum to 1 within K * 2.2e-16.
         probs -= peak
         np.exp(probs, out=probs)
-        probs /= _sum_classes(probs)
+        probs /= _sum_classes(probs, axis=1)
 
 
 def _worker_count(chunks: int) -> int:
@@ -334,8 +399,8 @@ def _score_chunks(
     """Score every row chunk of the posterior on a pool of threads.
 
     reduce(start, probs) runs on the thread that scored rows start.., as
-    soon as they are scored. probs is a contiguous, draw-major (S, rows, K)
-    view of that thread's own buffer, which its next chunk overwrites, so
+    soon as they are scored. probs is an (S, K, rows) view of that thread's
+    own buffer (see _class_major), which its next chunk overwrites, so
     reduce must be done with it when it returns. It may write only its own
     chunk's rows of any shared output, so no result depends on the thread
     count or on which thread took a chunk. Without a pool (no BLAS pin, or a
@@ -357,8 +422,12 @@ def _score_chunks(
             local.buffer = np.empty(mc_samples * most * k)
             local.row_max = np.empty(mc_samples * most)
         rows = stop - start
-        probs = local.buffer[: mc_samples * rows * k].reshape(mc_samples, rows, k)
-        peak = local.row_max[: mc_samples * rows].reshape(mc_samples, rows, 1)
+        buffer = local.buffer[: mc_samples * rows * k]
+        if _class_major(k):
+            probs = buffer.reshape(mc_samples, k, rows)
+        else:
+            probs = buffer.reshape(mc_samples, rows, k).transpose(0, 2, 1)
+        peak = local.row_max[: mc_samples * rows].reshape(mc_samples, 1, rows)
         _softmax_chunk(features[start:stop], start, weights_t, biases, probs, peak)
         reduce(start, probs)
 
@@ -395,7 +464,7 @@ def predictive_posterior(
     prob_samples = np.empty((features.shape[0], mc_samples, layer.num_classes))
 
     def copy(start, probs):
-        prob_samples[start : start + probs.shape[1]] = probs.transpose(1, 0, 2)
+        prob_samples[start : start + probs.shape[2]] = probs.transpose(2, 0, 1)
 
     _score_chunks(layer, features, mc_samples, seed, copy)
     mean_probs = prob_samples.mean(axis=1)
@@ -436,8 +505,8 @@ def _npy_records(fd: int, shape: tuple[int, int, int], reduce):
     block = max(1, 2**16 // row_bytes)
 
     def write(start, probs):
-        for row in range(0, probs.shape[1], block):
-            records = probs[:, row : row + block].transpose(1, 0, 2)
+        for row in range(0, probs.shape[2], block):
+            records = probs[:, :, row : row + block].transpose(2, 0, 1)
             records = np.ascontiguousarray(records, dtype="<f8")
             _pwrite(fd, records, first + (start + row) * row_bytes)
         reduce(start, probs)
@@ -467,19 +536,19 @@ def score_posterior(
     expected_entropy = np.empty(n) if mutual_info else None
 
     def reduce(start, probs):
-        rows = probs.shape[1]
+        rows = probs.shape[2]
         # numpy adds the S axis left to right here as over the grid's axis 1.
-        mean_probs[start : start + rows] = probs.mean(axis=0)
+        mean_probs[start : start + rows] = probs.mean(axis=0).T
         if expected_entropy is None:
             return
         # Per-draw entropies as contiguous (rows, S), so each row's S terms
         # are summed pairwise as over the grid; a mean over axis 0 would add
-        # them left to right and round differently once S >= 9. A quarter
-        # of the draws at a time keeps _entropy's temporaries to a quarter of
-        # the chunk (as fast as all at once on bulk.csv).
-        entropies, step = np.empty((rows, mc_samples)), -(-mc_samples // 4)
+        # them left to right and round differently once S >= 9. A block of
+        # draws at a time was as fast as all at once on bulk.csv.
+        entropies, step = np.empty((rows, mc_samples)), _draw_block(mc_samples)
         for first in range(0, mc_samples, step):
-            entropies[:, first : first + step] = _entropy(probs[first : first + step]).T
+            block = probs[first : first + step]
+            entropies[:, first : first + step] = _entropy(block, axis=1).T
         expected_entropy[start : start + rows] = entropies.mean(axis=1)
 
     if samples is None:

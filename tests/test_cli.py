@@ -1055,6 +1055,21 @@ class TestEval:
         )
         assert os.listdir(out) == []
 
+    def test_failed_reports_leave_no_samples_file(self, capsys, pipeline, tmp_path):
+        # The grid is written while the rows are scored; the reports then
+        # fail on the scores, and the grid goes with them.
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--threshold", "1.0", "--ece-accepted-only", "--save-samples",
+            "--mc-samples", "100", "--seed", "7", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == (
+            "error: no samples accepted: accepted-only calibration is undefined\n"
+        )
+        assert os.listdir(out) == []
+
     def test_model_not_json_names_the_model(self, capsys, pipeline, tmp_path):
         model = os.path.join(tmp_path, "model.json")
         with open(model, "w", encoding="utf-8") as handle:

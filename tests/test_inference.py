@@ -606,23 +606,28 @@ class TestStreamingEngine:
     def test_matches_full_grid_reference_bit_for_bit(
         self, monkeypatch, tmp_path, n, num_classes
     ):
-        # K below 8 takes the engine's column folds and K from 8 numpy's own
-        # sum. S = 17 and S = 9 put the mean over draws and the pairwise
-        # mean of the per-draw entropies past numpy's 8-term blocks.
-        s = 17 if num_classes <= 8 else 9
-        monkeypatch.setattr(
-            inference, "_CHUNK_BYTES", CHUNK_ROWS * s * num_classes * 8
-        )
-        bounds = inference._chunk_bounds(n, s, num_classes)
-        assert bounds[0][0] == 0 and bounds[-1][1] == n
-        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-        assert all(stop - start <= CHUNK_ROWS + 1 for start, stop in bounds)
-        if n > 1:
-            assert all(stop - start >= 2 for start, stop in bounds)
-
+        # K below 8 takes the engine's class-major buffer and class folds,
+        # K from 8 its draw-major buffer and numpy's own sum. S = 17 and
+        # S = 9 put the mean over draws and the pairwise mean of the
+        # per-draw entropies past numpy's 8-term blocks. A class-major chunk
+        # takes its logits ceil(S / 4) draws at a time: S = 17 leaves a
+        # short last block (5, 5, 5, 2), S = 1 and S = 3 blocks of one draw.
+        draws = [17 if num_classes <= 8 else 9]
+        if num_classes in (2, 5, 7, 8):
+            draws += [1, 3]
         layer = init_layer(7, num_classes, rho_init=-1.0, seed=n)
         features = 3.0 * np.random.default_rng(n).standard_normal((n, 7))
-        assert_engine_matches_reference(layer, features, s, tmp_path)
+        for s in draws:
+            monkeypatch.setattr(
+                inference, "_CHUNK_BYTES", CHUNK_ROWS * s * num_classes * 8
+            )
+            bounds = inference._chunk_bounds(n, s, num_classes)
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert all(stop - start <= CHUNK_ROWS + 1 for start, stop in bounds)
+            if n > 1:
+                assert all(stop - start >= 2 for start, stop in bounds)
+            assert_engine_matches_reference(layer, features, s, tmp_path)
 
     def test_all_equal_logits_match_reference(self, monkeypatch, tmp_path):
         # Zero means, a tiny weight sigma, no bias noise and -0.0 features:
@@ -1105,17 +1110,81 @@ def class_blocks(draw):
     return draw(arrays(np.float64, (*lead, k), elements=SUM_VALUES))
 
 
+def class_layouts(block):
+    """(array, class axis, back) for `block` laid out as the engine may.
+
+    First the block itself, classes last. Then, as in a chunk, classes on
+    axis 1: a view of the block (a draw-major chunk's layout) and, below 8
+    classes, a contiguous copy (a class-major chunk's). back(result) moves a
+    keepdims result's class axis back to the end.
+    """
+    def back(result):
+        return np.moveaxis(result, 1, -1)
+
+    layouts = [(block, -1, lambda result: result)]
+    if block.ndim >= 2:
+        moved = np.moveaxis(block, -1, 1)
+        layouts.append((moved, 1, back))
+        if block.shape[-1] < 8:
+            layouts.append((np.ascontiguousarray(moved), 1, back))
+    return layouts
+
+
 @settings(max_examples=400, deadline=None)
 @given(block=class_blocks())
 @example(block=np.full((2, 3), -0.0))
 @example(block=np.array([[1e308, 1e308, -np.inf, 5e-324]]))
 @example(block=np.array([np.nan, -np.nan]))
+@example(block=np.arange(60.0).reshape(2, 3, 10) / 7)
 def test_sum_classes_matches_numpy_sum(block):
-    # Equal bits wherever numpy's sum is not NaN; NaN where it is, though the
-    # two may keep different NaN terms (sign and payload).
+    # Along the class axis of every layout: equal bits wherever numpy's sum
+    # over the last axis is not NaN; NaN where it is, though the two may
+    # keep different NaN terms (sign and payload).
     with np.errstate(all="ignore"):
-        folded = inference._sum_classes(block)
         expected = block.sum(axis=-1, keepdims=True)
+        folded = [back(inference._sum_classes(layout, axis))
+                  for layout, axis, back in class_layouts(block)]
     nan = np.isnan(expected)
-    assert_same_bits(np.isnan(folded), nan)
-    assert_same_bits(folded[~nan], expected[~nan])
+    for result in folded:
+        assert_same_bits(np.isnan(result), nan)
+        assert_same_bits(result[~nan], expected[~nan])
+
+
+def entropy_where(p):
+    """_entropy with a np.where zero guard: ln 1 = 0 stands in where p is 0."""
+    terms = np.where(p > 0.0, p, 1.0)
+    np.log(terms, out=terms)
+    terms *= p
+    return -inference._sum_classes(terms)[..., 0]
+
+
+PROB_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def probability_rows(draw):
+    """Rows of 1 to 20 values in [0, 1], each with a positive one."""
+    lead = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    k = draw(st.integers(1, 20))
+    p = draw(arrays(np.float64, (*lead, k), elements=PROB_VALUES))
+    positive = draw(st.sampled_from([1.0, 0.25, 5e-324, 1e-310]))
+    column = draw(st.integers(0, k - 1))
+    p[..., column] = np.where(p[..., column] > 0.0, p[..., column], positive)
+    return p
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=probability_rows())
+@example(p=np.array([[1.0, 0.0, 0.0, 0.0, 0.0]]))
+@example(p=np.array([[0.0] * 9 + [1.0]]))
+@example(p=np.array([[5e-324, 0.0, 0.0], [0.0, 0.5, 0.0]]))
+def test_entropy_keeps_the_bits_of_the_where_guard(p):
+    # _entropy's term for a zero p is -0.0 where this guard's is +0.0; on
+    # probability rows neither the class fold (K < 8) nor numpy's pairwise
+    # sum (K >= 8) can tell them apart.
+    expected = entropy_where(p)
+    for layout, axis, _ in class_layouts(p):
+        assert_same_bits(inference._entropy(layout, axis), expected)

@@ -16,6 +16,11 @@ offers:
 Scores may differ by at most ``SCORE_BOUND``. A host that offers no
 alternative, or whose child process does not report the requested kernel,
 skips the test and names the reason.
+
+The scoring engine's own bits must not move with the kernel, though: on
+each kernel, its results and its ``samples.npy`` on README-shaped problems
+(D=16, K=5) equal the full-grid reference of ``tests/test_inference.py``
+bit for bit, whatever layout its chunks take.
 """
 
 import csv
@@ -69,6 +74,43 @@ for name, (gen, epochs, threshold, grid) in chains.items():
         code = entrypoint(argv)
         if code:
             sys.exit(f"{argv[0]} exited {code}")
+report = {}
+"""
+
+# (rows, draws) per engine problem: the second takes three chunks.
+ENGINE_PROBLEMS = [(300, 20), (1100, 100)]
+
+ENGINE_CHILD = r"""
+import json, os, sys
+import numpy as np
+from vbselect.blas import blas_info
+from vbselect.inference import score_posterior
+from vbselect.vbll import init_layer
+
+out, tests, problems = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+sys.path.insert(0, tests)
+from test_inference import full_grid_reference, npy_bytes
+
+mismatches = []
+for n, s in problems:
+    layer = init_layer(16, 5, mu_init_scale=1.0, rho_init=-1.0, seed=n)
+    features = 3.0 * np.random.default_rng(n).standard_normal((n, 16))
+    grid, mean, scores = full_grid_reference(layer, features, s, seed=0)
+    samples = os.path.join(out, f"samples_{n}.npy")
+    result = score_posterior(layer, features, s, seed=0, samples=samples)
+    expected = {"mean_probs": mean, "predicted": np.argmax(mean, axis=1), **scores}
+    for name, value in expected.items():
+        if getattr(result, name).tobytes() != value.tobytes():
+            mismatches.append(f"{n}x{s} {name}")
+    with open(samples, "rb") as handle:
+        if handle.read() != npy_bytes(grid):
+            mismatches.append(f"{n}x{s} samples.npy")
+report = {"mismatches": mismatches}
+"""
+
+# Ends each child: one JSON line naming the kernels it ran on, with the
+# child's own `report` entries.
+REPORT_KERNELS = r"""
 try:
     from numpy._core import _multiarray_umath as umath
 except ImportError:
@@ -77,6 +119,7 @@ info = blas_info()
 print(json.dumps({
     "dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
     "core": None if info is None else info[3],
+    **report,
 }))
 """
 
@@ -113,18 +156,37 @@ def alternative(kind):
     return None, f"no OpenBLAS core type other than {info[3]} that this CPU supports"
 
 
-def run_chain(out, env):
+def run_child(code, args, env):
+    """Run `code` with `args` under `env`; its REPORT_KERNELS line, parsed."""
     src = os.path.dirname(os.path.dirname(vbselect.__file__))
     path = os.environ.get("PYTHONPATH")
     child_env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
                      **env)
     result = subprocess.run(
-        [sys.executable, "-c", CHILD, str(out), json.dumps(CHAINS)],
+        [sys.executable, "-c", code + REPORT_KERNELS, *args],
         capture_output=True, text=True, env=child_env, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
     return json.loads(result.stdout)
+
+
+def run_chain(out, env):
+    return run_child(CHILD, [str(out), json.dumps(CHAINS)], env)
+
+
+def kernel_env(kind):
+    """The environment of an alternative `kind` kernel, or a skip."""
+    env, expected = alternative(kind)
+    if env is None:
+        pytest.skip(f"no alternative {kind} kernel: {expected}")
+    return env, expected
+
+
+def skip_unless_reached(kind, env, expected, kernels):
+    field, value = expected
+    if kernels[field] != value:  # e.g. an OpenBLAS built for one core type only
+        pytest.skip(f"no alternative {kind} kernel: {env} left the child on {kernels}")
 
 
 def read_rows(path):
@@ -146,13 +208,9 @@ def default_run(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", ["numpy", "openblas"])
 def test_decisions_hold_across_kernels(default_run, tmp_path, kind):
-    env, expected = alternative(kind)
-    if env is None:
-        pytest.skip(f"no alternative {kind} kernel: {expected}")
+    env, expected = kernel_env(kind)
     kernels = run_chain(tmp_path / kind, env)
-    field, value = expected
-    if kernels[field] != value:  # e.g. an OpenBLAS built for one core type only
-        pytest.skip(f"no alternative {kind} kernel: {env} left the child on {kernels}")
+    skip_unless_reached(kind, env, expected, kernels)
 
     for name, (_, _, threshold, _) in CHAINS.items():
         base, other = default_run / name, tmp_path / kind / name
@@ -168,3 +226,19 @@ def test_decisions_hold_across_kernels(default_run, tmp_path, kind):
         for report in ("eval/confusion_all.csv", "eval/confusion_accepted.csv",
                        "sweep.csv"):
             assert read_bytes(base / report) == read_bytes(other / report), report
+
+
+@pytest.mark.parametrize("kind", ["default", "numpy", "openblas"])
+def test_engine_matches_full_grid_reference_on_every_kernel(tmp_path, kind):
+    # The engine's draw-block products must be the gemms of the reference's
+    # `features @ weights.T`, on every kernel. A class-major product from
+    # BLAS itself matched under one OpenBLAS kernel and not under another.
+    env = {}
+    if kind != "default":
+        env, expected = kernel_env(kind)
+    tests = os.path.dirname(os.path.abspath(__file__))
+    report = run_child(ENGINE_CHILD, [str(tmp_path), tests, json.dumps(ENGINE_PROBLEMS)],
+                       env)
+    if kind != "default":
+        skip_unless_reached(kind, env, expected, report)
+    assert report["mismatches"] == []
