@@ -196,8 +196,6 @@ _COMMANDS = {
         _Option("--threshold", "threshold", float, 0.7, "rejection threshold"),
         _MEASURE, _MC_SAMPLES,
         _Option("--ece-bins", "ece_bins", int, 15, "calibration bins"),
-        _Option("--ece-accepted-only", "ece_accepted_only", "flag", False,
-                "compute calibration over accepted samples only"),
         _Option("--save-samples", "save_samples", "flag", False,
                 "also write the full posterior sample grid to samples.npy"),
         _SEED,
@@ -461,8 +459,8 @@ def _cmd_eval(opts: dict) -> int:
     try:
         _write_eval_reports(ds, posterior, opts)
     except BaseException:
-        # A report that fails on the scores (no case accepted, say) leaves
-        # no samples.npy, which can be far larger than every report together.
+        # A report that fails (on a full disk, say) leaves no samples.npy,
+        # which can be far larger than every report together.
         _remove_outputs(paths)
         raise
     return 0
@@ -474,15 +472,7 @@ def _write_eval_reports(ds, posterior, opts: dict) -> None:
     )
     confidence = posterior.confidence
     correctness = posterior.predicted == ds.labels
-    if opts["ece_accepted_only"]:
-        if report.accepted_count == 0:
-            raise ValueError(
-                "no samples accepted: accepted-only calibration is undefined"
-            )
-        mask = report.accepted_mask
-        calibration = ece(confidence[mask], correctness[mask], opts["ece_bins"])
-    else:
-        calibration = ece(confidence, correctness, opts["ece_bins"])
+    calibration = ece(confidence, correctness, opts["ece_bins"])
     # The marker is a point on the confidence axis: only a confidence gate has one.
     marker = opts["threshold"] if opts["measure"] == "confidence" else None
     histogram = confidence_histogram(confidence, num_bins=20, threshold=marker)
@@ -501,12 +491,20 @@ def _write_eval_reports(ds, posterior, opts: dict) -> None:
         "overall_accuracy": report.overall_accuracy,
         "n_samples": ds.n_samples,
         "threshold": opts["threshold"],
+        "measure": opts["measure"],
         "mc_samples": opts["mc_samples"],
+        "ece_bins": opts["ece_bins"],
         "seed": opts["seed"],
         "toolkit_version": __version__,
     }
+    # Both accepted-case numbers are undefined, and omitted, when the gate
+    # accepts nothing.
     if report.selective_accuracy is not None:
+        mask = report.accepted_mask
         summary["accuracy_accepted"] = report.selective_accuracy
+        summary["ece_accepted"] = ece(
+            confidence[mask], correctness[mask], opts["ece_bins"]
+        ).ece
     write_json(os.path.join(out, "summary.json"), summary)
 
 

@@ -75,10 +75,12 @@ __all__ = [
 # and the mean over S becomes whole-array adds over long contiguous rows;
 # below 8 classes the per-row folds over K do too (see _class_major).
 # A chunk never holds a single row unless N = 1: numpy sends 1-row matmuls
-# to gemv, which rounds differently from gemm. At small D every larger chunk
-# matches the full-batch product bit for bit; at large D (K=100, D=256
-# measured) BLAS picks its kernel by matrix size, so the last bit of a
-# probability can depend on how many rows share its chunk.
+# to gemv, which rounds differently from gemm. A problem in one chunk
+# matches the full-batch product bit for bit on every kernel measured, and
+# so do several chunks at K=5 and K=12, D=16. Otherwise BLAS may pick its
+# kernel by matrix size, so the last bit of a probability can depend on how
+# many rows share its chunk: measured at K=100, D=256, at K=20, D=64 under
+# the default SkylakeX kernel, and at K=8, 20 and 100, D=16 under Haswell.
 _CHUNK_BYTES = 2 * 2**20
 
 # The most threads that score chunks at once: two, the most that has been

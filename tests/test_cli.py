@@ -304,7 +304,7 @@ class TestConfigTypes:
         ("balance", {"target": [80.5]}),
         ("train", {"epochs": 1.9}),
         ("eval", {"save_samples": "false"}),
-        ("eval", {"ece_accepted_only": 1}),
+        ("eval", {"save_samples": 1}),
         ("eval", {"threshold": None}),
         ("sweep", {"grid": [0.5, True]}),
         # JSON integers beyond float64 range pass the type check but must
@@ -876,8 +876,8 @@ class TestEval:
             summary = json.load(handle)
         for field in (
             "accuracy_accepted", "coverage", "rejection_rate", "ece",
-            "overall_accuracy", "n_samples", "threshold", "mc_samples",
-            "seed", "toolkit_version",
+            "ece_accepted", "overall_accuracy", "n_samples", "threshold",
+            "measure", "mc_samples", "ece_bins", "seed", "toolkit_version",
         ):
             assert field in summary, field
         assert abs(summary["coverage"] + summary["rejection_rate"] - 1.0) <= 1e-12
@@ -1002,10 +1002,10 @@ class TestEval:
         )
 
     def test_accepted_only_ece(self, capsys, pipeline, tmp_path):
+        # summary.json holds the ECE over every row and, beside it, the ECE
+        # over the rows the gate accepted, both at --ece-bins.
         out = os.path.join(tmp_path, "eval")
-        code, _, err = self.run_eval(
-            capsys, pipeline, out, ["--ece-accepted-only"]
-        )
+        code, _, err = self.run_eval(capsys, pipeline, out)
         assert_clean_success(code, err)
         with open(os.path.join(out, "summary.json"), encoding="utf-8") as handle:
             summary = json.load(handle)
@@ -1014,7 +1014,11 @@ class TestEval:
         confidence = np.array([float(r[3]) for r in rows])
         correctness = np.array([r[1] == r[2] for r in rows])
         mask = confidence >= 0.7
-        assert ece(confidence[mask], correctness[mask], 15).ece == summary["ece"]
+        assert 0 < mask.sum() < len(mask)
+        assert ece(confidence[mask], correctness[mask], 15).ece == summary["ece_accepted"]
+        assert ece(confidence, correctness, 15).ece == summary["ece"]
+        assert summary["measure"] == "confidence"
+        assert summary["ece_bins"] == 15
 
     def test_model_data_mismatch(self, capsys, pipeline, tmp_path):
         other = os.path.join(tmp_path, "other.csv")
@@ -1043,32 +1047,51 @@ class TestEval:
         assert not os.path.exists(out)
 
     def test_accepted_only_ece_with_nothing_accepted(self, capsys, pipeline, tmp_path):
-        # No mean confidence reaches 1.0 here, so the gate accepts no row.
+        # No mean confidence reaches 1.0 here, so the gate accepts no row:
+        # both accepted-case numbers are left out, and the rest is reported.
         out = os.path.join(tmp_path, "eval")
-        code, _, err = run_cli(capsys, [
-            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
-            "--threshold", "1.0", "--ece-accepted-only", "--seed", "7", "--out", out,
-        ])
-        assert_single_line_error(code, err, 1)
-        assert err == (
-            "error: no samples accepted: accepted-only calibration is undefined\n"
+        code, _, err = self.run_eval(capsys, pipeline, out, ["--threshold", "1.0"])
+        assert_clean_success(code, err)
+        with open(os.path.join(out, "summary.json"), encoding="utf-8") as handle:
+            summary = json.load(handle)
+        assert summary["coverage"] == 0.0
+        assert "accuracy_accepted" not in summary
+        assert "ece_accepted" not in summary
+        assert "ece" in summary
+
+    def test_failed_reports_leave_no_samples_file(
+        self, capsys, monkeypatch, pipeline, tmp_path
+    ):
+        # The grid is written while the rows are scored; a report writer
+        # then fails, and the grid goes with the reports.
+        def failing_writer(histogram, path):
+            assert os.path.exists(os.path.join(out, "samples.npy"))
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+
+        monkeypatch.setattr(cli, "save_histogram_csv", failing_writer)
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = self.run_eval(
+            capsys, pipeline, out, ["--save-samples", "--mc-samples", "100"]
         )
+        assert_single_line_error(code, err, 2)
+        assert "No space left on device" in err
         assert os.listdir(out) == []
 
-    def test_failed_reports_leave_no_samples_file(self, capsys, pipeline, tmp_path):
-        # The grid is written while the rows are scored; the reports then
-        # fail on the scores, and the grid goes with them.
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_ece_accepted_only_is_gone(self, capsys, pipeline, tmp_path, how):
+        # summary.json always carries both ECEs, so the switch that chose
+        # between them is no option and no config key.
         out = os.path.join(tmp_path, "eval")
-        code, _, err = run_cli(capsys, [
-            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
-            "--threshold", "1.0", "--ece-accepted-only", "--save-samples",
-            "--mc-samples", "100", "--seed", "7", "--out", out,
-        ])
+        extra = ["--ece-accepted-only"]
+        if how == "config":
+            path = os.path.join(tmp_path, "config.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump({"ece_accepted_only": True}, handle)
+            extra = ["--config", path]
+        code, _, err = self.run_eval(capsys, pipeline, out, extra)
         assert_single_line_error(code, err, 1)
-        assert err == (
-            "error: no samples accepted: accepted-only calibration is undefined\n"
-        )
-        assert os.listdir(out) == []
+        assert ("ece-accepted-only" if how == "flag" else "'ece_accepted_only'") in err
+        assert not os.path.exists(out)
 
     def test_model_not_json_names_the_model(self, capsys, pipeline, tmp_path):
         model = os.path.join(tmp_path, "model.json")

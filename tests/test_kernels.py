@@ -18,9 +18,12 @@ alternative, or whose child process does not report the requested kernel,
 skips the test and names the reason.
 
 The scoring engine's own bits must not move with the kernel, though: on
-each kernel, its results and its ``samples.npy`` on README-shaped problems
-(D=16, K=5) equal the full-grid reference of ``tests/test_inference.py``
-bit for bit, whatever layout its chunks take.
+each kernel, its results and its ``samples.npy`` equal the full-grid
+reference of ``tests/test_inference.py`` bit for bit on D=16 problems at
+K=5, in one chunk or in several, and at K=12 in one chunk. From 8 classes
+a product split into several chunks can round differently from the
+full-batch product on some kernels (see ``_CHUNK_BYTES`` in
+``vbselect.inference``), so no such problem is checked here.
 """
 
 import csv
@@ -77,8 +80,9 @@ for name, (gen, epochs, threshold, grid) in chains.items():
 report = {}
 """
 
-# (rows, draws) per engine problem: the second takes three chunks.
-ENGINE_PROBLEMS = [(300, 20), (1100, 100)]
+# (classes, rows, draws) per engine problem. The second takes three chunks.
+# The third, in one chunk, checks the draw-major layout's class sums.
+ENGINE_PROBLEMS = [(5, 300, 20), (5, 1100, 100), (12, 300, 20)]
 
 ENGINE_CHILD = r"""
 import json, os, sys
@@ -92,19 +96,19 @@ sys.path.insert(0, tests)
 from test_inference import full_grid_reference, npy_bytes
 
 mismatches = []
-for n, s in problems:
-    layer = init_layer(16, 5, mu_init_scale=1.0, rho_init=-1.0, seed=n)
+for k, n, s in problems:
+    layer = init_layer(16, k, mu_init_scale=1.0, rho_init=-1.0, seed=n)
     features = 3.0 * np.random.default_rng(n).standard_normal((n, 16))
     grid, mean, scores = full_grid_reference(layer, features, s, seed=0)
-    samples = os.path.join(out, f"samples_{n}.npy")
+    samples = os.path.join(out, f"samples_{k}_{n}.npy")
     result = score_posterior(layer, features, s, seed=0, samples=samples)
     expected = {"mean_probs": mean, "predicted": np.argmax(mean, axis=1), **scores}
     for name, value in expected.items():
         if getattr(result, name).tobytes() != value.tobytes():
-            mismatches.append(f"{n}x{s} {name}")
+            mismatches.append(f"K={k} {n}x{s} {name}")
     with open(samples, "rb") as handle:
         if handle.read() != npy_bytes(grid):
-            mismatches.append(f"{n}x{s} samples.npy")
+            mismatches.append(f"K={k} {n}x{s} samples.npy")
 report = {"mismatches": mismatches}
 """
 

@@ -63,6 +63,10 @@ class TestScalarHelpers:
         assert softplus(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
         np.testing.assert_allclose(softplus(np.array([-40.0, 40.0])), [0.0, 40.0], atol=1e-12)
 
+    def test_softplus_matches_logaddexp_within_a_few_ulp(self):
+        x = np.random.default_rng(0).uniform(-40.0, 40.0, 100_000)
+        np.testing.assert_array_max_ulp(softplus(x), np.logaddexp(0.0, x), maxulp=4)
+
     def test_softplus_monotonic(self):
         x = np.linspace(-20, 20, 2001)
         assert np.all(np.diff(softplus(x)) > 0)
