@@ -328,6 +328,10 @@ def _parse_counts(value, num_classes: int) -> tuple:
             raise ValueError(f"cannot parse class counts from {value!r}") from None
     parts = value if isinstance(value, list) else [value]
     if len(parts) == 1:
+        if num_classes > sys.maxsize:  # where repeating a list overflows
+            raise ValueError(
+                f"num_classes {num_classes} exceeds the largest list length, {sys.maxsize}"
+            )
         parts = parts * num_classes
     return tuple(parts)
 

@@ -374,7 +374,10 @@ def smote_oversample(
     u ~ Uniform(0, 1). Originals are kept; per-class output counts equal
     target_counts exactly.
     """
-    target_counts = np.asarray(target_counts, dtype=np.int64)
+    try:
+        target_counts = np.asarray(target_counts, dtype=np.int64)
+    except OverflowError:  # an integer beyond int64, e.g. from a config file
+        raise ValueError("target_counts must fit in int64") from None
     if target_counts.shape != (ds.num_classes,):
         raise ValueError("target_counts must list one count per class")
     if k_neighbors < 1:
@@ -388,28 +391,33 @@ def smote_oversample(
         if target_counts[c] > current[c] and current[c] < 2:
             raise ValueError(f"class {c} needs at least 2 samples to synthesize from")
 
+    # Python ints: a sum of int64 needs could wrap.
+    needs = [int(target) - int(count) for target, count in zip(target_counts, current)]
+    if not any(needs):
+        return ds
+    donors = []
+    for c, need in enumerate(needs):
+        if need:
+            members = ds.features[ds.labels == c]
+            k_eff = min(k_neighbors, members.shape[0] - 1)
+            donors.append((c, need, members, _nearest_neighbors(members, k_eff)))
+    # The whole output only once the distance matrices, the largest
+    # temporaries, are freed; so an absurd target fails here, before any
+    # row is drawn.
+    start = ds.n_samples
+    features = np.empty((start + sum(needs), ds.feature_dim))
+    labels = np.empty(features.shape[0], dtype=np.int64)
+    features[:start], labels[:start] = ds.features, ds.labels
     rng = np.random.default_rng(seed)
-    new_rows: list[np.ndarray] = []
-    new_labels: list[int] = []
-    for c in range(ds.num_classes):
-        need = int(target_counts[c] - current[c])
-        if need == 0:
-            continue
-        members = ds.features[ds.labels == c]
-        n_c = members.shape[0]
-        k_eff = min(k_neighbors, n_c - 1)
-        neighbors = _nearest_neighbors(members, k_eff)
-        for _ in range(need):
+    for c, need, members, neighbors in donors:
+        n_c, k_eff = neighbors.shape
+        labels[start : start + need] = c
+        for row in range(start, start + need):
             i = int(rng.integers(n_c))
             j = int(neighbors[i, rng.integers(k_eff)])
             u = rng.random()
-            new_rows.append(members[i] + u * (members[j] - members[i]))
-            new_labels.append(c)
-
-    if not new_rows:
-        return ds
-    features = np.vstack([ds.features, np.array(new_rows)])
-    labels = np.concatenate([ds.labels, np.array(new_labels, dtype=np.int64)])
+            features[row] = members[i] + u * (members[j] - members[i])
+        start += need
     return FeatureDataset(features, labels, ds.num_classes)
 
 

@@ -102,8 +102,7 @@ class LayerInitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mu_init_scale < 0:
-            raise ValueError("mu_init_scale must be nonnegative")
+        vbll.check_mu_init_scale(self.mu_init_scale)
         if not self.prior_scale > 0:
             raise ValueError("prior_scale must be positive")
         # The KL term squares it; a Python float's ** raises OverflowError.

@@ -10,6 +10,7 @@ gradients, the closed-form KL to the prior, and JSON persistence.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,6 +187,15 @@ class WeightSample:
     biases: np.ndarray
 
 
+def check_mu_init_scale(mu_init_scale: float) -> None:
+    """The one rule on the init range [-mu_init_scale, mu_init_scale]."""
+    if mu_init_scale < 0:
+        raise ValueError("mu_init_scale must be nonnegative")
+    # rng.uniform needs the range's width 2 x mu_init_scale to be finite.
+    if not math.isfinite(2.0 * mu_init_scale):
+        raise ValueError(f"mu_init_scale must have a finite double, got {mu_init_scale}")
+
+
 def init_layer(
     feature_dim: int,
     num_classes: int,
@@ -203,8 +213,7 @@ def init_layer(
         raise ValueError("feature_dim and num_classes must be at least 1")
     rng = np.random.default_rng(seed)
     a = float(mu_init_scale)
-    if a < 0:
-        raise ValueError("mu_init_scale must be nonnegative")
+    check_mu_init_scale(a)
     return VBLinearLayer(
         weight_mu=rng.uniform(-a, a, (num_classes, feature_dim)),
         weight_rho=np.full((num_classes, feature_dim), float(rho_init)),

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vbselect
-from vbselect import cli, inference, selection
+from vbselect import cli, dataset, inference, selection
 from vbselect.calibration import ece
 from vbselect.cli import entrypoint, role_seed
 from vbselect.dataset import (
@@ -957,18 +957,16 @@ class TestEval:
         # Four rows per chunk at S = 20, K = 3. Row 5, in the second chunk,
         # lies along the signs of class 0's weights, so its class-0 logit
         # overflows to inf once the first chunk's samples were written. The
-        # engine names the row; its own softmax output is never re-checked
-        # by _check_probs, which only guards caller-supplied grids.
+        # engine names the row.
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 20 * 3 * 8)
         data = write_overflow_csv(pipeline, tmp_path, 5)
-        checks, offsets = [], []
+        offsets = []
         real_pwrite = inference._pwrite
 
         def recording_pwrite(fd, data, offset):
             offsets.append(offset)
             real_pwrite(fd, data, offset)
 
-        monkeypatch.setattr(inference, "_check_probs", checks.append)
         monkeypatch.setattr(inference, "_pwrite", recording_pwrite)
         out = os.path.join(tmp_path, "eval")
         code, _, err = run_cli(capsys, [
@@ -977,7 +975,6 @@ class TestEval:
         ])
         assert_single_line_error(code, err, 1)
         assert "data row 5: logits are not finite under posterior draw 0" in err
-        assert checks == []
         # The header and chunk 0's records were written; the failing chunk's
         # never were. Chunks after it may have been, by another thread. The
         # npy header of a (36, 20, 3) array takes 128 bytes.
@@ -1614,6 +1611,27 @@ class _NumpyOutOfMemory:
         )
 
 
+class _NumpyRefusingHuge:
+    """numpy that refuses an array of over 10**7 values, and any random draw.
+
+    A test that reaches a draw fails at once rather than drawing millions.
+    """
+
+    class random:
+        @staticmethod
+        def default_rng(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, *args, **kwargs):
+        if np.prod(shape) > 10**7:
+            return _NumpyOutOfMemory.empty(shape)
+        return np.empty(shape, *args, **kwargs)
+
+
 def _refuse_allocation(*args, **kwargs):
     raise MemoryError("Unable to allocate 119. TiB for an array")
 
@@ -1639,6 +1657,68 @@ class TestOutOfMemory:
         assert_single_line_error(code, err, 1)
         assert err.startswith("error: out of memory: Unable to allocate")
         assert not os.path.exists(out)
+
+    def test_huge_balance_target(self, capsys, pipeline, tmp_path, monkeypatch):
+        # The whole (N + synthesized) x D output is the first request that
+        # grows with the target, and it comes before any row is drawn.
+        monkeypatch.setattr(dataset, "np", _NumpyRefusingHuge())
+        out = os.path.join(tmp_path, "balanced.csv")
+        code, _, err = run_cli(capsys, [
+            "balance", "--in", pipeline["data"], "--target", "3000000", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err.startswith("error: out of memory: Unable to allocate")
+        assert "shape (9000000, 8)" in err
+        assert not os.path.exists(out)
+
+
+BEYOND_INT64 = 99999999999999999999
+
+
+class TestValuesBeyondTheirRange:
+    """An option value its rule must refuse, not let numpy or Python overflow on."""
+
+    @staticmethod
+    def argv(command, pipeline, out):
+        return {
+            "gen": ["gen", "--out", os.path.join(out, "data.csv")],
+            "balance": ["balance", "--in", pipeline["data"],
+                        "--out", os.path.join(out, "balanced.csv")],
+            "train": [
+                "train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+                "--val", pipeline["val"], "--model-out", os.path.join(out, "model.json"),
+                "--trace-out", os.path.join(out, "trace.csv"),
+            ],
+        }[command]
+
+    @pytest.mark.parametrize("command,flags,config,message", [
+        ("gen", ["--classes", str(BEYOND_INT64)], None,
+         f"num_classes {BEYOND_INT64} exceeds the largest list length, {sys.maxsize}"),
+        ("balance", ["--target", str(BEYOND_INT64)], None,
+         "target_counts must fit in int64"),
+        ("balance", [], {"target": [BEYOND_INT64, 5, 5]},
+         "target_counts must fit in int64"),
+        ("train", ["--mu-init-scale", "nan"], None,
+         "mu_init_scale must have a finite double, got nan"),
+        ("train", ["--mu-init-scale", "inf"], None,
+         "mu_init_scale must have a finite double, got inf"),
+    ], ids=["gen_classes", "balance_target", "balance_config_target",
+            "train_mu_init_scale_nan", "train_mu_init_scale_inf"])
+    def test_one_error_line_and_no_output(
+        self, capsys, pipeline, tmp_path, command, flags, config, message
+    ):
+        out = os.path.join(tmp_path, "out")
+        os.makedirs(out)
+        argv = self.argv(command, pipeline, out) + flags
+        if config is not None:
+            path = os.path.join(tmp_path, "config.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+            argv += ["--config", path]
+        code, _, err = run_cli(capsys, argv)
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {message}\n"
+        assert os.listdir(out) == []
 
 
 class TestGradcheck:

@@ -298,56 +298,6 @@ class TestPredictivePosterior:
             predictive_posterior(layer, bad, mc_samples=3, seed=0)
 
 
-class TestPredictionSetValidation:
-    def test_valid_construction(self):
-        rng = np.random.default_rng(0)
-        pred = make_prediction_set(random_prob_samples(rng, 5, 3, 4))
-        assert pred.mc_samples == 3
-        assert not pred.prob_samples.flags.writeable
-
-    def test_rejects_unnormalized_slices(self):
-        probs = np.full((2, 2, 2), 0.4)
-        with pytest.raises(ValueError, match="sum"):
-            PredictionSet(
-                prob_samples=probs,
-                mean_probs=probs.mean(axis=1),
-                predicted=np.zeros(2, dtype=np.int64),
-                mc_samples=2,
-            )
-
-    def test_rejects_inconsistent_mean(self):
-        rng = np.random.default_rng(1)
-        probs = random_prob_samples(rng, 3, 2, 3)
-        with pytest.raises(ValueError, match="mean_probs"):
-            PredictionSet(
-                prob_samples=probs,
-                mean_probs=np.full((3, 3), 1.0 / 3.0),
-                predicted=np.zeros(3, dtype=np.int64),
-                mc_samples=2,
-            )
-
-    def test_rejects_wrong_argmax(self):
-        probs = np.array([[[0.7, 0.2, 0.1]]])
-        with pytest.raises(ValueError, match="predicted"):
-            PredictionSet(
-                prob_samples=probs,
-                mean_probs=probs.mean(axis=1),
-                predicted=np.array([2], dtype=np.int64),
-                mc_samples=1,
-            )
-
-    def test_rejects_wrong_sample_count(self):
-        rng = np.random.default_rng(2)
-        probs = random_prob_samples(rng, 2, 4, 2)
-        with pytest.raises(ValueError, match="mc_samples"):
-            PredictionSet(
-                prob_samples=probs,
-                mean_probs=probs.mean(axis=1),
-                predicted=np.argmax(probs.mean(axis=1), axis=1),
-                mc_samples=5,
-            )
-
-
 def summary_fields(n=2, k=3):
     """Keyword arguments of a well-shaped N-row, K-class PosteriorSummary."""
     scores = ("confidence", "entropy", "expected_entropy", "mutual_info")

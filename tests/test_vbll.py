@@ -122,7 +122,10 @@ class TestLayerValidation:
          "layer needs at least one class and one feature"),
         (lambda: init_layer(0, 3), "feature_dim and num_classes must be at least 1"),
         (lambda: init_layer(3, 2, mu_init_scale=-0.1), "mu_init_scale must be nonnegative"),
-    ], ids=["no_classes", "init_dimensions", "init_mu_scale"])
+        # Finite, but rng.uniform(-a, a) would overflow on the width 2a.
+        (lambda: init_layer(3, 2, mu_init_scale=1e308),
+         "mu_init_scale must have a finite double, got 1e+308"),
+    ], ids=["no_classes", "init_dimensions", "init_mu_scale", "init_mu_scale_width"])
     def test_rejected_with_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()
