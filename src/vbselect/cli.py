@@ -1,11 +1,13 @@
 """Command-line interface wiring the toolkit into reproducible runs.
 
 Commands: gen, split, balance, train, eval, sweep, gradcheck. Every option
-can come from a ``--config`` JSON file (keys named like the option
-destinations); explicit flags override config values, and unknown config
-keys are rejected. All randomness flows from one ``--seed`` flag, fanned out
-to per-role sub-seeds (gen/split/balance/init/train/inference) so that every
-command is a deterministic function of its inputs, flags, and seed.
+is a flag, and argparse checks its value with the flag's own type and
+choices. An ``@FILE`` argument stands for the file's lines, one argument per
+line, so a run's options can be kept in a file; where an option is given
+twice, the later value wins. All randomness flows from one ``--seed`` flag,
+fanned out to per-role sub-seeds (gen/split/balance/init/train/inference) so
+that every command is a deterministic function of its inputs, flags, and
+seed.
 
 Exit codes: 0 success, 1 validation error or a request too large for memory,
 2 I/O error, 3 numerical failure (non-finite values encountered during
@@ -86,7 +88,7 @@ from .training import (
     save_trace_csv,
     train,
 )
-from .vbll import json_value_text, load_layer, read_json, save_layer
+from .vbll import load_layer, save_layer
 
 __all__ = ["entrypoint", "main", "role_seed"]
 
@@ -229,10 +231,6 @@ def _build_parser() -> _Parser:
     )
     for command, (help_text, options) in _COMMANDS.items():
         sub = subparsers.add_parser(command, help=help_text)
-        sub.add_argument(
-            "--config", dest="config", type=str, default=None,
-            help="JSON file of option values; flags override it",
-        )
         for option in options:
             if option.kind == "flag":
                 kind = {"action": "store_true"}
@@ -240,93 +238,40 @@ def _build_parser() -> _Parser:
                 choices = MEASURES if option.dest == "measure" else None
                 kind = {"type": option.kind, "choices": choices}
             sub.add_argument(
-                option.flag, dest=option.dest, default=None, help=option.help, **kind
+                option.flag, dest=option.dest, default=option.default,
+                required=option.required, help=option.help, **kind
             )
     return parser
 
 
-# The JSON types a config value may have, by option kind; bool is a type of
-# its own here, so true/false never pass for a number. The options whose flag
-# takes a comma list also take a JSON list, and counts a bare integer.
-_CONFIG_TYPES = {
-    int: ("an integer", (int,)),
-    float: ("a number", (int, float)),
-    str: ("a string", (str,)),
-    "flag": ("true or false", (bool,)),
-}
-_COUNTS = ("a string, an integer or a list of integers", (str, int), (int,))
-_CONFIG_LISTS = {
-    "samples_per_class": _COUNTS,
-    "target": _COUNTS,
-    "grid": ("a string or a list of numbers", (str,), (int, float)),
-}
+def _expand_options_files(argv) -> list[str]:
+    """argv with each ``@FILE`` argument replaced by the file's lines, one per line.
 
-
-def _check_config_value(option: _Option, value) -> None:
-    """Reject a config value of a JSON type the option's flag could not give."""
-    what, types = _CONFIG_TYPES[option.kind]
-    items = ()
-    if option.dest in _CONFIG_LISTS:
-        what, types, items = _CONFIG_LISTS[option.dest]
-    if value is None:
-        ok = option.default is None
-    elif type(value) is list:
-        ok = bool(items) and all(type(item) in items for item in value)
-    else:
-        ok = type(value) in types
-    if not ok:
-        raise ValueError(
-            f"config key {option.dest!r} must be {what}, got {json_value_text(value)}"
-        )
-
-
-def _merge_options(args: argparse.Namespace, options: list[_Option]) -> dict:
-    """Overlay flags > config file > defaults; reject unknown or mistyped config keys.
-
-    Every error in the config file's contents names the file.
+    This is argparse's own options-file format, read here rather than by its
+    ``fromfile_prefix_chars`` so that the file is UTF-8 on every Python, an
+    unreadable one is an OSError (exit 2) and one that does not decode names
+    itself. Lines are taken literally: a blank line is an empty argument, and
+    an ``@`` inside a file names no further file.
     """
-    allowed = {option.dest for option in options}
-    config = {}
-    if args.config is not None:
-        config = read_json(args.config)
-        if not isinstance(config, dict):
-            raise ValueError(f"{args.config}: config file must hold a JSON object")
-        unknown = sorted(set(config) - allowed)
-        if unknown:
-            raise ValueError(f"{args.config}: unknown config keys: {unknown}")
-    merged = {}
-    for option in options:
-        if option.dest in config:
-            try:
-                _check_config_value(option, config[option.dest])
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: {exc}") from None
-        value = getattr(args, option.dest)
-        if value is None:
-            value = config.get(option.dest, option.default)
-        if value is None and option.required:
-            raise ValueError(f"missing required option {option.flag}")
+    expanded = []
+    for arg in argv:
+        if not arg.startswith("@"):
+            expanded.append(arg)
+            continue
         try:
-            if value is not None and option.kind is float:
-                value = float(value)
-            elif type(value) is list and float in _CONFIG_LISTS[option.dest][2]:
-                value = [float(item) for item in value]  # a config file's grid
-        except OverflowError:  # a config file's JSON integer beyond 1.8e308
-            raise ValueError(
-                f"{args.config}: config key {option.dest!r} must be within float64 range"
-            ) from None
-        merged[option.dest] = value
-    return merged
+            with open(arg[1:], encoding="utf-8") as handle:
+                expanded += handle.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{arg[1:]}: {exc}") from None
+    return expanded
 
 
-def _parse_counts(value, num_classes: int) -> tuple:
-    """Accept an int, a comma string, or a list of ints; broadcast singletons."""
-    if isinstance(value, str):
-        try:
-            value = [int(piece) for piece in value.split(",")]
-        except ValueError:
-            raise ValueError(f"cannot parse class counts from {value!r}") from None
-    parts = value if isinstance(value, list) else [value]
+def _parse_counts(text: str, num_classes: int) -> tuple:
+    """Counts from a comma string; a single count is repeated for every class."""
+    try:
+        parts = [int(piece) for piece in text.split(",")]
+    except ValueError:
+        raise ValueError(f"cannot parse class counts from {text!r}") from None
     if len(parts) == 1:
         if num_classes > sys.maxsize:  # where repeating a list overflows
             raise ValueError(
@@ -336,14 +281,14 @@ def _parse_counts(value, num_classes: int) -> tuple:
     return tuple(parts)
 
 
-def _parse_grid(value):
-    """Floats from a comma string; a config file's list (already floats) and None pass through."""
-    if not isinstance(value, str):
-        return value
+def _parse_grid(text):
+    """Floats from a comma string; None, the default grid, passes through."""
+    if text is None:
+        return None
     try:
-        return [float(piece) for piece in value.split(",")]
+        return [float(piece) for piece in text.split(",")]
     except ValueError:
-        raise ValueError(f"cannot parse threshold grid from {value!r}") from None
+        raise ValueError(f"cannot parse threshold grid from {text!r}") from None
 
 
 def _config(cls, opts: dict, **values):
@@ -556,14 +501,15 @@ def entrypoint(argv=None) -> int:
     """Run one command; returns the process exit code instead of raising."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        options = _merge_options(args, _COMMANDS[args.command][1])
+        args = parser.parse_args(
+            _expand_options_files(sys.argv[1:] if argv is None else argv)
+        )
         # The NonFiniteError guard inside training is the real detector;
         # numpy's own warnings would only smear multi-line noise on stderr.
         # OpenBLAS splits some products by its thread count, so artifacts are
         # byte-identical across thread counts only with it held at one.
         with np.errstate(all="ignore"), one_blas_thread():
-            return _HANDLERS[args.command](options)
+            return _HANDLERS[args.command](vars(args))
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0
     except ValueError as exc:

@@ -376,7 +376,7 @@ def smote_oversample(
     """
     try:
         target_counts = np.asarray(target_counts, dtype=np.int64)
-    except OverflowError:  # an integer beyond int64, e.g. from a config file
+    except OverflowError:  # an integer beyond int64, e.g. from balance --target
         raise ValueError("target_counts must fit in int64") from None
     if target_counts.shape != (ds.num_classes,):
         raise ValueError("target_counts must list one count per class")

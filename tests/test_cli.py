@@ -231,150 +231,93 @@ class TestGen:
         ])
         assert_single_line_error(code, err, 2)
 
-    def test_config_file_supplies_options(self, capsys, tmp_path):
-        out = os.path.join(tmp_path, "data.csv")
-        config = os.path.join(tmp_path, "config.json")
-        with open(config, "w", encoding="utf-8") as handle:
-            json.dump({
-                "num_classes": 4, "feature_dim": 6, "samples_per_class": 12,
-                "seed": 3, "out": out,
-            }, handle)
-        code, _, err = run_cli(capsys, ["gen", "--config", config])
-        assert_clean_success(code, err)
-        ds = load_csv(out)
-        assert ds.num_classes == 4
-        assert ds.feature_dim == 6
-        assert tuple(ds.class_counts()) == (12, 12, 12, 12)
-
-    def test_flags_override_config(self, capsys, tmp_path):
-        out = os.path.join(tmp_path, "data.csv")
-        config = os.path.join(tmp_path, "config.json")
-        with open(config, "w", encoding="utf-8") as handle:
-            json.dump({
-                "num_classes": 4, "feature_dim": 6, "samples_per_class": 12,
-                "out": out,
-            }, handle)
-        code, _, err = run_cli(capsys, [
-            "gen", "--config", config, "--dim", "9",
-        ])
-        assert_clean_success(code, err)
-        assert load_csv(out).feature_dim == 9
-
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
-        config = os.path.join(tmp_path, "config.json")
-        with open(config, "w", encoding="utf-8") as handle:
-            json.dump({"num_classes": 3, "typo_key": 1}, handle)
-        code, _, err = run_cli(capsys, ["gen", "--config", config])
-        assert_single_line_error(code, err, 1)
-        assert "typo_key" in err
-
     def test_missing_required_option(self, capsys):
         code, _, err = run_cli(capsys, ["gen", "--classes", "3"])
         assert_single_line_error(code, err, 1)
         assert "out" in err
 
 
-class TestConfigTypes:
-    """A config value must have the JSON type the option's flag would give."""
+def write_options_file(path, args):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("".join(arg + "\n" for arg in args))
 
-    @staticmethod
-    def argv(command, pipeline, out):
-        return {
-            "gen": ["gen", "--out", out],
-            "balance": ["balance", "--in", pipeline["data"], "--out", out],
-            "train": [
-                "train", "--train", os.path.join(pipeline["splits"], "train.csv"),
-                "--val", pipeline["val"], "--model-out", out,
-                "--trace-out", out + ".trace",
-            ],
-            "eval": ["eval", "--model", pipeline["model"], "--data", pipeline["val"],
-                     "--out", out],
-            "sweep": ["sweep", "--model", pipeline["model"], "--data", pipeline["val"],
-                      "--out", out],
-        }[command]
 
-    @pytest.mark.parametrize("command,config", [
-        ("gen", {"num_classes": None}),
-        ("gen", {"feature_dim": [3]}),
-        ("gen", {"samples_per_class": 2.5}),
-        ("gen", {"samples_per_class": [2, 3.0]}),
-        ("gen", {"seed": True}),
-        ("gen", {"noise_scale": True}),
-        ("gen", {"class_separation": "4.0"}),
-        ("balance", {"target": [80.5]}),
-        ("train", {"epochs": 1.9}),
-        ("eval", {"save_samples": "false"}),
-        ("eval", {"save_samples": 1}),
-        ("eval", {"threshold": None}),
-        ("sweep", {"grid": [0.5, True]}),
-        # JSON integers beyond float64 range pass the type check but must
-        # still end in one error line.
-        pytest.param("train", {"learning_rate": 10**400}, id="train-learning_rate-1e400"),
-        pytest.param("sweep", {"grid": [0.5, 10**400]}, id="sweep-grid-1e400"),
-    ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
-    def test_mistyped_value_rejected(self, capsys, pipeline, tmp_path, command, config):
-        path = os.path.join(tmp_path, "config.json")
-        small = {"num_classes": 2, "feature_dim": 3, "samples_per_class": 5}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({**small, **config} if command == "gen" else config, handle)
-        out = os.path.join(tmp_path, "out")
-        code, _, err = run_cli(
-            capsys, self.argv(command, pipeline, out) + ["--config", path]
-        )
+class TestOptionsFiles:
+    """An @FILE argument stands for the file's lines, one argument per line."""
+
+    GEN = ["--classes", "4", "--dim", "6", "--per-class", "12", "--seed", "3"]
+
+    def test_file_supplies_options(self, capsys, tmp_path):
+        options = os.path.join(tmp_path, "gen.txt")
+        write_options_file(options, self.GEN)
+        from_file, from_flags = (os.path.join(tmp_path, f"{name}.csv")
+                                 for name in ("file", "flags"))
+        code, _, err = run_cli(capsys, ["gen", "@" + options, "--out", from_file])
+        assert_clean_success(code, err)
+        code, _, err = run_cli(capsys, ["gen", *self.GEN, "--out", from_flags])
+        assert_clean_success(code, err)
+        assert read_bytes(from_file) == read_bytes(from_flags)
+        assert load_csv(from_file).feature_dim == 6
+
+    @pytest.mark.parametrize("flags_first,dim", [(False, 9), (True, 6)],
+                             ids=["file_then_flag", "flag_then_file"])
+    def test_later_value_wins(self, capsys, tmp_path, flags_first, dim):
+        options = os.path.join(tmp_path, "gen.txt")
+        write_options_file(options, self.GEN)
+        out = os.path.join(tmp_path, "data.csv")
+        args = ["@" + options, "--dim", "9"]
+        if flags_first:
+            args = args[1:] + args[:1]
+        code, _, err = run_cli(capsys, ["gen", *args, "--out", out])
+        assert_clean_success(code, err)
+        assert load_csv(out).feature_dim == dim
+
+    def test_lines_are_taken_literally(self, capsys, tmp_path, monkeypatch):
+        # An @ line inside a file is a plain argument, here an output path;
+        # on the command line, ./@name is the way to give such a path.
+        monkeypatch.chdir(tmp_path)
+        write_options_file("gen.txt", [*self.GEN, "--out", "@inner.csv"])
+        code, _, err = run_cli(capsys, ["gen", "@gen.txt"])
+        assert_clean_success(code, err)
+        code, _, err = run_cli(capsys, ["gen", *self.GEN, "--out", "./@outer.csv"])
+        assert_clean_success(code, err)
+        assert read_bytes("@inner.csv") == read_bytes("@outer.csv")
+
+    def test_blank_line_is_an_empty_argument(self, capsys, tmp_path):
+        options = os.path.join(tmp_path, "gen.txt")
+        write_options_file(options, [*self.GEN, ""])
+        out = os.path.join(tmp_path, "data.csv")
+        code, _, err = run_cli(capsys, ["gen", "@" + options, "--out", out])
         assert_single_line_error(code, err, 1)
-        assert repr(next(iter(config))) in err
+        assert err == "error: unrecognized arguments: \n"
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("value,shown", [
-        (True, "got True"),
-        (2.5, "got 2.5"),
-        ([1.5] * 10_000, "got a JSON array"),
-        ({str(i): i for i in range(1000)}, "got a JSON object"),
-        ("9" * 200, "got a JSON string"),
-    ], ids=["true", "2.5", "array", "object", "string"])
-    def test_mistyped_value_quoted_only_when_short(
-        self, capsys, tmp_path, value, shown
-    ):
-        path = os.path.join(tmp_path, "config.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"seed": value}, handle)
-        out = os.path.join(tmp_path, "out")
-        code, _, err = run_cli(capsys, ["gen", "--config", path, "--out", out])
-        assert_single_line_error(code, err, 1)
-        assert err == f"error: {path}: config key 'seed' must be an integer, {shown}\n"
+    def test_missing_file_is_io_error(self, capsys, tmp_path):
+        missing = os.path.join(tmp_path, "missing.txt")
+        code, _, err = run_cli(capsys, ["gen", "@" + missing, "--out", missing])
+        assert_single_line_error(code, err, 2)
+        assert missing in err
 
-    def test_deeply_nested_config_rejected(self, capsys, tmp_path):
-        path = os.path.join(tmp_path, "config.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write('{"seed": ' + "[" * 50_000 + "]" * 50_000 + "}")
-        out = os.path.join(tmp_path, "out")
-        code, _, err = run_cli(capsys, ["gen", "--config", path, "--out", out])
+    def test_value_goes_through_the_flags_type(self, capsys, pipeline, tmp_path):
+        options = os.path.join(tmp_path, "eval.txt")
+        write_options_file(options, ["--mc-samples", "2.5"])
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+            "@" + options, "--out", out,
+        ])
         assert_single_line_error(code, err, 1)
-        assert err == f"error: {path}: JSON nests too deeply to parse\n"
+        assert err == "error: argument --mc-samples: invalid int value: '2.5'\n"
         assert not os.path.exists(out)
 
-
-class TestConfigErrorsNameFile:
-    """Every error in a config file's contents ends in one line naming the file."""
-
-    @pytest.mark.parametrize("command,text,message", [
-        ("gen", "[1]", "config file must hold a JSON object"),
-        ("gen", '{"num_classes": 3, "typo_key": 1}', "unknown config keys: ['typo_key']"),
-        ("gen", '{"seed": 2.5}', "config key 'seed' must be an integer, got 2.5"),
-        ("gen", '{"noise_scale": 1' + "0" * 400 + "}",
-         "config key 'noise_scale' must be within float64 range"),
-        ("sweep", '{"grid": [0.5, 1' + "0" * 400 + "]}",
-         "config key 'grid' must be within float64 range"),
-    ], ids=["not_object", "unknown_key", "mistyped", "float_range", "grid_float_range"])
-    def test_error_names_config(self, capsys, pipeline, tmp_path, command, text, message):
-        path = os.path.join(tmp_path, "config.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        out = os.path.join(tmp_path, "out")
-        argv = TestConfigTypes.argv(command, pipeline, out) + ["--config", path]
-        code, _, err = run_cli(capsys, argv)
+    def test_config_option_is_gone(self, capsys, pipeline, tmp_path):
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--config", "x.json", "--out", out,
+        ])
         assert_single_line_error(code, err, 1)
-        assert err == f"error: {path}: {message}\n"
+        assert err == "error: unrecognized arguments: --config x.json\n"
         assert not os.path.exists(out)
 
 
@@ -1074,20 +1017,13 @@ class TestEval:
         assert "No space left on device" in err
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_ece_accepted_only_is_gone(self, capsys, pipeline, tmp_path, how):
+    def test_ece_accepted_only_is_gone(self, capsys, pipeline, tmp_path):
         # summary.json always carries both ECEs, so the switch that chose
-        # between them is no option and no config key.
+        # between them is no option.
         out = os.path.join(tmp_path, "eval")
-        extra = ["--ece-accepted-only"]
-        if how == "config":
-            path = os.path.join(tmp_path, "config.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump({"ece_accepted_only": True}, handle)
-            extra = ["--config", path]
-        code, _, err = self.run_eval(capsys, pipeline, out, extra)
+        code, _, err = self.run_eval(capsys, pipeline, out, ["--ece-accepted-only"])
         assert_single_line_error(code, err, 1)
-        assert ("ece-accepted-only" if how == "flag" else "'ece_accepted_only'") in err
+        assert "ece-accepted-only" in err
         assert not os.path.exists(out)
 
     def test_model_not_json_names_the_model(self, capsys, pipeline, tmp_path):
@@ -1448,11 +1384,6 @@ def _refuse_stage(name):
     return stage
 
 
-UNKNOWN_MEASURE = (
-    "unknown measure 'variance'; use one of ('confidence', 'entropy', 'mutual_info')"
-)
-
-
 class TestOptionsCheckedFirst:
     """eval and sweep reject a bad option value before they parse or score.
 
@@ -1473,11 +1404,8 @@ class TestOptionsCheckedFirst:
          "threshold must be nonnegative for mutual_info, got nan"),
         (["--mc-samples", "0"], "mc_samples must be at least 1, got 0"),
         (["--ece-bins", "0"], "num_bins must be at least 1"),
-        (["--config", {"measure": "variance"}], UNKNOWN_MEASURE),
-    ], ids=["threshold", "entropy_threshold", "nan_threshold", "mc_samples", "ece_bins",
-            "config_measure"])
+    ], ids=["threshold", "entropy_threshold", "nan_threshold", "mc_samples", "ece_bins"])
     def test_eval(self, capsys, pipeline, tmp_path, staged, flags, message):
-        flags = self.config_written(tmp_path, flags)
         out = os.path.join(tmp_path, "eval")
         code, _, err = run_cli(capsys, [
             "eval", "--model", pipeline["model"], "--data", pipeline["val"],
@@ -1495,12 +1423,10 @@ class TestOptionsCheckedFirst:
         (["--grid=-0.1,0.5", "--measure", "entropy"],
          "threshold must be nonnegative for entropy, got -0.1"),
         (["--mc-samples", "-1"], "mc_samples must be at least 1, got -1"),
-        (["--config", {"grid": []}], "grid must be nonempty"),
-        (["--config", {"measure": "variance"}], UNKNOWN_MEASURE),
+        (["--grid", ""], "cannot parse threshold grid from ''"),
     ], ids=["unsorted", "out_of_range_before_order", "unparseable", "entropy_grid",
-            "mc_samples", "config_empty_grid", "config_measure"])
+            "mc_samples", "empty_grid"])
     def test_sweep(self, capsys, pipeline, tmp_path, staged, flags, message):
-        flags = self.config_written(tmp_path, flags)
         out = os.path.join(tmp_path, "curve.csv")
         code, _, err = run_cli(capsys, [
             "sweep", "--model", pipeline["model"], "--data", pipeline["val"],
@@ -1509,16 +1435,6 @@ class TestOptionsCheckedFirst:
         assert_single_line_error(code, err, 1)
         assert err == f"error: {message}\n"
         assert not os.path.exists(out)
-
-    @staticmethod
-    def config_written(tmp_path, flags):
-        """The flags, with a config dict written to a file and replaced by its path."""
-        if flags[0] != "--config":
-            return flags
-        path = os.path.join(tmp_path, "config.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(flags[1], handle)
-        return ["--config", path]
 
     def test_stand_ins_are_reached_by_good_options(self, pipeline, tmp_path, staged):
         # Guards the tests above: with good options both commands reach a stand-in.
@@ -1561,11 +1477,11 @@ class TestUndecodableInputs:
     def argv(kind, pipeline, path, out):
         return {
             "csv": ["split", "--in", path, "--out", out],
-            "config": ["gen", "--config", path, "--out", out],
+            "options_file": ["gen", "@" + path, "--out", out],
             "model": ["eval", "--model", path, "--data", pipeline["val"], "--out", out],
         }[kind]
 
-    @pytest.mark.parametrize("kind", ["csv", "config", "model"])
+    @pytest.mark.parametrize("kind", ["csv", "options_file", "model"])
     def test_non_utf8_file_named(self, capsys, pipeline, tmp_path, kind):
         path = os.path.join(tmp_path, "input")
         with open(path, "wb") as handle:
@@ -1579,18 +1495,16 @@ class TestUndecodableInputs:
         )
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("kind", ["config", "model"])
-    def test_oversized_integer_named(self, capsys, pipeline, tmp_path, kind):
+    def test_oversized_integer_named(self, capsys, pipeline, tmp_path):
         # json.loads refuses an integer past Python's int-string digit limit
         # with advice (sys.set_int_max_str_digits) no CLI user can follow.
         with open(pipeline["model"], encoding="utf-8") as handle:
-            doc = json.load(handle)
-        doc = {"seed": "BIG"} if kind == "config" else {**doc, "num_classes": "BIG"}
+            doc = {**json.load(handle), "num_classes": "BIG"}
         path = os.path.join(tmp_path, "input.json")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(doc).replace('"BIG"', "1" * 5000))
         out = os.path.join(tmp_path, "out")
-        code, _, err = run_cli(capsys, self.argv(kind, pipeline, path, out))
+        code, _, err = run_cli(capsys, self.argv("model", pipeline, path, out))
         assert_single_line_error(code, err, 1)
         limit = sys.get_int_max_str_digits()
         assert err == f"error: {path}: a JSON integer has more than {limit} digits\n"
@@ -1691,31 +1605,22 @@ class TestValuesBeyondTheirRange:
             ],
         }[command]
 
-    @pytest.mark.parametrize("command,flags,config,message", [
-        ("gen", ["--classes", str(BEYOND_INT64)], None,
+    @pytest.mark.parametrize("command,flags,message", [
+        ("gen", ["--classes", str(BEYOND_INT64)],
          f"num_classes {BEYOND_INT64} exceeds the largest list length, {sys.maxsize}"),
-        ("balance", ["--target", str(BEYOND_INT64)], None,
-         "target_counts must fit in int64"),
-        ("balance", [], {"target": [BEYOND_INT64, 5, 5]},
-         "target_counts must fit in int64"),
-        ("train", ["--mu-init-scale", "nan"], None,
+        ("balance", ["--target", str(BEYOND_INT64)], "target_counts must fit in int64"),
+        ("train", ["--mu-init-scale", "nan"],
          "mu_init_scale must have a finite double, got nan"),
-        ("train", ["--mu-init-scale", "inf"], None,
+        ("train", ["--mu-init-scale", "inf"],
          "mu_init_scale must have a finite double, got inf"),
-    ], ids=["gen_classes", "balance_target", "balance_config_target",
+    ], ids=["gen_classes", "balance_target",
             "train_mu_init_scale_nan", "train_mu_init_scale_inf"])
     def test_one_error_line_and_no_output(
-        self, capsys, pipeline, tmp_path, command, flags, config, message
+        self, capsys, pipeline, tmp_path, command, flags, message
     ):
         out = os.path.join(tmp_path, "out")
         os.makedirs(out)
-        argv = self.argv(command, pipeline, out) + flags
-        if config is not None:
-            path = os.path.join(tmp_path, "config.json")
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(config, handle)
-            argv += ["--config", path]
-        code, _, err = run_cli(capsys, argv)
+        code, _, err = run_cli(capsys, self.argv(command, pipeline, out) + flags)
         assert_single_line_error(code, err, 1)
         assert err == f"error: {message}\n"
         assert os.listdir(out) == []
@@ -1789,4 +1694,6 @@ class TestParserBehavior:
         )
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr == "error: missing required option --model\n"
+        assert result.stderr == (
+            "error: the following arguments are required: --model, --out\n"
+        )

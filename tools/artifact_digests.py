@@ -186,15 +186,11 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
                 '"NESTED"', "[" * depth + "1.0" + "]" * depth
             ))
     # A 5000-digit integer: more digits than json.loads will parse.
-    big_int, big_int_config = (
-        os.path.join(errors, name) for name in ("big_int.json", "big_int_config.json")
-    )
-    for path, text in ((big_int, json.dumps(doc).replace('"NESTED"', "1" * 5000)),
-                       (big_int_config, '{"seed": ' + "1" * 5000 + "}")):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    # Byte 0xff starts no UTF-8 text; one file stands in for a CSV, a config
-    # and a model.
+    big_int = os.path.join(errors, "big_int.json")
+    with open(big_int, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc).replace('"NESTED"', "1" * 5000))
+    # Byte 0xff starts no UTF-8 text; one file stands in for a CSV, an
+    # options file and a model.
     non_utf8 = os.path.join(errors, "non_utf8")
     with open(non_utf8, "wb") as handle:
         handle.write(b"\xff\n")
@@ -202,18 +198,10 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
     bom_non_utf8 = os.path.join(errors, "bom_non_utf8.csv")
     with open(bom_non_utf8, "wb") as handle:
         handle.write(b"\xef\xbb\xbfab\xff")
-    nested_config = os.path.join(errors, "nested_config.json")
-    with open(nested_config, "w", encoding="utf-8") as handle:
-        handle.write('{"seed": ' + "[" * 50_000 + "]" * 50_000 + "}")
-    mistyped_config = os.path.join(errors, "mistyped_config.json")
-    with open(mistyped_config, "w", encoding="utf-8") as handle:
-        json.dump({"mc_samples": 2.5}, handle)
-    # Config files that parse but break a config rule, and CSVs that decode
-    # but break a preamble or row rule: each error names its file.
+    # An options file holding a value its flag's type refuses, and CSVs that
+    # decode but break a preamble or row rule, each error naming the CSV.
     bad_inputs = {
-        "list_config.json": "[1]",
-        "unknown_key_config.json": '{"threshold": 0.5, "typo_key": 1}',
-        "huge_float_config.json": '{"threshold": 1' + "0" * 400 + "}",
+        "mistyped_options.txt": "--mc-samples\n2.5\n",
         "bad_directive.csv": "# classes=x\nf0,label\n0.5,0\n",
         "bad_row.csv": "# classes=2\nf0,label\n0.5,0\nnot_a_number,1\n",
         "non_finite.csv": "# classes=2\nf0,label\n0.5,0\ninf,1\n",
@@ -247,10 +235,10 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("overflowing_row", evaluate(model, overflow)),
         ("nested_model_500", evaluate(nested[500], test)),
         ("nested_model_50000", evaluate(nested[50_000], test)),
-        ("nested_config_50000", evaluate(model, test, "--config", nested_config)),
         ("ragged_model", evaluate(ragged, test)),
         ("overflowing_sigma", evaluate(overflowing_sigma, test)),
-        ("mistyped_config", evaluate(model, test, "--config", mistyped_config)),
+        ("options_file_mistyped",
+         evaluate(model, test, "@" + os.path.join(errors, "mistyped_options.txt"))),
         ("train_zero_mc_passes", train(test, "--mc-passes", "0")),
         ("train_val_dimension_mismatch",
          train(os.path.join(out, "wide", "splits", "val.csv"))),
@@ -260,17 +248,10 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("train_non_finite_loss",
          train(test, "--lr", "1e300", "--epochs", "2", "--batch-size", "4096")),
         ("big_int_model", evaluate(big_int, test)),
-        ("big_int_config", evaluate(model, test, "--config", big_int_config)),
         ("non_utf8_csv", evaluate(model, non_utf8)),
         ("bom_non_utf8_csv", evaluate(model, bom_non_utf8)),
-        ("non_utf8_config", evaluate(model, test, "--config", non_utf8)),
+        ("options_file_non_utf8", evaluate(model, test, "@" + non_utf8)),
         ("non_utf8_model", evaluate(non_utf8, test)),
-        ("config_not_object",
-         evaluate(model, test, "--config", os.path.join(errors, "list_config.json"))),
-        ("config_unknown_key",
-         evaluate(model, test, "--config", os.path.join(errors, "unknown_key_config.json"))),
-        ("config_float_range",
-         evaluate(model, test, "--config", os.path.join(errors, "huge_float_config.json"))),
         ("csv_bad_directive", evaluate(model, os.path.join(errors, "bad_directive.csv"))),
         ("csv_bad_row", evaluate(model, os.path.join(errors, "bad_row.csv"))),
         ("csv_non_finite_feature", evaluate(model, os.path.join(errors, "non_finite.csv"))),
