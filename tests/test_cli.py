@@ -259,6 +259,45 @@ class TestOptionsFiles:
         assert read_bytes(from_file) == read_bytes(from_flags)
         assert load_csv(from_file).feature_dim == 6
 
+    @classmethod
+    def command_args(cls, command, pipeline, out):
+        """(options to keep in a file, output flags) for a run of command into out."""
+        scoring = ["--model", pipeline["model"], "--data", pipeline["val"],
+                   "--mc-samples", "4", "--seed", "3"]
+        return {
+            "gen": (cls.GEN, ["--out", os.path.join(out, "data.csv")]),
+            "split": (["--in", pipeline["data"], "--train", "0.6", "--val", "0.2",
+                       "--test", "0.2", "--seed", "3"], ["--out", out]),
+            "balance": (["--in", pipeline["val"], "--target", "40", "--k-neighbors", "3",
+                         "--seed", "3"], ["--out", os.path.join(out, "balanced.csv")]),
+            "train": (["--train", os.path.join(pipeline["splits"], "train.csv"),
+                       "--val", pipeline["val"], "--epochs", "2", "--batch-size", "32",
+                       "--seed", "3"],
+                      ["--model-out", os.path.join(out, "model.json"),
+                       "--trace-out", os.path.join(out, "trace.csv")]),
+            "eval": ([*scoring, "--threshold", "0.6", "--measure", "entropy",
+                      "--save-samples"], ["--out", out]),
+            "sweep": ([*scoring, "--grid", "0.5,0.7"],
+                      ["--out", os.path.join(out, "curve.csv")]),
+            "gradcheck": (["--classes", "2", "--dim", "3", "--seed", "1"], []),
+        }[command]
+
+    @pytest.mark.parametrize("command", ["split", "balance", "train", "eval", "sweep"])
+    def test_every_command_reads_a_file(self, capsys, pipeline, tmp_path, command):
+        written = []
+        for name in ("file", "flags"):
+            out = os.path.join(tmp_path, name)
+            os.mkdir(out)
+            options, outputs = self.command_args(command, pipeline, out)
+            if name == "file":
+                write_options_file(os.path.join(tmp_path, "options.txt"), options)
+                options = ["@" + os.path.join(tmp_path, "options.txt")]
+            code, _, err = run_cli(capsys, [command, *options, *outputs])
+            assert_clean_success(code, err)
+            written.append({entry: read_bytes(os.path.join(out, entry))
+                            for entry in os.listdir(out)})
+        assert written[0] and written[0] == written[1]
+
     @pytest.mark.parametrize("flags_first,dim", [(False, 9), (True, 6)],
                              ids=["file_then_flag", "flag_then_file"])
     def test_later_value_wins(self, capsys, tmp_path, flags_first, dim):
@@ -309,6 +348,62 @@ class TestOptionsFiles:
         assert_single_line_error(code, err, 1)
         assert err == "error: argument --mc-samples: invalid int value: '2.5'\n"
         assert not os.path.exists(out)
+
+    MISTYPED = [
+        ("gen", ["--classes", ""], "argument --classes: invalid int value: ''"),
+        ("gen", ["--dim", "3.0"], "argument --dim: invalid int value: '3.0'"),
+        ("gen", ["--seed", "true"], "argument --seed: invalid int value: 'true'"),
+        ("gen", ["--noise", "true"], "argument --noise: invalid float value: 'true'"),
+        ("gen", ["--separation", "4.0x"],
+         "argument --separation: invalid float value: '4.0x'"),
+        ("split", ["--train", "half"], "argument --train: invalid float value: 'half'"),
+        ("balance", ["--k-neighbors", "2.5"],
+         "argument --k-neighbors: invalid int value: '2.5'"),
+        ("train", ["--epochs", "1.9"], "argument --epochs: invalid int value: '1.9'"),
+        ("train", ["--lr", "fast"], "argument --lr: invalid float value: 'fast'"),
+        ("train", ["--mc-passes", ""], "argument --mc-passes: invalid int value: ''"),
+        ("eval", ["--ece-bins", "1.5"], "argument --ece-bins: invalid int value: '1.5'"),
+        ("eval", ["--threshold", "high"],
+         "argument --threshold: invalid float value: 'high'"),
+        ("eval", ["--save-samples", "false"], "unrecognized arguments: false"),
+        ("sweep", ["--mc-samples", "2.5"],
+         "argument --mc-samples: invalid int value: '2.5'"),
+        ("gradcheck", ["--h", "small"], "argument --h: invalid float value: 'small'"),
+    ]
+
+    @pytest.mark.parametrize("command,lines,message", MISTYPED, ids=[
+        f"{command}-{lines[0].lstrip('-')}" for command, lines, _ in MISTYPED
+    ])
+    def test_mistyped_value_rejected(
+        self, capsys, pipeline, tmp_path, command, lines, message
+    ):
+        # Each value in a file meets its flag's own type, whatever the command.
+        options = os.path.join(tmp_path, "options.txt")
+        write_options_file(options, lines)
+        out = os.path.join(tmp_path, "out")
+        os.mkdir(out)
+        flags, outputs = self.command_args(command, pipeline, out)
+        code, out_text, err = run_cli(capsys, [command, *flags, "@" + options, *outputs])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: {message}\n"
+        assert out_text == ""
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_measure_outside_its_choices_rejected(
+        self, capsys, pipeline, tmp_path, command
+    ):
+        # argparse's choices, not the library, reject the measure now. The
+        # list of choices after the value is worded differently across Pythons.
+        options = os.path.join(tmp_path, "options.txt")
+        write_options_file(options, ["--measure", "variance"])
+        out = os.path.join(tmp_path, "out")
+        os.mkdir(out)
+        flags, outputs = self.command_args(command, pipeline, out)
+        code, _, err = run_cli(capsys, [command, *flags, "@" + options, *outputs])
+        assert_single_line_error(code, err, 1)
+        assert err.startswith("error: argument --measure: invalid choice: 'variance'")
+        assert os.listdir(out) == []
 
     def test_config_option_is_gone(self, capsys, pipeline, tmp_path):
         out = os.path.join(tmp_path, "eval")
