@@ -61,8 +61,10 @@ def check_num_bins(num_bins: int) -> None:
 
 def _bin_edges(num_bins: int) -> np.ndarray:
     # b / num_bins reproduces the float arithmetic of the interval definition;
-    # linspace would round differently at some edges.
-    return np.array([b / num_bins for b in range(num_bins + 1)])
+    # linspace would round differently at some edges. numpy refuses a size
+    # the host cannot back before it allocates, where a list would grow
+    # until the host ran out.
+    return np.arange(num_bins + 1) / num_bins
 
 
 def _bin_indices(conf: np.ndarray, edges: np.ndarray, num_bins: int) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Command-line interface wiring the toolkit into reproducible runs.
 
-Commands: gen, split, balance, train, eval, sweep, gradcheck. Every option
-is a flag, and argparse checks its value with the flag's own type and
-choices. An ``@FILE`` argument stands for the file's lines, one argument per
-line, so a run's options can be kept in a file; where an option is given
-twice, the later value wins. All randomness flows from one ``--seed`` flag,
-fanned out to per-role sub-seeds (gen/split/balance/init/train/inference) so
-that every command is a deterministic function of its inputs, flags, and
-seed.
+Commands: gen, split, balance, train, eval, sweep, gradcheck. ``_COMMANDS``
+gives each its handler, its help and its options, every option as the flag
+and keywords of its ``add_argument`` call, so argparse checks each value
+with the flag's own type and choices. An ``@FILE`` argument stands for the
+file's lines, one argument per line, so a run's options can be kept in a
+file; where an option is given twice, the later value wins. All randomness
+flows from one ``--seed`` flag, a nonnegative integer, fanned out to
+per-role sub-seeds (gen/split/balance/init/train/inference) so that every
+command is a deterministic function of its inputs, flags, and seed.
 
 Exit codes: 0 success, 1 validation error or a request too large for memory,
 2 I/O error, 3 numerical failure (non-finite values encountered during
@@ -31,7 +32,7 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -112,138 +113,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-@dataclass(frozen=True)
-class _Option:
-    flag: str
-    dest: str
-    kind: object  # int, float, str, or the literal string "flag"
-    default: object
-    help: str
-    required: bool = False
-
-
-_SEED = _Option("--seed", "seed", int, 0, "global seed; fanned out per role")
-_MODEL = _Option("--model", "model", str, None, "model JSON path", required=True)
-_DATA = _Option("--data", "data", str, None, "evaluation dataset CSV", required=True)
-_MEASURE = _Option("--measure", "measure", str, "confidence",
-                   "gate measure: confidence, entropy, or mutual_info")
-_MC_SAMPLES = _Option("--mc-samples", "mc_samples", int, 20, "posterior samples")
-
-# command -> (help, options). An option whose dest names a library config
-# field takes its default from that field, so each default is declared once.
-_COMMANDS = {
-    "gen": ("generate a synthetic blob dataset CSV", [
-        _Option("--classes", "num_classes", int, 5, "number of classes"),
-        _Option("--dim", "feature_dim", int, 16, "feature dimension"),
-        _Option("--per-class", "samples_per_class", str, "1000",
-                "per-class count, or a comma list with one count per class"),
-        _Option("--separation", "class_separation", float,
-                SyntheticConfig.class_separation,
-                "radius of the sphere holding class means"),
-        _Option("--noise", "noise_scale", float, SyntheticConfig.noise_scale,
-                "isotropic noise scale"),
-        _SEED,
-        _Option("--out", "out", str, None, "output CSV path", required=True),
-    ]),
-    "split": ("stratified train/val/test split of a dataset CSV", [
-        _Option("--in", "in_path", str, None, "input dataset CSV", required=True),
-        _Option("--train", "train", float, SplitRatios.train, "training fraction"),
-        _Option("--val", "val", float, SplitRatios.val, "validation fraction"),
-        _Option("--test", "test", float, SplitRatios.test, "test fraction"),
-        _SEED,
-        _Option("--out", "out", str, None,
-                "output directory for train/val/test CSVs", required=True),
-    ]),
-    "balance": ("oversample minority classes by interpolation", [
-        _Option("--in", "in_path", str, None, "input dataset CSV", required=True),
-        _Option("--target", "target", str, None,
-                "per-class target count or comma list; default: largest class"),
-        _Option("--k-neighbors", "k_neighbors", int, 5,
-                "neighbors considered per synthetic point"),
-        _SEED,
-        _Option("--out", "out", str, None, "output CSV path", required=True),
-    ]),
-    "train": ("fit the variational layer and write model + trace", [
-        _Option("--train", "train", str, None, "training split CSV", required=True),
-        _Option("--val", "val", str, None, "validation split CSV", required=True),
-        _Option("--epochs", "epochs", int, TrainConfig.epochs, "training epochs"),
-        _Option("--batch-size", "batch_size", int, TrainConfig.batch_size,
-                "minibatch size"),
-        _Option("--lr", "learning_rate", float, TrainConfig.learning_rate,
-                "Adam learning rate"),
-        _Option("--adam-beta1", "adam_beta1", float, TrainConfig.adam_beta1,
-                "Adam beta1"),
-        _Option("--adam-beta2", "adam_beta2", float, TrainConfig.adam_beta2,
-                "Adam beta2"),
-        _Option("--adam-eps", "adam_epsilon", float, TrainConfig.adam_epsilon,
-                "Adam epsilon"),
-        _Option("--mc-passes", "train_mc_samples", int, TrainConfig.train_mc_samples,
-                "Monte Carlo passes per training step"),
-        _Option("--patience", "early_stop_patience", int, TrainConfig.early_stop_patience,
-                "early-stopping patience in epochs (off when omitted)"),
-        _Option("--mu-init-scale", "mu_init_scale", float, LayerInitConfig.mu_init_scale,
-                "uniform init range for posterior means"),
-        _Option("--rho-init", "rho_init", float, LayerInitConfig.rho_init,
-                "initial rho (sigma = softplus(rho))"),
-        _Option("--prior-scale", "prior_scale", float, LayerInitConfig.prior_scale,
-                "prior standard deviation"),
-        _SEED,
-        _Option("--model-out", "model_out", str, None,
-                "output model JSON path", required=True),
-        _Option("--trace-out", "trace_out", str, None,
-                "output training-trace CSV path", required=True),
-    ]),
-    "eval": ("rejection + calibration report for a trained model", [
-        _MODEL, _DATA,
-        _Option("--threshold", "threshold", float, 0.7, "rejection threshold"),
-        _MEASURE, _MC_SAMPLES,
-        _Option("--ece-bins", "ece_bins", int, 15, "calibration bins"),
-        _Option("--save-samples", "save_samples", "flag", False,
-                "also write the full posterior sample grid to samples.npy"),
-        _SEED,
-        _Option("--out", "out", str, None, "output directory", required=True),
-    ]),
-    "sweep": ("rejection metrics across a threshold grid", [
-        _MODEL, _DATA,
-        _Option("--grid", "grid", str, None,
-                "comma list of thresholds; default 0.50..0.90 step 0.05"),
-        _MEASURE, _MC_SAMPLES,
-        _SEED,
-        _Option("--out", "out", str, None, "output curve CSV path", required=True),
-    ]),
-    "gradcheck": ("compare analytic gradients against finite differences", [
-        _Option("--classes", "num_classes", int, 3, "problem classes"),
-        _Option("--dim", "feature_dim", int, 4, "problem feature dimension"),
-        _Option("--batch-size", "batch_size", int, 8, "problem batch size"),
-        _Option("--h", "h", float, 1e-5, "finite-difference step"),
-        _SEED,
-    ]),
-}
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="vbselect",
-        description="Selective prediction with a variational Bayesian linear head.",
-    )
-    subparsers = parser.add_subparsers(
-        dest="command", metavar="command", required=True, parser_class=_Parser
-    )
-    for command, (help_text, options) in _COMMANDS.items():
-        sub = subparsers.add_parser(command, help=help_text)
-        for option in options:
-            if option.kind == "flag":
-                kind = {"action": "store_true"}
-            else:
-                choices = MEASURES if option.dest == "measure" else None
-                kind = {"type": option.kind, "choices": choices}
-            sub.add_argument(
-                option.flag, dest=option.dest, default=option.default,
-                required=option.required, help=option.help, **kind
-            )
-    return parser
-
-
 def _expand_options_files(argv) -> list[str]:
     """argv with each ``@FILE`` argument replaced by the file's lines, one per line.
 
@@ -251,7 +120,8 @@ def _expand_options_files(argv) -> list[str]:
     ``fromfile_prefix_chars`` so that the file is UTF-8 on every Python, an
     unreadable one is an OSError (exit 2) and one that does not decode names
     itself. Lines are taken literally: a blank line is an empty argument, and
-    an ``@`` inside a file names no further file.
+    an ``@`` inside a file names no further file. One leading byte-order mark
+    is skipped; a decode error's offset still counts from the file's start.
     """
     expanded = []
     for arg in argv:
@@ -260,7 +130,7 @@ def _expand_options_files(argv) -> list[str]:
             continue
         try:
             with open(arg[1:], encoding="utf-8") as handle:
-                expanded += handle.read().splitlines()
+                expanded += handle.read().removeprefix("\ufeff").splitlines()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{arg[1:]}: {exc}") from None
     return expanded
@@ -486,15 +356,118 @@ def _cmd_gradcheck(opts: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "split": _cmd_split,
-    "balance": _cmd_balance,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "sweep": _cmd_sweep,
-    "gradcheck": _cmd_gradcheck,
+# Options several commands share, each as (flag, add_argument keywords).
+_SEED = ("--seed", dict(type=int, default=0, help="global seed; fanned out per role"))
+_MODEL = ("--model", dict(required=True, help="model JSON path"))
+_DATA = ("--data", dict(required=True, help="evaluation dataset CSV"))
+_MEASURE = ("--measure", dict(choices=MEASURES, default="confidence",
+                              help="gate measure: confidence, entropy, or mutual_info"))
+_MC_SAMPLES = ("--mc-samples", dict(type=int, default=20, help="posterior samples"))
+
+# command -> (handler, help, options). An option gives a dest where the
+# handler or a library config field names its value otherwise than the flag.
+# An option that fills a config field takes that field's default, so each
+# default is declared once.
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate a synthetic blob dataset CSV", [
+        ("--classes", dict(dest="num_classes", type=int, default=5,
+                           help="number of classes")),
+        ("--dim", dict(dest="feature_dim", type=int, default=16, help="feature dimension")),
+        ("--per-class", dict(dest="samples_per_class", default="1000",
+                             help="per-class count, or a comma list with one count per class")),
+        ("--separation", dict(dest="class_separation", type=float,
+                              default=SyntheticConfig.class_separation,
+                              help="radius of the sphere holding class means")),
+        ("--noise", dict(dest="noise_scale", type=float, default=SyntheticConfig.noise_scale,
+                         help="isotropic noise scale")),
+        _SEED,
+        ("--out", dict(required=True, help="output CSV path")),
+    ]),
+    "split": (_cmd_split, "stratified train/val/test split of a dataset CSV", [
+        ("--in", dict(dest="in_path", required=True, help="input dataset CSV")),
+        ("--train", dict(type=float, default=SplitRatios.train, help="training fraction")),
+        ("--val", dict(type=float, default=SplitRatios.val, help="validation fraction")),
+        ("--test", dict(type=float, default=SplitRatios.test, help="test fraction")),
+        _SEED,
+        ("--out", dict(required=True, help="output directory for train/val/test CSVs")),
+    ]),
+    "balance": (_cmd_balance, "oversample minority classes by interpolation", [
+        ("--in", dict(dest="in_path", required=True, help="input dataset CSV")),
+        ("--target", dict(help="per-class target count or comma list; default: largest class")),
+        ("--k-neighbors", dict(type=int, default=5,
+                               help="neighbors considered per synthetic point")),
+        _SEED,
+        ("--out", dict(required=True, help="output CSV path")),
+    ]),
+    "train": (_cmd_train, "fit the variational layer and write model + trace", [
+        ("--train", dict(required=True, help="training split CSV")),
+        ("--val", dict(required=True, help="validation split CSV")),
+        ("--epochs", dict(type=int, default=TrainConfig.epochs, help="training epochs")),
+        ("--batch-size", dict(type=int, default=TrainConfig.batch_size,
+                              help="minibatch size")),
+        ("--lr", dict(dest="learning_rate", type=float, default=TrainConfig.learning_rate,
+                      help="Adam learning rate")),
+        ("--adam-beta1", dict(type=float, default=TrainConfig.adam_beta1, help="Adam beta1")),
+        ("--adam-beta2", dict(type=float, default=TrainConfig.adam_beta2, help="Adam beta2")),
+        ("--adam-eps", dict(dest="adam_epsilon", type=float,
+                            default=TrainConfig.adam_epsilon, help="Adam epsilon")),
+        ("--mc-passes", dict(dest="train_mc_samples", type=int,
+                             default=TrainConfig.train_mc_samples,
+                             help="Monte Carlo passes per training step")),
+        ("--patience", dict(dest="early_stop_patience", type=int,
+                            default=TrainConfig.early_stop_patience,
+                            help="early-stopping patience in epochs (off when omitted)")),
+        ("--mu-init-scale", dict(type=float, default=LayerInitConfig.mu_init_scale,
+                                 help="uniform init range for posterior means")),
+        ("--rho-init", dict(type=float, default=LayerInitConfig.rho_init,
+                            help="initial rho (sigma = softplus(rho))")),
+        ("--prior-scale", dict(type=float, default=LayerInitConfig.prior_scale,
+                               help="prior standard deviation")),
+        _SEED,
+        ("--model-out", dict(required=True, help="output model JSON path")),
+        ("--trace-out", dict(required=True, help="output training-trace CSV path")),
+    ]),
+    "eval": (_cmd_eval, "rejection + calibration report for a trained model", [
+        _MODEL, _DATA,
+        ("--threshold", dict(type=float, default=0.7, help="rejection threshold")),
+        _MEASURE, _MC_SAMPLES,
+        ("--ece-bins", dict(type=int, default=15, help="calibration bins")),
+        ("--save-samples", dict(action="store_true",
+                                help="also write the full posterior sample grid to samples.npy")),
+        _SEED,
+        ("--out", dict(required=True, help="output directory")),
+    ]),
+    "sweep": (_cmd_sweep, "rejection metrics across a threshold grid", [
+        _MODEL, _DATA,
+        ("--grid", dict(help="comma list of thresholds; default 0.50..0.90 step 0.05")),
+        _MEASURE, _MC_SAMPLES,
+        _SEED,
+        ("--out", dict(required=True, help="output curve CSV path")),
+    ]),
+    "gradcheck": (_cmd_gradcheck, "compare analytic gradients against finite differences", [
+        ("--classes", dict(dest="num_classes", type=int, default=3, help="problem classes")),
+        ("--dim", dict(dest="feature_dim", type=int, default=4,
+                       help="problem feature dimension")),
+        ("--batch-size", dict(type=int, default=8, help="problem batch size")),
+        ("--h", dict(type=float, default=1e-5, help="finite-difference step")),
+        _SEED,
+    ]),
 }
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="vbselect",
+        description="Selective prediction with a variational Bayesian linear head.",
+    )
+    subparsers = parser.add_subparsers(
+        dest="command", metavar="command", required=True, parser_class=_Parser
+    )
+    for command, (_, help_text, options) in _COMMANDS.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        for flag, keywords in options:
+            sub.add_argument(flag, **keywords)
+    return parser
 
 
 def entrypoint(argv=None) -> int:
@@ -504,12 +477,16 @@ def entrypoint(argv=None) -> int:
         args = parser.parse_args(
             _expand_options_files(sys.argv[1:] if argv is None else argv)
         )
+        # Every command has --seed; refused here, before a handler removes
+        # an earlier run's outputs.
+        if args.seed < 0:
+            raise ValueError(f"argument --seed: must be nonnegative, got {args.seed}")
         # The NonFiniteError guard inside training is the real detector;
         # numpy's own warnings would only smear multi-line noise on stderr.
         # OpenBLAS splits some products by its thread count, so artifacts are
         # byte-identical across thread counts only with it held at one.
         with np.errstate(all="ignore"), one_blas_thread():
-            return _HANDLERS[args.command](vars(args))
+            return _COMMANDS[args.command][0](vars(args))
     except SystemExit as exc:  # argparse --help
         return int(exc.code) if exc.code else 0
     except ValueError as exc:

@@ -237,6 +237,16 @@ class TestConfidenceHistogram:
         hist = confidence_histogram(np.array([0.1, 0.5, 0.99]), num_bins=1, threshold=0.5)
         assert hist.counts.tolist() == [3]
 
+    @pytest.mark.parametrize("num_bins", [
+        1, 2, 3, 7, 10, 15, 20, 49, 100, 997, 1000, 65537, 10**6,
+    ])
+    def test_edges_are_b_over_m_bit_for_bit(self, num_bins):
+        # The edges are the Python floats b / M of the interval definition.
+        edges = confidence_histogram(np.array([0.5]), num_bins=num_bins).bin_edges
+        expected = np.array([b / num_bins for b in range(num_bins + 1)])
+        assert edges.dtype == expected.dtype
+        assert edges.tobytes() == expected.tobytes()
+
     def test_threshold_recorded(self):
         hist = confidence_histogram(np.array([0.4]), num_bins=4, threshold=0.7)
         assert hist.threshold == 0.7

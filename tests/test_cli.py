@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vbselect
-from vbselect import cli, dataset, inference, selection
+from vbselect import calibration, cli, dataset, inference, selection
 from vbselect.calibration import ece
 from vbselect.cli import entrypoint, role_seed
 from vbselect.dataset import (
@@ -259,6 +259,18 @@ class TestOptionsFiles:
         assert read_bytes(from_file) == read_bytes(from_flags)
         assert load_csv(from_file).feature_dim == 6
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        options = os.path.join(tmp_path, "gen.txt")
+        write_options_file(options, ["\ufeff" + self.GEN[0], *self.GEN[1:]])
+        assert read_bytes(options).startswith(b"\xef\xbb\xbf--classes")
+        from_file, from_flags = (os.path.join(tmp_path, f"{name}.csv")
+                                 for name in ("file", "flags"))
+        code, _, err = run_cli(capsys, ["gen", "@" + options, "--out", from_file])
+        assert_clean_success(code, err)
+        code, _, err = run_cli(capsys, ["gen", *self.GEN, "--out", from_flags])
+        assert_clean_success(code, err)
+        assert read_bytes(from_file) == read_bytes(from_flags)
+
     @classmethod
     def command_args(cls, command, pipeline, out):
         """(options to keep in a file, output flags) for a run of command into out."""
@@ -414,6 +426,36 @@ class TestOptionsFiles:
         assert_single_line_error(code, err, 1)
         assert err == "error: unrecognized arguments: --config x.json\n"
         assert not os.path.exists(out)
+
+
+class TestNegativeSeed:
+    """A negative --seed is refused before any command reads or writes."""
+
+    @pytest.mark.parametrize("command", [
+        "gen", "split", "balance", "train", "eval", "sweep", "gradcheck",
+    ])
+    def test_one_error_line_and_no_output(self, capsys, pipeline, tmp_path, command):
+        out = os.path.join(tmp_path, "out")
+        os.mkdir(out)
+        options, outputs = TestOptionsFiles.command_args(command, pipeline, out)
+        code, stdout, err = run_cli(capsys, [command, *options, "--seed", "-1", *outputs])
+        assert_single_line_error(code, err, 1)
+        assert err == "error: argument --seed: must be nonnegative, got -1\n"
+        assert stdout == ""
+        assert os.listdir(out) == []
+
+    def test_eval_keeps_an_earlier_runs_reports(self, capsys, pipeline, tmp_path):
+        out = os.path.join(tmp_path, "report")
+        argv = ["eval", "--model", pipeline["model"], "--data", pipeline["val"],
+                "--mc-samples", "4", "--out", out]
+        assert_clean_success(*run_cli(capsys, argv)[::2])
+        before = {name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)}
+        code, _, err = run_cli(capsys, [*argv, "--seed", "-3"])
+        assert_single_line_error(code, err, 1)
+        assert err == "error: argument --seed: must be nonnegative, got -3\n"
+        assert before and {
+            name: read_bytes(os.path.join(out, name)) for name in os.listdir(out)
+        } == before
 
 
 class TestCsvErrorsNameFile:
@@ -1640,6 +1682,12 @@ class _NumpyRefusingHuge:
             return _NumpyOutOfMemory.empty(shape)
         return np.empty(shape, *args, **kwargs)
 
+    @staticmethod
+    def arange(stop, *args, **kwargs):
+        if stop > 10**7:
+            return _NumpyOutOfMemory.empty((stop,))
+        return np.arange(stop, *args, **kwargs)
+
 
 def _refuse_allocation(*args, **kwargs):
     raise MemoryError("Unable to allocate 119. TiB for an array")
@@ -1655,6 +1703,18 @@ class TestOutOfMemory:
         ])
         assert_single_line_error(code, err, 1)
         assert err.startswith("error: out of memory: Unable to allocate")
+        assert os.listdir(out) == []
+
+    def test_huge_ece_bins(self, capsys, pipeline, tmp_path, monkeypatch):
+        monkeypatch.setattr(calibration, "np", _NumpyRefusingHuge())
+        out = os.path.join(tmp_path, "eval")
+        code, _, err = run_cli(capsys, [
+            "eval", "--model", pipeline["model"], "--data", pipeline["val"],
+            "--ece-bins", "100000000000", "--out", out,
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err.startswith("error: out of memory: Unable to allocate")
+        assert "shape (100000000001,)" in err
         assert os.listdir(out) == []
 
     def test_huge_per_class(self, capsys, tmp_path, monkeypatch):
@@ -1750,6 +1810,55 @@ class TestGradcheck:
     def test_degenerate_problem_fails(self, capsys, flags):
         code, _, err = run_cli(capsys, ["gradcheck", *flags])
         assert_single_line_error(code, err, 1)
+
+
+class TestDeclaredOptions:
+    """Each command's dests and defaults: what its handler receives."""
+
+    # command -> (its required options, vars() of the parse without the command)
+    CASES = {
+        "gen": (["--out", "O"], {
+            "num_classes": 5, "feature_dim": 16, "samples_per_class": "1000",
+            "class_separation": 4.0, "noise_scale": 1.0, "seed": 0, "out": "O",
+        }),
+        "split": (["--in", "I", "--out", "O"], {
+            "in_path": "I", "train": 0.7, "val": 0.15, "test": 0.15, "seed": 0,
+            "out": "O",
+        }),
+        "balance": (["--in", "I", "--out", "O"], {
+            "in_path": "I", "target": None, "k_neighbors": 5, "seed": 0, "out": "O",
+        }),
+        "train": (["--train", "T", "--val", "V", "--model-out", "M", "--trace-out", "R"], {
+            "train": "T", "val": "V", "epochs": 30, "batch_size": 128,
+            "learning_rate": 0.01, "adam_beta1": 0.9, "adam_beta2": 0.999,
+            "adam_epsilon": 1e-08, "train_mc_samples": 1, "early_stop_patience": None,
+            "mu_init_scale": 0.1, "rho_init": -5.0, "prior_scale": 1.0, "seed": 0,
+            "model_out": "M", "trace_out": "R",
+        }),
+        "eval": (["--model", "M", "--data", "D", "--out", "O"], {
+            "model": "M", "data": "D", "threshold": 0.7, "measure": "confidence",
+            "mc_samples": 20, "ece_bins": 15, "save_samples": False, "seed": 0,
+            "out": "O",
+        }),
+        "sweep": (["--model", "M", "--data", "D", "--out", "O"], {
+            "model": "M", "data": "D", "grid": None, "measure": "confidence",
+            "mc_samples": 20, "seed": 0, "out": "O",
+        }),
+        "gradcheck": ([], {
+            "num_classes": 3, "feature_dim": 4, "batch_size": 8, "h": 1e-05, "seed": 0,
+        }),
+    }
+
+    @pytest.mark.parametrize("command", CASES)
+    def test_required_options_only(self, command):
+        required, expected = self.CASES[command]
+        expected = {"command": command, **expected}
+        opts = vars(cli._build_parser().parse_args([command, *required]))
+        assert opts == expected
+        # == takes 0 for False and 5.0 for 5; a handler may not.
+        assert {k: type(v) for k, v in opts.items()} == {
+            k: type(v) for k, v in expected.items()
+        }
 
 
 class TestParserBehavior:
