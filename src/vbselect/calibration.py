@@ -86,22 +86,28 @@ def ece(confidences, correctness, num_bins: int = 15) -> CalibrationReport:
 
     edges = _bin_edges(num_bins)
     idx = _bin_indices(conf, edges, num_bins)
+    # A stable sort by bin keeps each bin's cases in input order, so each
+    # bin's slice holds what a mask over the whole input would pick, and its
+    # means keep their bits: O(N log N + M), not O(N x M).
+    order = np.argsort(idx, kind="stable")
+    conf, correct = conf[order], correct[order]
+    counts = np.bincount(idx, minlength=num_bins).tolist()
+    bounds = edges.tolist()
 
     n = conf.size
     total = 0.0
     bins = []
-    for b in range(num_bins):
-        mask = idx == b
-        count = int(np.count_nonzero(mask))
+    start = 0
+    for b, count in enumerate(counts):
         if count == 0:
-            bins.append(CalibrationBin(float(edges[b]), float(edges[b + 1]), 0, None, None))
+            bins.append(CalibrationBin(bounds[b], bounds[b + 1], 0, None, None))
             continue
-        mean_conf = float(np.mean(conf[mask]))
-        accuracy = float(np.mean(correct[mask]))
+        cases = slice(start, start + count)
+        start += count
+        mean_conf = float(np.mean(conf[cases]))
+        accuracy = float(np.mean(correct[cases]))
         total += (count / n) * abs(accuracy - mean_conf)
-        bins.append(
-            CalibrationBin(float(edges[b]), float(edges[b + 1]), count, mean_conf, accuracy)
-        )
+        bins.append(CalibrationBin(bounds[b], bounds[b + 1], count, mean_conf, accuracy))
     return CalibrationReport(ece=float(total), num_bins=num_bins, bins=tuple(bins), total_count=n)
 
 

@@ -21,23 +21,27 @@ writer take it whole, so its one constructor owns the shape rules.
 
 ``score_posterior`` is the scoring engine, and the one the ``eval`` and
 ``sweep`` commands use. It takes the S weight draws once, then scores the
-row chunks on a ``ThreadPoolExecutor``: each pool thread fills its own
-(S, K, rows) view of a chunk's probabilities, checks it and reduces it to
-its own rows of the per-row results. So it needs O(N·K + threads x chunk)
-memory and never holds the N x S x K grid. Below 8 classes the buffer
-behind the view is class-major, so every fold over the K classes, the
-shift, the divide and the mean over draws run over contiguous rows; from 8
-classes it is draw-major (S, rows, K), the layout in which numpy sums the
-contiguous class axis pairwise as over the grid. Either way the logits come
-from one batched matmul per draw block into a draw-major array, each draw
+row chunks on a ``ThreadPoolExecutor``. A chunk is at least
+``_MIN_CHUNK_ROWS`` rows (or all N), and it is worked a block of draws at a
+time, as many as fit ``_CHUNK_BYTES``: each pool thread fills its own
+(draws, K, rows) view of a block's probabilities, checks it and folds it
+into its own rows of the per-row results. So it needs O(N·K + S·K·D +
+threads x chunk) memory and never holds the N x S x K grid. Below 8 classes the
+buffer behind the view is class-major, so every fold over the K classes,
+the shift, the divide and the sum over draws run over contiguous rows; from
+8 classes it is draw-major (draws, rows, K), the layout in which numpy sums
+the contiguous class axis pairwise as over the grid. Either way the logits
+come from one batched matmul per block into a draw-major array, each draw
 the same gemm as `rows @ weights[s].T` (``_logits``). No result depends on
-the thread count: every sum over the K classes is a left-to-right fold of
-the classes in numpy's own order (``_sum_classes``), and every mean over
-the S draws keeps the order numpy uses on the (N, S, K) grid. While the
-threads run, numpy's OpenBLAS is held at one thread
+the thread count or on where the blocks split: every sum over the K
+classes is a left-to-right fold of the classes in numpy's own order
+(``_sum_classes``), the mean over the S draws adds them one by one in
+order, as numpy does over the (N, S, K) grid's draw axis, and each row's S
+per-draw entropies are averaged pairwise once the last block is in. While
+the threads run, numpy's OpenBLAS is held at one thread
 (``blas.one_blas_thread``); where it cannot be, the calling thread scores
-every chunk. With ``samples``, the thread that scored a chunk also writes
-that chunk's records into an ``.npy`` file at their own offset, so the
+every chunk. With ``samples``, the thread that scored a block also writes
+that block's records into an ``.npy`` file at their own offsets, so the
 saved grid takes the same pool path.
 
 ``predictive_posterior`` copies the same chunks into the full grid, so it
@@ -61,7 +65,7 @@ import numpy as np
 
 from .atomic import atomic_write, write_lines
 from .blas import one_blas_thread, usable_cpus
-from .vbll import VBLinearLayer, check_features, sample_weights
+from .vbll import VBLinearLayer, check_features
 
 __all__ = [
     "PosteriorSummary",
@@ -69,13 +73,15 @@ __all__ = [
     "save_predictions_csv",
 ]
 
-# Size of one chunk's (S, K, rows) float64 buffer; the rows per chunk
-# follow from it. At N=100k, S=100, K=5 on two scoring threads, 2 MiB chunks
-# scored in 0.167 s against 0.173 s for 1 MiB and 0.166 s for 4 MiB ones
-# (median of 7 on a 2-core VM, draw-major buffers). The draws are the outer
-# axis so that one batched matmul fills a block of them (one gemm per draw),
-# and the mean over S becomes whole-array adds over long contiguous rows;
-# below 8 classes the per-row folds over K do too (see _class_major).
+# Size of one block's (draws, K, rows) float64 buffer. A chunk takes as many
+# rows as fit it with all S draws, but at least _MIN_CHUNK_ROWS; its draws
+# are then worked as many at a time as fit it. At N=100k, S=100, K=5 on two
+# scoring threads, 2 MiB chunks scored in 0.167 s against 0.173 s for 1 MiB
+# and 0.166 s for 4 MiB ones (median of 7 on a 2-core VM, draw-major
+# buffers). The draws are the outer axis so that one batched matmul fills a
+# block of them (one gemm per draw), and the sums over draws become
+# whole-array adds over long contiguous rows; below 8 classes the per-row
+# folds over K do too (see _class_major).
 # A chunk never holds a single row unless N = 1: numpy sends 1-row matmuls
 # to gemv, which rounds differently from gemm. A problem in one chunk
 # matches the full-batch product bit for bit on every kernel measured, and
@@ -84,6 +90,20 @@ __all__ = [
 # many rows share its chunk: measured at K=100, D=256, at K=20, D=64 under
 # the default SkylakeX kernel, and at K=8, 20 and 100, D=16 under Haswell.
 _CHUNK_BYTES = 2 * 2**20
+
+# The fewest rows in a chunk (at least 2, see above). BLAS packs each draw's
+# K x D weights once per gemm, so a chunk of few rows packs them over and
+# over: at K=100, D=256, S=100 only 26 rows fit _CHUNK_BYTES. The logits of
+# 750 such rows, each chunk in blocks of draws within _CHUNK_BYTES, on one
+# BLAS thread (median of 7, 2-core VM); every row count gave the same bits
+# under both kernels:
+#
+#   rows per chunk          26     64    128    256    750
+#   SkylakeX (default)  188 ms 134 ms 115 ms 108 ms 110 ms
+#   Haswell             220 ms 186 ms 137 ms 128 ms 128 ms
+#
+# K=5 at S=100 fits 524 rows, so such chunks keep all S draws in one block.
+_MIN_CHUNK_ROWS = 128
 
 # The most threads that score chunks at once: two, the most that has been
 # benchmarked (on a 2-core VM). Each thread holds about 1.75 x _CHUNK_BYTES
@@ -245,35 +265,55 @@ def check_mc_samples(mc_samples: int) -> None:
         raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
 
 
+def _chunk_rows(n: int, mc_samples: int, num_classes: int) -> int:
+    """Rows per chunk: as many as fit _CHUNK_BYTES with all S draws, at
+    least _MIN_CHUNK_ROWS, at most n."""
+    return min(n, max(_MIN_CHUNK_ROWS, _CHUNK_BYTES // (mc_samples * num_classes * 8)))
+
+
 def _chunk_bounds(n: int, mc_samples: int, num_classes: int) -> list[tuple[int, int]]:
-    """(start, stop) row ranges covering range(n), each within _CHUNK_BYTES.
+    """(start, stop) row ranges covering range(n), each of _chunk_rows rows.
 
     A single row left over at the end joins the chunk before it, so no chunk
     has one row unless n == 1.
     """
-    rows = max(2, _CHUNK_BYTES // (mc_samples * num_classes * 8))
-    starts = list(range(0, n, rows))
+    starts = list(range(0, n, _chunk_rows(n, mc_samples, num_classes)))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
+
+
+def _block_draws(n: int, mc_samples: int, num_classes: int) -> int:
+    """Draws per block: as many as fit _CHUNK_BYTES with a chunk's rows, 1 to S."""
+    rows = _chunk_rows(n, mc_samples, num_classes)
+    return min(mc_samples, max(1, _CHUNK_BYTES // (rows * num_classes * 8)))
 
 
 def _posterior_draws(layer: VBLinearLayer, mc_samples: int, seed: int):
     """The S weight draws: (S, D, K) transposed weights and (S, 1, K) biases.
 
     All S up front, in one allocation: small (S x K x (D+1)) next to the
-    grid, and an absurd S fails here at once rather than draw by draw. A draw
-    that is not finite can only come from the model, whose sigma times a
-    standard normal overflowed, so it is reported here and never as a data
-    row; numpy's overflow warning is silenced for it.
+    grid, and an absurd S fails here at once rather than draw by draw. Each
+    draw's noise fills its own contiguous slots, weights first, from
+    ``default_rng([seed, s])`` as ``sample_weights`` draws it; sigma and mu
+    then apply to all S in place, so the draws equal ``sample_weights``' bit
+    for bit (sigma x eps + mu) with one softplus per call. A draw that is not
+    finite can only come from the model, whose sigma times a standard normal
+    overflowed, so it is reported here and never as a data row; numpy's
+    overflow warning is silenced for it.
     """
     k = layer.num_classes
     weights = np.empty((mc_samples, k, layer.feature_dim))
     biases = np.empty((mc_samples, 1, k))
+    for s in range(mc_samples):
+        rng = np.random.default_rng([seed, s])
+        rng.standard_normal(out=weights[s])
+        rng.standard_normal(out=biases[s, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(mc_samples):
-            draw = sample_weights(layer, np.random.default_rng([seed, s]))
-            weights[s], biases[s, 0] = draw.weights, draw.biases
+        weights *= layer.weight_sigma
+        weights += layer.weight_mu
+        biases *= layer.bias_sigma
+        biases += layer.bias_mu
     finite = np.isfinite(weights).all(axis=(1, 2)) & np.isfinite(biases).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(
@@ -285,22 +325,19 @@ def _posterior_draws(layer: VBLinearLayer, mc_samples: int, seed: int):
     return weights.transpose(0, 2, 1), biases
 
 
-def _draw_block(mc_samples: int) -> int:
-    """Draws per block, where a chunk is worked a block of draws at a time.
-
-    A quarter of them, rounded up, holds a block's temporaries to a quarter
-    of the chunk.
-    """
-    return -(-mc_samples // 4)
+def _sub_block(draws: int) -> int:
+    """Draws per sub-block of a block: a quarter of them, rounded up, holds
+    a sub-block's temporaries to a quarter of the block."""
+    return -(-draws // 4)
 
 
 def _logits(features, weights_t, biases, probs) -> None:
-    """Write each draw's logits of `features` into probs, an (S, K, rows) view.
+    """Write each draw's logits of `features` into probs, a (draws, K, rows) view.
 
     The product is always ``np.matmul(features, weights_t[draws], out=...)``
     into a draw-major (draws, rows, K) array, so each draw's gemm rounds as
     `rows @ weights[s].T` does. A draw-major buffer takes the product in
-    place. A class-major one takes it a block of draws at a time through
+    place. A class-major one takes it a sub-block of draws at a time through
     scratch, from which one transposing add of the biases moves it in; the
     scratch is freed before the entropies' temporaries of the same size are
     taken. A product written class-major by BLAS itself, ``weights @
@@ -314,7 +351,7 @@ def _logits(features, weights_t, biases, probs) -> None:
         np.matmul(features, weights_t, out=draw_major)
         draw_major += biases
         return
-    step = _draw_block(draws)
+    step = _sub_block(draws)
     scratch = np.empty((step, rows, k))
     for first in range(0, draws, step):
         block = slice(first, min(first + step, draws))
@@ -324,16 +361,16 @@ def _logits(features, weights_t, biases, probs) -> None:
                out=probs[block])
 
 
-def _softmax_chunk(features, start, weights_t, biases, probs, peak) -> None:
-    """Fill probs, an (S, K, rows) view, with the softmax of `features` under each draw.
+def _softmax_block(features, weights_t, biases, probs, peak):
+    """Fill probs, a (draws, K, rows) view, with the softmax of `features` under each draw.
 
-    features holds data rows start.., and peak is (S, 1, rows) scratch. A
-    row whose logits are not finite under some draw raises a ValueError that
-    names the row's 0-based index and the lowest such draw.
+    peak is (draws, 1, rows) scratch. Returns None, or, where some row's
+    logits are not finite under some draw, the (draws, rows) mask of those
+    rows and draws, with probs left unfinished.
     """
     k = probs.shape[1]
     # The finite-maximum check below reports an overflowing row, not numpy's
-    # warnings; the caller's error state is back once the chunk is done.
+    # warnings; the caller's error state is back once the block is done.
     with np.errstate(over="ignore", invalid="ignore"):
         _logits(features, weights_t, biases, probs)
         # vbll.softmax over the whole block, step for step, so the same bits.
@@ -344,18 +381,53 @@ def _softmax_chunk(features, start, weights_t, biases, probs, peak) -> None:
         for j in range(1, k):
             np.maximum(peak, probs[:, j : j + 1], out=peak)
         if not np.isfinite(peak).all():
-            bad = ~np.isfinite(peak[:, 0])
-            row = int(bad.any(axis=0).argmax())
-            raise ValueError(
-                f"data row {start + row}: logits are not finite under "
-                f"posterior draw {int(bad[:, row].argmax())}"
-            )
+            return ~np.isfinite(peak[:, 0])
         # A finite maximum bounds every logit of its row, so each exp is in
         # [0, 1] and the maximum's own is exactly 1. The row sum thus lies in
         # [1, K], and the K quotients sum to 1 within K * 2.2e-16.
         probs -= peak
         np.exp(probs, out=probs)
         probs /= _sum_classes(probs, axis=1)
+    return None
+
+
+def _softmax_chunk(features, start, blocks, scratch, reduce) -> None:
+    """Score `features`, data rows start.., under every draw, a block of draws at a time.
+
+    blocks lists (first, weights_t, biases) for draws first.. of each block,
+    in draw order, and scratch is the thread's (buffer, row maxima) pair of
+    flat arrays, large enough for a block of these rows. reduce(start, first,
+    probs) gets each block as soon as it is scored: probs is a (draws, K,
+    rows) view of the buffer (see _class_major), which the next block
+    overwrites. A row whose logits are not finite under some draw raises a
+    ValueError that names the chunk's lowest such row, over all its draws,
+    and that row's lowest such draw; no block is reduced after one that
+    holds such a row.
+    """
+    rows = features.shape[0]
+    buffer, row_max = scratch
+    failure = None  # (row, draw) of the lowest failing row so far
+    for first, weights_t, biases in blocks:
+        draws, k = weights_t.shape[0], weights_t.shape[2]
+        values = buffer[: draws * rows * k]
+        if _class_major(k):
+            probs = values.reshape(draws, k, rows)
+        else:
+            probs = values.reshape(draws, rows, k).transpose(0, 2, 1)
+        peak = row_max[: draws * rows].reshape(draws, 1, rows)
+        bad = _softmax_block(features, weights_t, biases, probs, peak)
+        if bad is None:
+            if failure is None:
+                reduce(start, first, probs)
+            continue
+        row = int(bad.any(axis=0).argmax())
+        if failure is None or row < failure[0]:
+            failure = (row, first + int(bad[:, row].argmax()))
+    if failure is not None:
+        raise ValueError(
+            f"data row {start + failure[0]}: logits are not finite under "
+            f"posterior draw {failure[1]}"
+        )
 
 
 def _worker_count(chunks: int) -> int:
@@ -368,13 +440,12 @@ def _score_chunks(
 ) -> None:
     """Score every row chunk of the posterior on a pool of threads.
 
-    reduce(start, probs) runs on the thread that scored rows start.., as
-    soon as they are scored. probs is an (S, K, rows) view of that thread's
-    own buffer (see _class_major), which its next chunk overwrites, so
-    reduce must be done with it when it returns. It may write only its own
-    chunk's rows of any shared output, so no result depends on the thread
-    count or on which thread took a chunk. Without a pool (no BLAS pin, or a
-    worker count of 1) the caller scores the chunks in row order.
+    reduce(start, first, probs) runs on the thread that scored rows start..
+    under draws first.., as soon as they are scored, for each block of
+    draws in order (see _softmax_chunk). It may write only its own chunk's
+    rows of any shared output, so no result depends on the thread count or
+    on which thread took a chunk. Without a pool (no BLAS pin, or a worker
+    count of 1) the caller scores the chunks in row order.
 
     Pool threads take chunks in row order under the caller's numpy error
     state. The caller awaits them in row order, so the error raised is the
@@ -382,24 +453,20 @@ def _score_chunks(
     pool thread is joined before this returns or raises.
     """
     weights_t, biases = _posterior_draws(layer, mc_samples, seed)
-    k = layer.num_classes
-    bounds = _chunk_bounds(features.shape[0], mc_samples, k)
+    n, k = features.shape[0], layer.num_classes
+    bounds = _chunk_bounds(n, mc_samples, k)
+    step = _block_draws(n, mc_samples, k)
+    blocks = [
+        (first, weights_t[first : first + step], biases[first : first + step])
+        for first in range(0, mc_samples, step)
+    ]
     most = max(stop - start for start, stop in bounds)
     local = threading.local()
 
     def score(start: int, stop: int) -> None:
-        if not hasattr(local, "buffer"):  # this thread's first chunk
-            local.buffer = np.empty(mc_samples * most * k)
-            local.row_max = np.empty(mc_samples * most)
-        rows = stop - start
-        buffer = local.buffer[: mc_samples * rows * k]
-        if _class_major(k):
-            probs = buffer.reshape(mc_samples, k, rows)
-        else:
-            probs = buffer.reshape(mc_samples, rows, k).transpose(0, 2, 1)
-        peak = local.row_max[: mc_samples * rows].reshape(mc_samples, 1, rows)
-        _softmax_chunk(features[start:stop], start, weights_t, biases, probs, peak)
-        reduce(start, probs)
+        if not hasattr(local, "scratch"):  # this thread's first chunk
+            local.scratch = (np.empty(step * most * k), np.empty(step * most))
+        _softmax_chunk(features[start:stop], start, blocks, local.scratch, reduce)
 
     with one_blas_thread() as pinned:
         # Without the pin each thread's gemm would start BLAS threads of its
@@ -433,8 +500,9 @@ def predictive_posterior(
     features = check_features(layer, data)
     prob_samples = np.empty((features.shape[0], mc_samples, layer.num_classes))
 
-    def copy(start, probs):
-        prob_samples[start : start + probs.shape[2]] = probs.transpose(2, 0, 1)
+    def copy(start, first, probs):
+        draws, _, rows = probs.shape
+        prob_samples[start : start + rows, first : first + draws] = probs.transpose(2, 0, 1)
 
     _score_chunks(layer, features, mc_samples, seed, copy)
     mean_probs = prob_samples.mean(axis=1)
@@ -455,31 +523,35 @@ def _pwrite(fd: int, data, offset: int) -> None:
 
 
 def _npy_records(fd: int, shape: tuple[int, int, int], reduce):
-    """`reduce` that first writes each chunk's rows into an (N, S, K) .npy file.
+    """`reduce` that first writes each block's records into an (N, S, K) .npy file.
 
     Writes the npy 1.0 header of a C-order '<f8' array of `shape` at offset 0
     of `fd`. The returned function writes row i, draw s at header + (i·S + s)
-    ·K·8, the layout ``np.load`` reads, then calls reduce(start, probs). Each
-    byte range is written once, so the file does not depend on which thread
-    wrote which chunk, or when.
+    ·K·8, the layout ``np.load`` reads, then calls reduce(start, first,
+    probs). Each byte range is written once, so the file does not depend on
+    which thread wrote which block, or when.
     """
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(
         header, {"descr": "<f8", "fortran_order": False, "shape": shape}
     )
     _pwrite(fd, header.getvalue(), 0)
-    first, row_bytes = header.tell(), shape[1] * shape[2] * 8
+    data, record_bytes = header.tell(), shape[2] * 8
 
-    # Rows go out about 64 KiB at a time, so that each thread's copy in
-    # file order stays small next to its chunk.
-    block = max(1, 2**16 // row_bytes)
+    # Whole rows go out about 64 KiB at a time, so that each thread's copy in
+    # file order stays small next to its block. A block of fewer than S draws
+    # fills a run of each of its rows' records, one write per row.
+    whole = max(1, 2**16 // (shape[1] * record_bytes))
 
-    def write(start, probs):
-        for row in range(0, probs.shape[2], block):
-            records = probs[:, :, row : row + block].transpose(2, 0, 1)
+    def write(start, first, probs):
+        draws, _, rows = probs.shape
+        step = whole if draws == shape[1] else 1
+        for row in range(0, rows, step):
+            records = probs[:, :, row : row + step].transpose(2, 0, 1)
             records = np.ascontiguousarray(records, dtype="<f8")
-            _pwrite(fd, records, first + (start + row) * row_bytes)
-        reduce(start, probs)
+            offset = data + ((start + row) * shape[1] + first) * record_bytes
+            _pwrite(fd, records, offset)
+        reduce(start, first, probs)
 
     return write
 
@@ -491,10 +563,10 @@ def score_posterior(
     """Mean probabilities, predictions and scores, streamed over row chunks.
 
     `data` may be a FeatureDataset or a raw N x D array. Sample s draws its
-    weights from ``default_rng([seed, s])``. Memory is O(N·K + threads x
-    chunk). With `samples`, a path, the N x S x K grid of sampled
+    weights from ``default_rng([seed, s])``. Memory is O(N·K + S·K·D +
+    threads x chunk). With `samples`, a path, the N x S x K grid of sampled
     probabilities is also committed there as an ``.npy`` file, which
-    ``np.load`` reads back bit for bit; each pool thread writes the chunks it
+    ``np.load`` reads back bit for bit; each pool thread writes the blocks it
     scored. With ``mutual_info=False`` the S per-draw entropies of each row,
     about a quarter of the scoring time, are not taken, and the summary's
     expected_entropy and mutual_info are None.
@@ -505,21 +577,38 @@ def score_posterior(
     mean_probs = np.empty((n, k))
     expected_entropy = np.empty(n) if mutual_info else None
 
-    def reduce(start, probs):
-        rows = probs.shape[2]
-        # numpy adds the S axis left to right here as over the grid's axis 1.
-        mean_probs[start : start + rows] = probs.mean(axis=0).T
+    per_draw = {}  # chunk start -> its (rows, S) per-draw entropies so far
+
+    def reduce(start, first, probs):
+        draws, _, rows = probs.shape
+        chunk, last = slice(start, start + rows), first + draws == mc_samples
+        # The draws are added one by one in order, as numpy adds the grid's
+        # axis 1: within the first block by numpy's own sum over its outer
+        # axis, into an array laid out as the block (a class-major chunk's
+        # rows are contiguous there, not in the result).
+        if first == 0:
+            mean_probs[chunk] = probs.sum(axis=0).T
+        else:
+            total = mean_probs[chunk].T
+            for draw in probs:
+                total += draw
+        if last:
+            mean_probs[chunk] /= mc_samples
         if expected_entropy is None:
             return
         # Per-draw entropies as contiguous (rows, S), so each row's S terms
-        # are summed pairwise as over the grid; a mean over axis 0 would add
-        # them left to right and round differently once S >= 9. A block of
-        # draws at a time was as fast as all at once on bulk.csv.
-        entropies, step = np.empty((rows, mc_samples)), _draw_block(mc_samples)
-        for first in range(0, mc_samples, step):
-            block = probs[first : first + step]
-            entropies[:, first : first + step] = _entropy(block, axis=1).T
-        expected_entropy[start : start + rows] = entropies.mean(axis=1)
+        # are summed pairwise as over the grid once the last block is in; a
+        # mean over axis 0 would add them left to right and round differently
+        # once S >= 9. A sub-block of draws at a time was as fast as all at
+        # once on bulk.csv.
+        if first == 0:
+            per_draw[start] = np.empty((rows, mc_samples))
+        entropies, step = per_draw[start], _sub_block(draws)
+        for a in range(0, draws, step):
+            part = probs[a : a + step]
+            entropies[:, first + a : first + a + len(part)] = _entropy(part, axis=1).T
+        if last:
+            expected_entropy[chunk] = per_draw.pop(start).mean(axis=1)
 
     if samples is None:
         _score_chunks(layer, features, mc_samples, seed, reduce)
@@ -547,10 +636,17 @@ def save_predictions_csv(posterior: PosteriorSummary, labels, path: str) -> None
         raise ValueError("labels must match the prediction length")
     columns = (labels, posterior.predicted, posterior.confidence, posterior.entropy,
                posterior.mutual_info)
-    rows = zip(range(n), *(column.tolist() for column in columns))
-    lines = ["index,label,predicted,confidence,entropy,mutual_info"]
-    lines.extend("%d,%d,%d,%r,%r,%r" % row for row in rows)
-    write_lines(path, lines)
+    # About 64k values at a time, as dataset.format_rows: the whole file's
+    # lines and Python numbers would take several times its own bytes.
+    step = 2**16 // len(columns)
+
+    def lines():
+        yield "index,label,predicted,confidence,entropy,mutual_info"
+        for first in range(0, n, step):
+            block = (column[first : first + step].tolist() for column in columns)
+            yield from ("%d,%d,%d,%r,%r,%r" % row for row in zip(range(first, n), *block))
+
+    write_lines(path, lines())
 
 
 def save_prob_samples_csv(pred: PredictionSet, path: str) -> None:

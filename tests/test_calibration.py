@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbselect.calibration import (
+    CalibrationBin,
     CalibrationReport,
     check_num_bins,
     confidence_histogram,
@@ -117,6 +118,56 @@ def test_ece_binning_matches_brute_force_at_edges(instance):
         if members:
             assert row.mean_confidence == pytest.approx(sum(members) / len(members), abs=1e-15)
     assert abs(report.ece - brute_force_ece(conf, correct, m)) <= 1e-12
+
+
+def masked_loop_ece(confidences, correctness, num_bins):
+    """ece() as it was written before its sort-and-slice form: one mask over
+    the whole input per bin. The oracle for the bits of every bin and of ece."""
+    conf = np.asarray(confidences, dtype=np.float64)
+    correct = np.asarray(correctness, dtype=bool)
+    edges = np.arange(num_bins + 1) / num_bins
+    idx = np.clip(np.searchsorted(edges, conf, side="left") - 1, 0, num_bins - 1)
+    n = conf.size
+    total = 0.0
+    bins = []
+    for b in range(num_bins):
+        mask = idx == b
+        count = int(np.count_nonzero(mask))
+        if count == 0:
+            bins.append(CalibrationBin(float(edges[b]), float(edges[b + 1]), 0, None, None))
+            continue
+        mean_conf = float(np.mean(conf[mask]))
+        accuracy = float(np.mean(correct[mask]))
+        total += (count / n) * abs(accuracy - mean_conf)
+        bins.append(
+            CalibrationBin(float(edges[b]), float(edges[b + 1]), count, mean_conf, accuracy)
+        )
+    return CalibrationReport(ece=float(total), num_bins=num_bins, bins=tuple(bins), total_count=n)
+
+
+@st.composite
+def seeded_instances(draw):
+    """(num_bins, confidences, correctness) of up to 1000 cases, skewed so
+    that some bins hold hundreds (past numpy's pairwise-sum blocks) and
+    others none, with a share snapped onto bin edges."""
+    m = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conf = rng.random(n) ** draw(st.sampled_from([1.0, 0.1, 8.0]))
+    snapped = rng.random(n) < 0.2
+    conf[snapped] = rng.integers(0, m + 1, int(snapped.sum())) / m
+    return m, conf.tolist(), (rng.random(n) < conf).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=edge_heavy_instances() | seeded_instances())
+def test_ece_keeps_the_masked_loops_bits(instance):
+    m, conf, correct = instance
+    # repr shows every bit of each float, and None for an empty bin's means.
+    # The flag keeps pytest from diffing two long reprs on every failing
+    # example while Hypothesis shrinks.
+    same = repr(ece(conf, correct, num_bins=m)) == repr(masked_loop_ece(conf, correct, m))
+    assert same
 
 
 class TestEceReportStructure:

@@ -1038,6 +1038,7 @@ class TestEval:
         # lies along the signs of class 0's weights, so its class-0 logit
         # overflows to inf once the first chunk's samples were written. The
         # engine names the row.
+        monkeypatch.setattr(inference, "_MIN_CHUNK_ROWS", 4)
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 20 * 3 * 8)
         data = write_overflow_csv(pipeline, tmp_path, 5)
         offsets = []

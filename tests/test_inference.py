@@ -498,6 +498,29 @@ class TestPredictionExports:
             assert float(cells[4]) == scores.entropy[n]
             assert float(cells[5]) == scores.mutual_info[n]
 
+    def test_predictions_csv_bytes_over_several_blocks(self, tmp_path):
+        # The writer formats about 13k rows at a time; 40k rows take four
+        # blocks, the last one short. The bytes are those of the whole file's
+        # lines built at once, and no line repeats or goes missing.
+        n, k = 40_000, 4
+        rng = np.random.default_rng(8)
+        mean_probs = rng.dirichlet(np.ones(k), size=n)
+        posterior = PosteriorSummary(
+            mean_probs=mean_probs, predicted=np.argmax(mean_probs, axis=1),
+            confidence=mean_probs.max(axis=1), entropy=rng.random(n),
+            expected_entropy=rng.random(n), mutual_info=rng.random(n) / 3,
+        )
+        labels = rng.integers(0, k, n)
+        path = tmp_path / "predictions.csv"
+        save_predictions_csv(posterior, labels, path)
+        columns = (labels, posterior.predicted, posterior.confidence,
+                   posterior.entropy, posterior.mutual_info)
+        lines = ["index,label,predicted,confidence,entropy,mutual_info"] + [
+            "%d,%d,%d,%r,%r,%r" % row
+            for row in zip(range(n), *(column.tolist() for column in columns))
+        ]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_prob_samples_csv_layout(self, tmp_path):
         rng = np.random.default_rng(4)
         pred = make_prediction_set(random_prob_samples(rng, 2, 3, 4))
@@ -528,6 +551,14 @@ class TestPredictionExports:
 
 
 CHUNK_ROWS = 4
+
+
+def use_chunks(monkeypatch, rows, s, k, draws=None):
+    """Score in chunks of `rows` rows at S = s, K = k, each worked `draws`
+    draws at a time (all s by default): the chunk floor is lowered to
+    `rows` and the block budget set to fit them."""
+    monkeypatch.setattr(inference, "_MIN_CHUNK_ROWS", rows)
+    monkeypatch.setattr(inference, "_CHUNK_BYTES", rows * (draws or s) * k * 8)
 
 
 def assert_engine_matches_reference(layer, features, s, tmp_path):
@@ -574,9 +605,7 @@ class TestStreamingEngine:
         layer = init_layer(7, num_classes, rho_init=-1.0, seed=n)
         features = 3.0 * np.random.default_rng(n).standard_normal((n, 7))
         for s in draws:
-            monkeypatch.setattr(
-                inference, "_CHUNK_BYTES", CHUNK_ROWS * s * num_classes * 8
-            )
+            use_chunks(monkeypatch, CHUNK_ROWS, s, num_classes)
             bounds = inference._chunk_bounds(n, s, num_classes)
             assert bounds[0][0] == 0 and bounds[-1][1] == n
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
@@ -589,7 +618,7 @@ class TestStreamingEngine:
         # Zero means, a tiny weight sigma, no bias noise and -0.0 features:
         # every logit is zero, so all K classes tie for each row's maximum.
         n, s, k = 2 * CHUNK_ROWS + 1, 6, 5
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k)
         layer = VBLinearLayer(
             weight_mu=np.zeros((k, 7)), weight_rho=np.full((k, 7), -30.0),
             bias_mu=np.full(k, -0.0), bias_rho=np.full(k, -1000.0), prior_scale=1.0,
@@ -606,7 +635,7 @@ class TestStreamingEngine:
         # class-0 weight on feature 0 exceeds 1.8; row 10 is NaN under every
         # draw. The lowest failing row is named, with its lowest draw.
         n, s, k = 3 * CHUNK_ROWS, 40, 3
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k)
         layer = VBLinearLayer(
             weight_mu=np.eye(k, 4), weight_rho=np.full((k, 4), math.log(math.expm1(0.5))),
             bias_mu=np.zeros(k), bias_rho=np.full(k, -30.0), prior_scale=1.0,
@@ -649,7 +678,7 @@ class TestStreamingEngine:
     def test_chunks_leave_the_caller_error_state_in_force(self, monkeypatch):
         # The first two chunks meet at a barrier, so two threads score them,
         # each under the caller's error state.
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", 4 * 5 * 3 * 8)
+        use_chunks(monkeypatch, 4, 5, 3)
         use_workers(monkeypatch, 2)
         layer = init_layer(4, 3, seed=0)
         features = np.random.default_rng(0).standard_normal((12, 4))
@@ -693,7 +722,7 @@ class TestWithoutMutualInfo:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_other_outputs_equal_the_default_call(self, monkeypatch, tmp_path, workers):
         n, s, k = 5 * CHUNK_ROWS + 1, 17, 5
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k)
         use_workers(monkeypatch, workers)
         layer = init_layer(7, k, rho_init=-1.0, seed=3)
         features = 3.0 * np.random.default_rng(3).standard_normal((n, 7))
@@ -786,7 +815,7 @@ class TestChunkPool:
         self, monkeypatch, tmp_path, n, k, d
     ):
         s = 9
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k)
         layer = init_layer(d, k, rho_init=-1.0, seed=n)
         features = 3.0 * np.random.default_rng(n).standard_normal((n, d))
         outputs = {}
@@ -802,12 +831,17 @@ class TestChunkPool:
                 assert_same_bits(got, expected)
             assert outputs[workers][1] == text
 
-    def test_many_threads_and_short_switches_keep_the_bits(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("draws", [None, 2])
+    def test_many_threads_and_short_switches_keep_the_bits(
+        self, monkeypatch, tmp_path, draws
+    ):
         # More threads than cores, switching every microsecond: a lost
         # update, a chunk scored twice or a record at a wrong offset would
-        # show.
+        # show. With draws=2 each chunk takes blocks of 2, 2 and 1 draws, so
+        # the threads also keep their chunks' per-draw entropies between
+        # blocks.
         n, s, k = 40 * CHUNK_ROWS + 3, 5, 3
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k, draws)
         layer = init_layer(6, k, rho_init=-1.0, seed=3)
         features = np.random.default_rng(3).standard_normal((n, 6))
         use_workers(monkeypatch, 1)
@@ -830,7 +864,7 @@ class TestChunkPool:
         # Chunk 1 (row 5) waits until chunk 2 (row 9) has failed on another
         # thread; the error still names row 5.
         n, s, k = 4 * CHUNK_ROWS, 3, 3
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k)
         use_workers(monkeypatch, 3)
         layer = init_layer(4, k, seed=0)
         features = np.random.default_rng(0).standard_normal((n, 4))
@@ -858,7 +892,7 @@ class TestChunkPool:
         # Row 5 fails in chunk 1 of 50. Chunks from 2 on wait until it has
         # failed; at most the ones already taken are scored after it.
         n, s, k = 50 * CHUNK_ROWS, 3, 3
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k)
         use_workers(monkeypatch, workers)
         layer = init_layer(4, k, seed=0)
         features = np.random.default_rng(0).standard_normal((n, 4))
@@ -884,7 +918,7 @@ class TestChunkPool:
         # chunk's records, so the file is filled out of row order; it must
         # still equal the one a single thread writes in row order.
         n, s, k = 6 * CHUNK_ROWS, 3, 3
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * s * k * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k)
         layer = init_layer(4, k, seed=0)
         features = np.random.default_rng(0).standard_normal((n, 4))
         use_workers(monkeypatch, 1)
@@ -925,7 +959,7 @@ class TestChunkPool:
         # Rows of 20 000 bytes go out three at a time (about 64 KiB), so the
         # 10-, 10- and 5-row chunks take 4, 4 and 2 writes after the header.
         n, s, k = 25, 100, 25
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", 10 * s * k * 8)
+        use_chunks(monkeypatch, 10, s, k)
         use_workers(monkeypatch, 2)
         real_pwrite, offsets = inference._pwrite, []
 
@@ -983,7 +1017,7 @@ class TestChunkPool:
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_every_worker_is_joined(self, monkeypatch, fails):
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * 5 * 3 * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, 5, 3)
         use_workers(monkeypatch, 3)
         layer = init_layer(4, 3, seed=0)
         features = np.random.default_rng(0).standard_normal((10 * CHUNK_ROWS, 4))
@@ -1000,7 +1034,7 @@ class TestChunkPool:
     def test_interrupt_in_a_pool_thread_reaches_the_caller(self, monkeypatch, engine):
         # The first chunk another thread takes raises KeyboardInterrupt; any
         # chunk on the calling thread waits until it has.
-        monkeypatch.setattr(inference, "_CHUNK_BYTES", CHUNK_ROWS * 5 * 3 * 8)
+        use_chunks(monkeypatch, CHUNK_ROWS, 5, 3)
         use_workers(monkeypatch, 2)
         layer = init_layer(4, 3, seed=0)
         features = np.random.default_rng(0).standard_normal((10 * CHUNK_ROWS, 4))
@@ -1022,7 +1056,167 @@ class TestChunkPool:
         assert blas_threads() == blas
 
 
+def record_blocks(monkeypatch):
+    """The (rows, draws) of every block the engine scores."""
+    real, blocks = inference._softmax_block, []
+
+    def block(features, weights_t, biases, probs, peak):
+        blocks.append((features.shape[0], weights_t.shape[0]))
+        return real(features, weights_t, biases, probs, peak)
+
+    monkeypatch.setattr(inference, "_softmax_block", block)
+    return blocks
+
+
+class TestDrawBlocks:
+    """A chunk holds at least _MIN_CHUNK_ROWS rows, worked a block of draws
+    at a time, and no result depends on where the blocks split."""
+
+    def test_chunk_rows_have_a_floor_and_draws_fill_the_budget(self):
+        # wide's eval: K=100, S=100 fits 26 rows in 2 MiB; the floor makes
+        # chunks of 128 rows, each worked 20 draws (2 048 000 bytes) at a time.
+        assert inference._MIN_CHUNK_ROWS == 128
+        bounds = inference._chunk_bounds(750, 100, 100)
+        assert bounds == [(a, min(a + 128, 750)) for a in range(0, 750, 128)]
+        assert inference._block_draws(750, 100, 100) == 20
+        # A single row left over joins the chunk before it.
+        assert inference._chunk_bounds(129, 100, 100) == [(0, 129)]
+        assert inference._chunk_bounds(257, 100, 100) == [(0, 128), (128, 257)]
+        assert inference._chunk_bounds(130, 100, 100) == [(0, 128), (128, 130)]
+        # Fewer rows than the floor make one chunk, with more draws a block.
+        assert inference._chunk_bounds(50, 100, 100) == [(0, 50)]
+        assert inference._block_draws(50, 100, 100) == 52
+        assert inference._chunk_bounds(1, 100, 100) == [(0, 1)]
+        # K=5 at S=100 fits 524 rows above the floor: one block of all S.
+        assert inference._chunk_bounds(750, 100, 5) == [(0, 524), (524, 750)]
+        assert inference._block_draws(750, 100, 5) == 100
+        assert inference._block_draws(10, 3, 5) == 3
+        # A draw of 128 rows beyond the budget is still one draw a block.
+        assert inference._block_draws(1000, 10, 5000) == 1
+
+    @pytest.mark.parametrize("num_classes", [5, 8, 9, 100])
+    @pytest.mark.parametrize("n", [CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 3 * CHUNK_ROWS])
+    def test_uneven_blocks_match_full_grid_reference(
+        self, monkeypatch, tmp_path, n, num_classes
+    ):
+        # S = 17 in blocks of 5, 5, 5 and 2 draws: the mean over draws
+        # crosses three block edges, and the last block is short.
+        s = 17
+        use_chunks(monkeypatch, CHUNK_ROWS, s, num_classes, draws=5)
+        assert inference._block_draws(n, s, num_classes) == 5
+        blocks = record_blocks(monkeypatch)
+        layer = init_layer(7, num_classes, rho_init=-1.0, seed=n)
+        features = 3.0 * np.random.default_rng(n).standard_normal((n, 7))
+        score_posterior(layer, features, s, seed=11)
+        chunks = inference._chunk_bounds(n, s, num_classes)
+        assert sorted(blocks) == sorted(
+            (stop - start, d) for start, stop in chunks for d in (5, 5, 5, 2)
+        )
+        assert_engine_matches_reference(layer, features, s, tmp_path)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_samples_file_is_the_same_under_draw_blocks(
+        self, monkeypatch, tmp_path, workers
+    ):
+        # Blocks of fewer than S draws write each row's run of records on its
+        # own, at header + (row x S + first draw) x K x 8.
+        n, s, k = 3 * CHUNK_ROWS + 2, 17, 9
+        layer = init_layer(6, k, rho_init=-1.0, seed=4)
+        features = np.random.default_rng(4).standard_normal((n, 6))
+        use_workers(monkeypatch, workers)
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k)
+        whole = score_posterior(layer, features, s, seed=4, samples=tmp_path / "whole.npy")
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k, draws=5)
+        real_pwrite, offsets = inference._pwrite, []
+
+        def pwrite(fd, data, offset):
+            offsets.append(offset)
+            real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(inference, "_pwrite", pwrite)
+        blocked = score_posterior(layer, features, s, seed=4, samples=tmp_path / "blocks.npy")
+        assert (tmp_path / "blocks.npy").read_bytes() == (tmp_path / "whole.npy").read_bytes()
+        header = len(npy_bytes(np.zeros((n, s, k)))) - n * s * k * 8
+        assert sorted(offsets) == [0] + sorted(
+            header + (row * s + first) * k * 8 for row in range(n) for first in (0, 5, 10, 15)
+        )
+        for name in ("mean_probs", "predicted", "confidence", "entropy",
+                     "expected_entropy", "mutual_info"):
+            assert_same_bits(getattr(blocked, name), getattr(whole, name))
+
+    def test_lowest_failing_row_in_a_later_block_is_named(self, monkeypatch):
+        # Rows 9 and 10 share chunk 2. Row 10 is NaN under every draw, so it
+        # fails in the chunk's first block; row 9 overflows only under the
+        # draws whose class-0 weight on feature 0 exceeds 1.8, the first of
+        # which starts the second block. The lower row is named, with its
+        # lowest draw.
+        n, s, k = 3 * CHUNK_ROWS, 40, 3
+        layer = VBLinearLayer(
+            weight_mu=np.eye(k, 4), weight_rho=np.full((k, 4), math.log(math.expm1(0.5))),
+            bias_mu=np.zeros(k), bias_rho=np.full(k, -30.0), prior_scale=1.0,
+        )
+        large = [
+            sample_weights(layer, np.random.default_rng([2, t])).weights[0, 0] > 1.8
+            for t in range(s)
+        ]
+        draw = large.index(True)
+        assert 0 < draw < s - 1
+        use_chunks(monkeypatch, CHUNK_ROWS, s, k, draws=draw)
+        features = np.random.default_rng(0).standard_normal((n, 4))
+        features[9] = [1e308, 0.0, 0.0, 0.0]
+        features[10, 2] = np.nan
+        message = f"^data row 9: logits are not finite under posterior draw {draw}$"
+        for engine in (score_posterior, predictive_posterior):
+            with pytest.raises(ValueError, match=message):
+                engine(layer, features, s, seed=2)
+        # Alone, each row is named under its own lowest draw.
+        row_9, features[9] = features[9].copy(), 0.0
+        with pytest.raises(ValueError, match="^data row 10: .* draw 0$"):
+            score_posterior(layer, features, s, seed=2)
+        features[9], features[10, 2] = row_9, 0.0
+        with pytest.raises(ValueError, match=message):
+            score_posterior(layer, features, s, seed=2)
+
+    def test_peak_memory_at_wides_shape(self):
+        # wide's eval (750 rows, D=256, K=100, S=100) peaks no higher than
+        # when each chunk held the 26 rows that fit 2 MiB with all S draws:
+        # 26.6 MiB with the per-draw entropies and 24.4 MiB without, as
+        # first measured. On a 2-core VM, warmed up, 26-row chunks read
+        # 24.9-25.3 and 24.4 MiB, and 128-row chunks in blocks of 20 draws
+        # 25.3 and 24.3 MiB. 19.5 MiB of it is the S weight draws.
+        n, d, k, s = 750, 256, 100, 100
+        layer = init_layer(d, k, rho_init=-1.0, seed=0)
+        features = np.random.default_rng(0).standard_normal((n, d))
+        score_posterior(layer, features[:300], s, seed=0)  # imports the pool
+        bounds = {True: 26.6 * 2**20, False: 24.4 * 2**20}
+        for mutual_info, bound in bounds.items():
+            tracemalloc.start()
+            try:
+                score_posterior(layer, features, s, seed=0, mutual_info=mutual_info)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (mutual_info, peak / 2**20)
+
+
 class TestPosteriorDraws:
+    @pytest.mark.parametrize("mc_samples", [1, 7])
+    def test_draws_equal_sample_weights_draw_by_draw(self, mc_samples):
+        layer = init_layer(6, 4, mu_init_scale=1.0, seed=3)
+        layer = VBLinearLayer(
+            weight_mu=layer.weight_mu,
+            weight_rho=np.random.default_rng(1).uniform(-6.0, 2.0, (4, 6)),
+            bias_mu=layer.bias_mu, bias_rho=np.array([-3.0, 0.0, 1.0, 40.0]),
+            prior_scale=1.0,
+        )
+        weights_t, biases = inference._posterior_draws(layer, mc_samples, seed=9)
+        assert weights_t.shape == (mc_samples, 6, 4) and biases.shape == (mc_samples, 1, 4)
+        assert weights_t.transpose(0, 2, 1).flags.c_contiguous
+        for t in range(mc_samples):
+            draw = sample_weights(layer, np.random.default_rng([9, t]))
+            assert_same_bits(weights_t[t].T, draw.weights)
+            assert_same_bits(biases[t, 0], draw.biases)
+
     @pytest.mark.parametrize("engine", [score_posterior, predictive_posterior])
     def test_overflowing_sigma_names_the_draw_not_a_row(self, engine):
         # Weight sigma 1e308: sigma * eps overflows wherever |eps| > 1.8.
