@@ -1,5 +1,8 @@
 """Tests for dataset construction, CSV round-trips, stratified splitting, SMOTE."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,17 +203,107 @@ class TestCsvRoundTrip:
             load_csv(path)
 
     @pytest.mark.parametrize("body", [
-        b"ab", b"f0,label\n" + b"0.5,0\n" * 4000,
-    ], ids=["short", "past_the_first_read_block"])
+        b"ab",
+        b"f0,label\n" + b"0.5,0\n" * 4000,
+        b"f0,label\n" + b"0.5,0\n" * (dataset._BLOCK_CHARS // 6 + 1000),
+        b"f0,label\nx,0\n" + b"0.5,0\n" * (dataset._BLOCK_CHARS // 6 + 1000),
+    ], ids=["short", "past_the_first_byte_read", "past_the_first_block",
+            "past_the_first_block_after_a_bad_row"])
+    @pytest.mark.parametrize("load", [load_csv, load_csv_rows])
     def test_undecodable_byte_after_byte_order_mark_names_file_offset(
-        self, tmp_path, body
+        self, tmp_path, body, load
     ):
         path = tmp_path / "bad.csv"
         data = b"\xef\xbb\xbf" + body + b"\xff"
         path.write_bytes(data)
         with pytest.raises(ValueError) as info:
-            load_csv(path)
+            load(path)
         assert f"byte 0xff in position {len(data) - 1}:" in str(info.value)
+
+    def test_multibyte_characters_across_read_edges_decode(self, tmp_path):
+        # An em space is 3 bytes in UTF-8. The row's end spans the first
+        # block's last characters; the blank line of 6000 spans several 8 KiB
+        # byte reads.
+        head = "f0,label\n" + "0.5,0\n" * ((dataset._BLOCK_CHARS - 12) // 6)
+        padded = "0.5,1" + "\u2003" * (dataset._BLOCK_CHARS - len(head) + 3)
+        assert len(head) < dataset._BLOCK_CHARS < len(head) + len(padded)
+        path = tmp_path / "wide_chars.csv"
+        path.write_text(head + padded + "\n" + "\u2003" * 6000 + "\n0.5,0\n", encoding="utf-8")
+        ds, rows = load_csv_rows(path)
+        n = head.count("\n") - 1
+        assert rows == ["0.5,0"] * n + [padded, "0.5,0"]
+        np.testing.assert_array_equal(ds.labels, [0] * n + [1, 0])
+        assert (ds.features == 0.5).all()
+
+    @staticmethod
+    def write_blocks(path, bad_line=None):
+        """A file of ten 12-character lines, header first; each 24-character
+        read holds two whole lines. bad_line (1-based) gets a bad field."""
+        lines = ["f0,f1,label\n"] + [f"{i}.25,2.50,{i % 2}\n" for i in range(1, 10)]
+        if bad_line is not None:
+            lines[bad_line - 1] = "1.25,abcd,0\n"
+        path.write_text("".join(lines))
+
+    def test_fast_path_parses_each_block_in_one_loadtxt_call(self, tmp_path, monkeypatch):
+        path = tmp_path / "blocks.csv"
+        self.write_blocks(path)
+        real, calls = np.loadtxt, []
+
+        def spy(rows, *args, **kwargs):
+            calls.append(list(rows))
+            return real(rows, *args, **kwargs)
+
+        def checked_loop(*args):
+            raise AssertionError("the fast path handed a block to the checked loop")
+
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", 24)
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(dataset, "_parse_rows_checked", checked_loop)
+        ds = load_csv(path)
+        assert [len(rows) for rows in calls] == [1, 2, 2, 2, 2]
+        np.testing.assert_array_equal(ds.features[:, 0], np.arange(1, 10) + 0.25)
+        np.testing.assert_array_equal(ds.labels, np.arange(1, 10) % 2)
+
+    def test_bad_row_sends_only_its_block_to_the_checked_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "blocks.csv"
+        self.write_blocks(path, bad_line=8)
+        real_loop, starts = dataset._parse_rows_checked, []
+
+        def spy(lines, lineno, *args):
+            starts.append(lineno)
+            return real_loop(lines, lineno, *args)
+
+        monkeypatch.setattr(dataset, "_BLOCK_CHARS", 24)
+        monkeypatch.setattr(dataset, "_parse_rows_checked", spy)
+        with pytest.raises(ValueError, match="line 8: non-numeric feature value 'abcd'"):
+            load_csv(path)
+        # Lines 7 and 8 make the fourth block; six lines come before it.
+        assert starts == [6]
+
+    @pytest.fixture(scope="class")
+    def csv_50k(self, tmp_path_factory):
+        rng = np.random.default_rng(11)
+        ds = FeatureDataset(rng.standard_normal((50_000, 16)), rng.integers(0, 5, 50_000), 5)
+        path = tmp_path_factory.mktemp("memory") / "d50k.csv"
+        save_csv(ds, path)
+        return path
+
+    @pytest.mark.parametrize("load", [load_csv, load_csv_rows])
+    def test_parse_holds_the_arrays_and_a_few_blocks(self, csv_50k, load):
+        tracemalloc.start()
+        try:
+            out = load(csv_50k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ds, rows = out if isinstance(out, tuple) else (out, [])
+        arrays = ds.features.nbytes + ds.labels.nbytes
+        # The row text load_csv_rows returns is output, not working memory.
+        kept = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)) if rows else 0
+        assert peak - kept <= 2.5 * arrays + 4 * dataset._BLOCK_CHARS
+        # The whole-text reader held the text and its lines at once: 5.2 times
+        # the arrays for load_csv, and the whole text besides the rows.
+        assert peak - kept < csv_50k.stat().st_size
 
     def test_rows_are_the_data_lines_as_read(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -1,6 +1,7 @@
-"""Property tests: the dataset CSV and the model JSON reload bit for bit, and
-load_csv's numpy fast path agrees with its checked loop on any input, and
-save_csv writes the same bytes as format(x, ".17g")."""
+"""Property tests: the dataset CSV and the model JSON reload bit for bit,
+load_csv's numpy fast path agrees with its checked loop on any input, its
+block reader agrees with a whole-text reader at any block size, and save_csv
+writes the same bytes as format(x, ".17g")."""
 
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vbselect import dataset
-from vbselect.dataset import FeatureDataset, load_csv, save_csv
+from vbselect.dataset import FeatureDataset, load_csv, load_csv_rows, save_csv
 from vbselect.vbll import VBLinearLayer, load_layer, save_layer
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -155,6 +156,86 @@ def test_numpy_parse_matches_checked_loop(text):
         with mock.patch.object(dataset, "_parse_rows_numpy", return_value=None):
             checked = load_outcome(path)
     assert fast == checked
+
+
+# Every line end str.splitlines() knows; "\r\n" and "\r" reach it as "\n".
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a csv_texts() file with each line end drawn from LINE_ENDS,
+    at times a leading byte-order mark, and at times one byte that is not UTF-8."""
+    lines = draw(csv_texts()).split("\n")
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines[:-1])
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text + lines[-1]).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def whole_text_outcome(path):
+    """The outcome of the whole-text reader the block reader replaced: the
+    file's text from read_text(), its splitlines() lines, and the checked
+    loop over every data line. (rows, arrays) as rows_outcome gives them, or
+    the error message."""
+    try:
+        try:
+            lines = path.read_text(encoding="utf-8").removeprefix("\ufeff").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        try:
+            lineno, dim, declared = dataset._read_preamble(lines)
+            rows = [row for row in lines[lineno:] if row.strip()]
+            if not rows:
+                raise ValueError("no data rows")
+            features, labels = dataset._parse_rows_checked(lines[lineno:], lineno, dim, declared)
+            num_classes = declared if declared is not None else int(labels.max()) + 1
+            ds = FeatureDataset(features, labels, num_classes)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        return str(exc)
+    return rows, (ds.features.dtype, ds.features.shape, ds.features.tobytes(),
+                  ds.labels.dtype, ds.labels.tobytes(), ds.num_classes)
+
+
+def rows_outcome(path):
+    """What load_csv_rows gives for path: (rows, arrays) or the error message."""
+    try:
+        ds, rows = load_csv_rows(path)
+    except ValueError as exc:
+        return str(exc)
+    return rows, load_outcome(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=csv_files(), block=st.integers(1, 12))
+@example(data="\ufeff# classes=3\nf0,label\n1,0\n2,2\n".encode(), block=1)
+@example(data="\ufefff0,label\n1,0\n2,2\n".encode(), block=3)
+# "\r\n" with a read edge between its two characters, and lone "\r" ends.
+@example(data=b"f0,label\r\n1.5,0\r\n2.5,1\r\n", block=9)
+@example(data=b"f0,label\r1,0\r2,1\r", block=2)
+# Each line end is the last character of a read.
+@example(data="f0,label\x0c1.2500,0\x1c2.2500,1\x853.2500,0\u20284.2500,1".encode(),
+         block=9)
+@example(data="f0,label\x0c1,0\x1c2,1\x853,0\u20284,1\n".encode(), block=1)
+@example(data="f0,label\n\n \t\n1,0\n\u2003\n\n2,1\n\n".encode(), block=2)
+@example(data=b"f0,label\n1,0\n2,1", block=4)
+@example(data=b"f0,label\n1,0\n2,1\n3,x\n", block=4)
+@example(data=b"# classes=3\nf0,f1,f2,label\n1,2,3,0\n", block=5)
+# A bad field before a byte that is not UTF-8: the byte is the error.
+@example(data=b"f0,label\n1,0\nx,1\n2,0\n\xff\n", block=3)
+def test_block_reader_matches_whole_text_oracle(data, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(data)
+        with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+            got = rows_outcome(path)
+        want = whole_text_outcome(path)
+    assert got == want
 
 
 # -0.0, subnormals, the float64 extremes and integral floats, which %.17g
