@@ -411,12 +411,6 @@ _COMMANDS = {
         ("--adam-beta2", dict(type=float, default=TrainConfig.adam_beta2, help="Adam beta2")),
         ("--adam-eps", dict(dest="adam_epsilon", type=float,
                             default=TrainConfig.adam_epsilon, help="Adam epsilon")),
-        ("--mc-passes", dict(dest="train_mc_samples", type=int,
-                             default=TrainConfig.train_mc_samples,
-                             help="Monte Carlo passes per training step")),
-        ("--patience", dict(dest="early_stop_patience", type=int,
-                            default=TrainConfig.early_stop_patience,
-                            help="early-stopping patience in epochs (off when omitted)")),
         ("--mu-init-scale", dict(type=float, default=LayerInitConfig.mu_init_scale,
                                  help="uniform init range for posterior means")),
         ("--rho-init", dict(type=float, default=LayerInitConfig.rho_init,

@@ -18,10 +18,10 @@ A step does its elementwise work on whole halves. exp(-|rho|) is taken once
 over the rho half; sigma = softplus(rho) and sigmoid(rho) both come from it,
 with the float operations of vbll.softplus and vbll.sigmoid, and the KL
 chain is one run over each half. The K * (D + 1)-sized arrays a step needs
-(sigma, sigmoid(rho), sigma * noise, the gradient, one pass's gradient,
-Adam's scratch) live in a `_StepBuffers` that `train` allocates once per
-call, and Adam updates the parameters and its two moments in place in the
-operation order of the textbook expression. Every result is bit for bit
+(sigma, sigmoid(rho), sigma * noise, the gradient, Adam's scratch) live in
+a `_StepBuffers` that `train` allocates once per call, and Adam updates the
+parameters and its two moments in place in the operation order of the
+textbook expression. Every result is bit for bit
 that of the allocating, block-by-block form.
 
 `_elbo_core` takes a step's Flipout noise already drawn (`_draw_noise`).
@@ -69,29 +69,31 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_epsilon: float = 1e-8
-    train_mc_samples: int = 1
     seed: int = 0
-    early_stop_patience: int | None = None
+    # Flipout samples per step, a class constant and not a field: each step
+    # takes one. perfbench/tracer.py's FLOP counter reads it; ROADMAP item
+    # 1's revision of the benchmark drops it.
+    train_mc_samples = 1
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
         for name in ("adam_beta1", "adam_beta2"):
             beta = getattr(self, name)
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if not self.adam_epsilon > 0:
-            raise ValueError("adam_epsilon must be positive")
-        if self.train_mc_samples < 1:
-            raise ValueError("train_mc_samples must be at least 1")
+        # An infinite learning rate or epsilon makes every Adam update
+        # non-finite or exactly zero.
+        for name in ("learning_rate", "adam_epsilon"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be at least 1 when set")
 
 
 @dataclass(frozen=True)
@@ -167,26 +169,24 @@ def _flatten(layer):
 class _StepBuffers:
     """The arrays one ELBO-and-Adam step of a K x D head works in, made once.
 
-    `grads`, `pass_grads` and the two rows of `scratch` have the flat
-    layout; the rest are one half long. `delta` holds a pass's sigma * eps,
-    split like a half.
+    `grads` and the two rows of `scratch` have the flat layout, and
+    `grad_blocks` are `grads`' four arrays (`_blocks`); the rest are one
+    half long. `delta` holds sigma * eps, split like a half.
     """
 
     def __init__(self, num_classes, feature_dim):
         half = num_classes * (feature_dim + 1)
         self.grads = np.empty(2 * half)
-        self.pass_grads = np.empty(2 * half)
         self.scratch = np.empty((2, 2 * half))
         self.t, self.one_plus_t, self.sigma, self.sigmoid, self.delta = (
             np.empty(half) for _ in range(5)
         )
         self.rho_nonneg = np.empty(half, dtype=bool)
         self.delta_w, self.delta_b = _split(self.delta, num_classes, feature_dim)
-        self.pass_blocks = _blocks(self.pass_grads, num_classes, feature_dim)
-        self.pass_rho = _halves(self.pass_grads)[1]
+        self.grad_blocks = _blocks(self.grads, num_classes, feature_dim)
 
 
-def _validate_batch_inputs(layer, batch, labels, n_train, mc_passes):
+def _validate_batch_inputs(layer, batch, labels, n_train):
     batch = check_features(layer, batch)
     labels = np.asarray(labels)
     if labels.shape != (batch.shape[0],):
@@ -197,42 +197,32 @@ def _validate_batch_inputs(layer, batch, labels, n_train, mc_passes):
         raise ValueError(f"labels must lie in [0, {layer.num_classes})")
     if n_train < batch.shape[0]:
         raise ValueError("n_train must be at least the batch size")
-    if mc_passes < 1:
-        raise ValueError("mc_passes must be at least 1")
     return batch, labels.astype(np.int64)
 
 
-def _draw_noise(layer, n_rows, rng, noise, draw):
-    """One step's Flipout bundles from `rng`: [(eps, sign_in, sign_out)], pass by pass.
+def _draw_noise(layer, n_rows, rng, eps, draw):
+    """One step's Flipout bundle (eps, sign_in, sign_out) from `rng`.
 
-    `noise` is an (mc_passes, K * (D + 1)) array; pass p's eps_w and eps_b
-    land in row p, split like a half (`_split`), and `eps` is that row.
-    `draw` is vbll.flipout_noise, or a name bound to it; the passes draw in
-    order from the one stream, so the bundles are those that one
-    flipout_noise call per pass gives.
+    eps_w and eps_b land in `eps`, a K * (D + 1) array split like a half
+    (`_split`). `draw` is vbll.flipout_noise, or a name bound to it.
     """
-    k, d = layer.num_classes, layer.feature_dim
-    bundles = []
-    for eps in noise:
-        _, _, sign_in, sign_out = draw(layer, n_rows, rng, out=_split(eps, k, d))
-        bundles.append((eps, sign_in, sign_out))
-    return bundles
+    out = _split(eps, layer.num_classes, layer.feature_dim)
+    _, _, sign_in, sign_out = draw(layer, n_rows, rng, out=out)
+    return eps, sign_in, sign_out
 
 
-def _elbo_core(layer, params, batch, labels, n_train, bundles, work):
+def _elbo_core(layer, params, batch, labels, n_train, bundle, work):
     """(mean NLL, flat gradient of the negative ELBO): the one loss-and-gradient path.
 
-    `params` is the layer's flat vector (see `_blocks`); `bundles` holds one
-    `_draw_noise` bundle per Monte Carlo pass; `work` is a `_StepBuffers`
-    for the layer's shape, and the gradient returned is `work.grads`, valid
-    until the next call with the same buffers. It checks nothing: elbo_loss
-    and elbo_gradients check their inputs first (`_validate_batch_inputs`)
-    and train's datasets and config hold the same rules. Each pass's
-    batch * sign_in is formed once and shared by the logits and the rho
-    gradient.
+    `params` is the layer's flat vector (see `_blocks`); `bundle` is the
+    step's one `_draw_noise` bundle; `work` is a `_StepBuffers` for the
+    layer's shape, and the gradient returned is `work.grads`, valid until
+    the next call with the same buffers. It checks nothing: elbo_loss and
+    elbo_gradients check their inputs first (`_validate_batch_inputs`) and
+    train's datasets and config hold the same rules. batch * sign_in is
+    formed once and shared by the logits and the rho gradient.
     """
     b = batch.shape[0]
-    mc_passes = len(bundles)
     rows = np.arange(b)
     mu, rho = _halves(params)
 
@@ -249,34 +239,27 @@ def _elbo_core(layer, params, batch, labels, n_train, bundles, work):
     np.greater_equal(rho, 0.0, out=work.rho_nonneg)
     np.divide(1.0, one_plus_t, out=sig, where=work.rho_nonneg)
 
-    nll = 0.0
-    grads, pass_grads = work.grads, work.pass_grads
-    grads.fill(0.0)
-    pass_w_mu, pass_w_rho, pass_b_mu, pass_b_rho = work.pass_blocks
-    for eps, sign_in, sign_out in bundles:
-        np.multiply(sigma, eps, out=work.delta)
-        flipped = batch * sign_in
-        logp = log_softmax(
-            flipout_logits(layer, batch, flipped, work.delta_w, work.delta_b, sign_out)
-        )
-        nll += float(-(logp[rows, labels].sum() / b))
-        g = np.exp(logp, out=logp)
-        g[rows, labels] -= 1.0
-        g /= b
-        np.matmul(g.T, batch, out=pass_w_mu)
-        g.sum(axis=0, out=pass_b_mu)
-        g *= sign_out
-        np.matmul(g.T, flipped, out=pass_w_rho)
-        g.sum(axis=0, out=pass_b_rho)
-        work.pass_rho *= eps
-        grads += pass_grads
+    eps, sign_in, sign_out = bundle
+    np.multiply(sigma, eps, out=work.delta)
+    flipped = batch * sign_in
+    logp = log_softmax(
+        flipout_logits(layer, batch, flipped, work.delta_w, work.delta_b, sign_out)
+    )
+    nll = float(-(logp[rows, labels].sum() / b))
+    g = np.exp(logp, out=logp)
+    g[rows, labels] -= 1.0
+    g /= b
+    g_w_mu, g_w_rho, g_b_mu, g_b_rho = work.grad_blocks
+    np.matmul(g.T, batch, out=g_w_mu)
+    g.sum(axis=0, out=g_b_mu)
+    g *= sign_out
+    np.matmul(g.T, flipped, out=g_w_rho)
+    g.sum(axis=0, out=g_b_rho)
+    g_mu, g_rho = _halves(work.grads)
+    g_rho *= eps
 
-    # Until here the rho half holds the pass-summed d(NLL)/d(sigma); add the
-    # KL path, then chain through sigma = softplus(rho). x / 1 is exact, so
-    # one pass skips the divide.
-    if mc_passes > 1:
-        grads /= mc_passes
-    g_mu, g_rho = _halves(grads)
+    # Until here the rho half holds d(NLL)/d(sigma); add the KL path, then
+    # chain through sigma = softplus(rho).
     s2 = layer.prior_scale**2
     inv_n = 1.0 / n_train
     a, c = (row[: mu.size] for row in work.scratch)
@@ -289,46 +272,46 @@ def _elbo_core(layer, params, batch, labels, n_train, bundles, work):
     a *= inv_n
     g_rho += a
     g_rho *= sig
-    return nll / mc_passes, grads
+    return nll, work.grads
 
 
-def _checked_problem(layer, batch, labels, n_train, rng, mc_passes):
-    """(layer, params, batch, labels, bundles, work) for `_elbo_core`, after the input checks.
+def _checked_problem(layer, batch, labels, n_train, rng):
+    """(layer, params, batch, labels, bundle, work) for `_elbo_core`, after the input checks.
 
     `params` is a flat copy of the given layer and the layer returned is
     built on views of it, as train's step layer is, so writing an entry of
-    `params` moves the layer with it. The bundles are drawn from `rng`, and
+    `params` moves the layer with it. The bundle is drawn from `rng`, and
     `work` fits the layer's shape.
     """
-    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train, mc_passes)
+    batch, labels = _validate_batch_inputs(layer, batch, labels, n_train)
     k, d = layer.num_classes, layer.feature_dim
     params = _flatten(layer)
     step_layer = VBLinearLayer(*_blocks(params, k, d), layer.prior_scale)
-    noise = np.empty((mc_passes, k * (d + 1)))
-    bundles = _draw_noise(step_layer, batch.shape[0], rng, noise, flipout_noise)
-    return step_layer, params, batch, labels, bundles, _StepBuffers(k, d)
+    eps = np.empty(k * (d + 1))
+    bundle = _draw_noise(step_layer, batch.shape[0], rng, eps, flipout_noise)
+    return step_layer, params, batch, labels, bundle, _StepBuffers(k, d)
 
 
-def elbo_loss(layer, batch, labels, n_train, rng, mc_passes=1) -> LossBreakdown:
+def elbo_loss(layer, batch, labels, n_train, rng) -> LossBreakdown:
     """Negative ELBO for one minibatch: mean Flipout cross-entropy + KL/n_train."""
-    layer, params, batch, labels, bundles, work = _checked_problem(
-        layer, batch, labels, n_train, rng, mc_passes
+    layer, params, batch, labels, bundle, work = _checked_problem(
+        layer, batch, labels, n_train, rng
     )
-    nll, _ = _elbo_core(layer, params, batch, labels, n_train, bundles, work)
+    nll, _ = _elbo_core(layer, params, batch, labels, n_train, bundle, work)
     kl = kl_to_prior(layer)
     return LossBreakdown(nll=nll, kl=kl, total=nll + kl / n_train)
 
 
-def elbo_gradients(layer, batch, labels, n_train, rng, mc_passes=1) -> Gradients:
+def elbo_gradients(layer, batch, labels, n_train, rng) -> Gradients:
     """Analytic gradient of elbo_loss at the noise the stream produces.
 
     A stream seeded identically to an elbo_loss call yields the gradient of
     exactly that loss value.
     """
-    layer, params, batch, labels, bundles, work = _checked_problem(
-        layer, batch, labels, n_train, rng, mc_passes
+    layer, params, batch, labels, bundle, work = _checked_problem(
+        layer, batch, labels, n_train, rng
     )
-    _, grads = _elbo_core(layer, params, batch, labels, n_train, bundles, work)
+    _, grads = _elbo_core(layer, params, batch, labels, n_train, bundle, work)
     return Gradients(*_blocks(grads, layer.num_classes, layer.feature_dim))
 
 
@@ -372,11 +355,11 @@ def adam_step(
     params -= a
 
 
-# The smallest step, in noise values drawn (mc_passes * (B * (D + K) +
-# K * (D + 1))), whose draws go to a helper thread. On a 2-core host
-# (B = 128, 3500 rows, median of 7) the helper cost about 200 us a step at
-# 2.8k-12k values, broke even at 19k-25k and gained from 29k: 1215 -> 1093
-# us a step at K = 50, D = 128 and 2795 -> 2069 us at K = 100, D = 256.
+# The smallest step, in noise values drawn (B * (D + K) + K * (D + 1)),
+# whose draws go to a helper thread. On a 2-core host (B = 128, 3500 rows,
+# median of 7) the helper cost about 200 us a step at 2.8k-12k values,
+# broke even at 19k-25k and gained from 29k: 1215 -> 1093 us a step at
+# K = 50, D = 128 and 2795 -> 2069 us at K = 100, D = 256.
 _DRAW_AHEAD_MIN_VALUES = 25_000
 
 
@@ -395,19 +378,18 @@ def _noise_helper(pinned, step_values):
 
 
 def _step_noise(layer, config, n_train, pool):
-    """Every step's Flipout bundles, in step order over all epochs.
+    """Every step's Flipout bundle, in step order over all epochs.
 
     Step j of an epoch draws from the stream [config.seed, 1, epoch, j]; no
     draw depends on the parameters. Inline (`pool` None) each step is drawn
     when asked for. With `pool`, a one-thread executor, step i + 1 is drawn
-    there, into the other of two buffer sets, while the caller runs step i:
-    the caller must be done with a step's bundles when it asks for the next,
+    there, into the other of two buffers, while the caller runs step i:
+    the caller must be done with a step's bundle when it asks for the next,
     and at most one draw is in flight. The helper calls vbll.flipout_noise,
     not the name this module binds: a tracer may wrap that name, and its
     spans belong to the calling thread.
     """
-    mc_passes = config.train_mc_samples
-    noise = np.empty((2, mc_passes, layer.num_classes * (layer.feature_dim + 1)))
+    noise = np.empty((2, layer.num_classes * (layer.feature_dim + 1)))
     steps = enumerate(
         ([config.seed, 1, epoch, batch_index], min(config.batch_size, n_train - start))
         for epoch in range(config.epochs)
@@ -424,9 +406,9 @@ def _step_noise(layer, config, n_train, pool):
         return
     pending = pool.submit(draw, *next(steps), vbll.flipout_noise)
     for i, step in steps:
-        bundles = pending.result()
+        bundle = pending.result()
         pending = pool.submit(draw, i, step, vbll.flipout_noise)
-        yield bundles
+        yield bundle
     yield pending.result()
 
 
@@ -459,9 +441,10 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
     TrainConfig and the train/val checks below already hold every rule that
     elbo_loss checks.
 
-    With early_stop_patience set, training stops after that many epochs
-    without a validation-NLL improvement and the best-validation-NLL
-    parameters are returned; otherwise the final parameters are.
+    The layer returned is the last epoch's. By the determinism contract, a
+    run with epochs=e gives the layer a longer run held after epoch e and
+    that run's first e trace records, so the epoch with the best val_nll
+    is reached by training again with that many epochs.
     """
     if train_ds.feature_dim != val_ds.feature_dim:
         raise ValueError(
@@ -482,14 +465,11 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
     prior_scale = init_config.prior_scale
 
     records = []
-    best_val_nll = np.inf
-    best_layer = layer
-    epochs_since_improvement = 0
     step = 0
     step_layer = VBLinearLayer(*_blocks(params, k, d), prior_scale)
 
     b = min(config.batch_size, n_train)
-    step_values = config.train_mc_samples * (b * (d + k) + k * (d + 1))
+    step_values = b * (d + k) + k * (d + 1)
     with one_blas_thread() as pinned, _noise_helper(pinned, step_values) as pool:
         noise = _step_noise(step_layer, config, n_train, pool)
         for epoch in range(config.epochs):
@@ -526,17 +506,7 @@ def train(train_ds, val_ds, init_config: LayerInitConfig, config: TrainConfig):
                     raise NonFiniteError(f"non-finite loss at epoch {epoch + 1}")
             records.append(record)
 
-            if config.early_stop_patience is not None:
-                if val_nll < best_val_nll:
-                    best_val_nll = val_nll
-                    best_layer = layer
-                    epochs_since_improvement = 0
-                else:
-                    epochs_since_improvement += 1
-                    if epochs_since_improvement >= config.early_stop_patience:
-                        break
-
-    return (best_layer if config.early_stop_patience is not None else layer), tuple(records)
+    return layer, tuple(records)
 
 
 def gradcheck_instance(num_classes, feature_dim, batch_size, seed):
@@ -554,7 +524,7 @@ def gradcheck_instance(num_classes, feature_dim, batch_size, seed):
     return layer, batch, labels
 
 
-def gradcheck(layer, batch, labels, n_train, h=1e-5, seed=0, mc_passes=1) -> float:
+def gradcheck(layer, batch, labels, n_train, h=1e-5, seed=0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     The noise is drawn once, from a stream seeded with `seed`, as elbo_loss
@@ -574,15 +544,15 @@ def gradcheck(layer, batch, labels, n_train, h=1e-5, seed=0, mc_passes=1) -> flo
     """
     if not (np.isfinite(h) and h != 0):
         raise ValueError(f"h must be finite and nonzero, got {h!r}")
-    layer, params, batch, labels, bundles, work = _checked_problem(
-        layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
+    layer, params, batch, labels, bundle, work = _checked_problem(
+        layer, batch, labels, n_train, np.random.default_rng(seed)
     )
 
     def loss():
-        nll, _ = _elbo_core(layer, params, batch, labels, n_train, bundles, work)
+        nll, _ = _elbo_core(layer, params, batch, labels, n_train, bundle, work)
         return nll + kl_to_prior(layer) / n_train
 
-    analytic = _elbo_core(layer, params, batch, labels, n_train, bundles, work)[1].copy()
+    analytic = _elbo_core(layer, params, batch, labels, n_train, bundle, work)[1].copy()
     worst = 0.0
     for i, grad in enumerate(analytic):
         base = params[i]

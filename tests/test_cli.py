@@ -373,7 +373,7 @@ class TestOptionsFiles:
          "argument --k-neighbors: invalid int value: '2.5'"),
         ("train", ["--epochs", "1.9"], "argument --epochs: invalid int value: '1.9'"),
         ("train", ["--lr", "fast"], "argument --lr: invalid float value: 'fast'"),
-        ("train", ["--mc-passes", ""], "argument --mc-passes: invalid int value: ''"),
+        ("train", ["--batch-size", ""], "argument --batch-size: invalid int value: ''"),
         ("eval", ["--ece-bins", "1.5"], "argument --ece-bins: invalid int value: '1.5'"),
         ("eval", ["--threshold", "high"],
          "argument --threshold: invalid float value: 'high'"),
@@ -1410,22 +1410,35 @@ class TestSweep:
         coverages = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(a >= b for a, b in zip(coverages, coverages[1:]))
 
-    def test_sweep_row_matches_eval(self, capsys, pipeline, tmp_path):
+    # Only a mutual_info sweep scores the per-draw entropies, which eval
+    # always scores; each threshold splits the validation rows.
+    @pytest.mark.parametrize("measure,grid,threshold", [
+        ("confidence", [], "0.7"),
+        ("entropy", ["--grid", "0.2,0.35,0.5"], "0.35"),
+        ("mutual_info", ["--grid", "0.0001,0.0002,0.0004"], "0.0002"),
+    ], ids=["confidence", "entropy", "mutual_info"])
+    def test_sweep_row_matches_eval(
+        self, capsys, pipeline, tmp_path, measure, grid, threshold
+    ):
         curve_path = os.path.join(tmp_path, "curve.csv")
         eval_out = os.path.join(tmp_path, "eval")
-        run_cli(capsys, [
+        code, _, err = run_cli(capsys, [
             "sweep", "--model", pipeline["model"], "--data", pipeline["val"],
-            "--seed", "7", "--out", curve_path,
+            "--measure", measure, *grid, "--seed", "7", "--out", curve_path,
         ])
-        run_cli(capsys, [
+        assert_clean_success(code, err)
+        code, _, err = run_cli(capsys, [
             "eval", "--model", pipeline["model"], "--data", pipeline["val"],
-            "--threshold", "0.7", "--seed", "7", "--out", eval_out,
+            "--measure", measure, "--threshold", threshold, "--seed", "7",
+            "--out", eval_out,
         ])
+        assert_clean_success(code, err)
         with open(os.path.join(eval_out, "summary.json"), encoding="utf-8") as handle:
             summary = json.load(handle)
+        assert 0.0 < summary["coverage"] < 1.0
         with open(curve_path, encoding="utf-8") as handle:
             rows = [line.split(",") for line in handle.read().splitlines()[1:]]
-        row = next(r for r in rows if float(r[0]) == 0.7)
+        row = next(r for r in rows if float(r[0]) == float(threshold))
         assert float(row[1]) == summary["coverage"]
         assert float(row[2]) == summary["rejection_rate"]
         assert float(row[3]) == summary["accuracy_accepted"]
@@ -1769,8 +1782,11 @@ class TestValuesBeyondTheirRange:
          "mu_init_scale must have a finite double, got nan"),
         ("train", ["--mu-init-scale", "inf"],
          "mu_init_scale must have a finite double, got inf"),
+        ("train", ["--lr", "inf"], "learning_rate must be finite, got inf"),
+        ("train", ["--adam-eps", "inf"], "adam_epsilon must be finite, got inf"),
     ], ids=["gen_classes", "balance_target",
-            "train_mu_init_scale_nan", "train_mu_init_scale_inf"])
+            "train_mu_init_scale_nan", "train_mu_init_scale_inf",
+            "train_lr_inf", "train_adam_eps_inf"])
     def test_one_error_line_and_no_output(
         self, capsys, pipeline, tmp_path, command, flags, message
     ):
@@ -1832,9 +1848,8 @@ class TestDeclaredOptions:
         "train": (["--train", "T", "--val", "V", "--model-out", "M", "--trace-out", "R"], {
             "train": "T", "val": "V", "epochs": 30, "batch_size": 128,
             "learning_rate": 0.01, "adam_beta1": 0.9, "adam_beta2": 0.999,
-            "adam_epsilon": 1e-08, "train_mc_samples": 1, "early_stop_patience": None,
-            "mu_init_scale": 0.1, "rho_init": -5.0, "prior_scale": 1.0, "seed": 0,
-            "model_out": "M", "trace_out": "R",
+            "adam_epsilon": 1e-08, "mu_init_scale": 0.1, "rho_init": -5.0,
+            "prior_scale": 1.0, "seed": 0, "model_out": "M", "trace_out": "R",
         }),
         "eval": (["--model", "M", "--data", "D", "--out", "O"], {
             "model": "M", "data": "D", "threshold": 0.7, "measure": "confidence",

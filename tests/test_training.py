@@ -70,7 +70,7 @@ def random_layer(rng, num_classes=3, feature_dim=4, prior_scale=1.0):
     )
 
 
-def _unfused_elbo_core(layer, batch, labels, n_train, rng, mc_passes):
+def _unfused_elbo_core(layer, batch, labels, n_train, rng):
     """The ELBO step as it was before the fused one, kept as a bit-exact oracle.
 
     Returns (mean NLL, (weight_mu, weight_rho, bias_mu, bias_rho) gradients).
@@ -83,29 +83,25 @@ def _unfused_elbo_core(layer, batch, labels, n_train, rng, mc_passes):
     k, d = layer.num_classes, layer.feature_dim
     sigma_w, sigma_b = softplus(layer.weight_rho), softplus(layer.bias_rho)
 
-    nll = 0.0
-    gw_mu, gw_rho = np.zeros((k, d)), np.zeros((k, d))
-    gb_mu, gb_rho = np.zeros(k), np.zeros(k)
-    for _ in range(mc_passes):
-        eps_w = rng.standard_normal((k, d))
-        eps_b = rng.standard_normal(k)
-        sign_in = rng.integers(0, 2, size=(b, d)) * 2.0 - 1.0
-        sign_out = rng.integers(0, 2, size=(b, k)) * 2.0 - 1.0
-        flipped = batch * sign_in
-        logits = (
-            batch @ layer.weight_mu.T + layer.bias_mu
-            + (flipped @ (sigma_w * eps_w).T + sigma_b * eps_b) * sign_out
-        )
-        logp = log_softmax(logits)
-        nll += float(-logp[rows, labels].mean())
-        g = np.exp(logp)
-        g[rows, labels] -= 1.0
-        g /= b
-        gw_mu += g.T @ batch
-        gb_mu += g.sum(axis=0)
-        gr = g * sign_out
-        gw_rho += (gr.T @ flipped) * eps_w
-        gb_rho += gr.sum(axis=0) * eps_b
+    eps_w = rng.standard_normal((k, d))
+    eps_b = rng.standard_normal(k)
+    sign_in = rng.integers(0, 2, size=(b, d)) * 2.0 - 1.0
+    sign_out = rng.integers(0, 2, size=(b, k)) * 2.0 - 1.0
+    flipped = batch * sign_in
+    logits = (
+        batch @ layer.weight_mu.T + layer.bias_mu
+        + (flipped @ (sigma_w * eps_w).T + sigma_b * eps_b) * sign_out
+    )
+    logp = log_softmax(logits)
+    nll = float(-logp[rows, labels].mean())
+    g = np.exp(logp)
+    g[rows, labels] -= 1.0
+    g /= b
+    gw_mu = g.T @ batch
+    gb_mu = g.sum(axis=0)
+    gr = g * sign_out
+    gw_rho = (gr.T @ flipped) * eps_w
+    gb_rho = gr.sum(axis=0) * eps_b
 
     s2 = layer.prior_scale**2
     inv_n = 1.0 / n_train
@@ -113,12 +109,10 @@ def _unfused_elbo_core(layer, batch, labels, n_train, rng, mc_passes):
         (gw_mu, gw_rho, layer.weight_mu, layer.weight_rho, sigma_w),
         (gb_mu, gb_rho, layer.bias_mu, layer.bias_rho, sigma_b),
     ):
-        g_mu /= mc_passes
         g_mu += mu / s2 * inv_n
-        g_rho /= mc_passes
         g_rho += (sigma / s2 - 1.0 / sigma) * inv_n
         g_rho *= sigmoid(rho)
-    return nll / mc_passes, (gw_mu, gw_rho, gb_mu, gb_rho)
+    return nll, (gw_mu, gw_rho, gb_mu, gb_rho)
 
 
 def _unfused_adam_step(params, grads, m, v, step_index, config):
@@ -179,39 +173,28 @@ class TestElboLoss:
         b = elbo_loss(layer, batch, labels, 50, np.random.default_rng(11))
         assert a.nll == b.nll and a.total == b.total
 
-    def test_multiple_mc_passes_change_the_estimate(self):
-        rng = np.random.default_rng(6)
-        layer = random_layer(rng)
-        batch = rng.standard_normal((5, 4))
-        labels = rng.integers(0, 3, 5)
-        one = elbo_loss(layer, batch, labels, 50, np.random.default_rng(7), mc_passes=1)
-        three = elbo_loss(layer, batch, labels, 50, np.random.default_rng(7), mc_passes=3)
-        assert one.nll != three.nll
-        assert one.kl == three.kl
-
 
 class TestElboInputChecks:
-    """elbo_loss and elbo_gradients check their inputs before the ELBO core;
-    the batch checks run before the mc_passes check."""
+    """elbo_loss and elbo_gradients check their inputs before the ELBO core:
+    the features, then the labels, then n_train."""
 
     @pytest.mark.parametrize("objective", [elbo_loss, elbo_gradients])
-    @pytest.mark.parametrize("labels,n_train,dim,mc_passes,message", [
-        ([0, 1], 10, 4, 0, "mc_passes must be at least 1"),
-        ([0, 3], 10, 4, 1, "labels must lie in [0, 3)"),
-        ([0, 1], 1, 4, 1, "n_train must be at least the batch size"),
-        ([0, 1], 10, 5, 1, "features must be N x 4, got shape (2, 5)"),
-        ([0, 3], 10, 4, 0, "labels must lie in [0, 3)"),
-        ([0, 1], 10, 5, 0, "features must be N x 4, got shape (2, 5)"),
-        ([0, 1, 2], 10, 4, 1, "labels must be a vector with one entry per batch row"),
-        ([0.0, 1.0], 10, 4, 1, "labels must be integers"),
-    ], ids=["mc_passes", "label", "n_train", "dim", "label_and_mc", "dim_and_mc",
+    @pytest.mark.parametrize("labels,n_train,dim,message", [
+        ([0, 3], 10, 4, "labels must lie in [0, 3)"),
+        ([0, 1], 1, 4, "n_train must be at least the batch size"),
+        ([0, 1], 10, 5, "features must be N x 4, got shape (2, 5)"),
+        ([0, 3], 1, 5, "features must be N x 4, got shape (2, 5)"),
+        ([0, 3], 1, 4, "labels must lie in [0, 3)"),
+        ([0, 1, 2], 10, 4, "labels must be a vector with one entry per batch row"),
+        ([0.0, 1.0], 10, 4, "labels must be integers"),
+    ], ids=["label", "n_train", "dim", "dim_and_label", "label_and_n_train",
             "label_shape", "label_dtype"])
-    def test_rejected_with_message(self, objective, labels, n_train, dim, mc_passes, message):
+    def test_rejected_with_message(self, objective, labels, n_train, dim, message):
         rng = np.random.default_rng(8)
         layer = random_layer(rng)
         batch = rng.standard_normal((2, dim))
         with pytest.raises(ValueError) as info:
-            objective(layer, batch, np.array(labels), n_train, rng, mc_passes=mc_passes)
+            objective(layer, batch, np.array(labels), n_train, rng)
         assert str(info.value) == message
 
 
@@ -276,10 +259,6 @@ class TestGradcheck:
         batch = rng.standard_normal((8, 4))
         labels = rng.integers(0, 3, 8)
         assert gradcheck(layer, batch, labels, 8, h=1e-5, seed=3) <= 1e-4
-
-    def test_multiple_mc_passes(self):
-        layer, batch, labels = gradcheck_instance(3, 4, 8, seed=55)
-        assert gradcheck(layer, batch, labels, 8, h=1e-5, seed=4, mc_passes=2) <= 1e-4
 
     def test_deterministic_per_seed(self):
         layer, batch, labels = gradcheck_instance(2, 3, 4, seed=21)
@@ -367,9 +346,8 @@ def elbo_problems(draw):
         for n in (b, last)
     ]
     n_train = draw(st.integers(b, b + 1000))
-    mc_passes = draw(st.sampled_from([1, 2, 3]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return layer, batches, n_train, mc_passes, seed
+    return layer, batches, n_train, seed
 
 
 class TestFusedStepBitExact:
@@ -378,24 +356,24 @@ class TestFusedStepBitExact:
     @settings(max_examples=300, deadline=None)
     @given(problem=elbo_problems())
     def test_core_matches_unfused(self, problem):
-        layer, batches, n_train, mc_passes, seed = problem
+        layer, batches, n_train, seed = problem
         k, d = layer.num_classes, layer.feature_dim
         params = training._flatten(layer)
         step_layer = VBLinearLayer(*training._blocks(params, k, d), layer.prior_scale)
         work = training._StepBuffers(k, d)
-        noise = np.empty((mc_passes, k * (d + 1)))
+        eps = np.empty(k * (d + 1))
         # One set of buffers serves a full batch and then a shorter last one,
         # as in train.
         for i, (batch, labels) in enumerate(batches):
-            bundles = training._draw_noise(
-                step_layer, batch.shape[0], np.random.default_rng([seed, i]), noise,
+            bundle = training._draw_noise(
+                step_layer, batch.shape[0], np.random.default_rng([seed, i]), eps,
                 flipout_noise,
             )
             nll, grads = training._elbo_core(
-                step_layer, params, batch, labels, n_train, bundles, work
+                step_layer, params, batch, labels, n_train, bundle, work
             )
             ref_nll, ref_grads = _unfused_elbo_core(
-                layer, batch, labels, n_train, np.random.default_rng([seed, i]), mc_passes
+                layer, batch, labels, n_train, np.random.default_rng([seed, i])
             )
             assert type(nll) is float
             assert np.float64(nll).tobytes() == np.float64(ref_nll).tobytes()
@@ -407,13 +385,11 @@ class TestFusedStepBitExact:
     @settings(max_examples=100, deadline=None)
     @given(problem=elbo_problems())
     def test_public_objectives_match_unfused(self, problem):
-        layer, ((batch, labels), _), n_train, mc_passes, seed = problem
-        loss = elbo_loss(layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes)
-        grads = elbo_gradients(
-            layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
-        )
+        layer, ((batch, labels), _), n_train, seed = problem
+        loss = elbo_loss(layer, batch, labels, n_train, np.random.default_rng(seed))
+        grads = elbo_gradients(layer, batch, labels, n_train, np.random.default_rng(seed))
         ref_nll, ref_grads = _unfused_elbo_core(
-            layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
+            layer, batch, labels, n_train, np.random.default_rng(seed)
         )
         assert np.float64(loss.nll).tobytes() == np.float64(ref_nll).tobytes()
         for got, ref in zip(
@@ -447,7 +423,7 @@ class TestFusedStepBitExact:
             assert got.tobytes() == want.tobytes()
 
 
-def _replace_gradcheck(layer, batch, labels, n_train, h, seed, mc_passes=1):
+def _replace_gradcheck(layer, batch, labels, n_train, h, seed):
     """gradcheck as a loop that builds a new, validated layer per shifted entry.
 
     Each array is copied, one entry shifted by +h or -h, and put back with
@@ -456,11 +432,9 @@ def _replace_gradcheck(layer, batch, labels, n_train, h, seed, mc_passes=1):
     """
     def loss_at(candidate):
         rng = np.random.default_rng(seed)
-        return elbo_loss(candidate, batch, labels, n_train, rng, mc_passes).total
+        return elbo_loss(candidate, batch, labels, n_train, rng).total
 
-    analytic = elbo_gradients(
-        layer, batch, labels, n_train, np.random.default_rng(seed), mc_passes
-    )
+    analytic = elbo_gradients(layer, batch, labels, n_train, np.random.default_rng(seed))
     worst = 0.0
     for name in ("weight_mu", "weight_rho", "bias_mu", "bias_rho"):
         base, grad = getattr(layer, name), getattr(analytic, name).ravel()
@@ -489,7 +463,7 @@ class TestGradcheckInPlaceBitExact:
         "shape, instance_seed, kwargs",
         [((3, 4, 8), s, {"seed": s}) for s in range(10)]
         + [
-            ((3, 4, 8), 55, {"seed": 4, "mc_passes": 2}),
+            ((3, 4, 8), 55, {"seed": 4}),
             ((2, 3, 4), 21, {"seed": 9}),
             ((3, 4, 8), 0, {"seed": 0, "h": 1e300}),
             ((3, 4, 8), 0, {"seed": 0, "h": 1.0}),
@@ -498,7 +472,7 @@ class TestGradcheckInPlaceBitExact:
     def test_small_cases(self, shape, instance_seed, kwargs):
         layer, batch, labels = gradcheck_instance(*shape, seed=instance_seed)
         n_train = shape[2]
-        kwargs = {"h": 1e-5, "mc_passes": 1, **kwargs}
+        kwargs = {"h": 1e-5, **kwargs}
         with np.errstate(all="ignore"):
             got = gradcheck(layer, batch, labels, n_train, **kwargs)
             want = _replace_gradcheck(layer, batch, labels, n_train, **kwargs)
@@ -516,10 +490,10 @@ class TestGradcheckInPlaceBitExact:
     @settings(max_examples=60, deadline=None)
     @given(problem=elbo_problems(), h=st.sampled_from([1e-5, 1e-3, 0.5]))
     def test_random_problems(self, problem, h):
-        layer, ((batch, labels), _), n_train, mc_passes, seed = problem
+        layer, ((batch, labels), _), n_train, seed = problem
         with np.errstate(all="ignore"):
-            got = gradcheck(layer, batch, labels, n_train, h, seed, mc_passes)
-            want = _replace_gradcheck(layer, batch, labels, n_train, h, seed, mc_passes)
+            got = gradcheck(layer, batch, labels, n_train, h, seed)
+            want = _replace_gradcheck(layer, batch, labels, n_train, h, seed)
         assert _same_float(got, want), (got, want)
 
 
@@ -547,8 +521,6 @@ class TestTrainConfig:
             TrainConfig(adam_beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(early_stop_patience=0)
 
     def test_layer_init_config_validation(self):
         with pytest.raises(ValueError):
@@ -613,18 +585,33 @@ class TestTrain:
         with pytest.raises(ValueError, match="train/val class count mismatch: 3 vs 4"):
             train(train_ds, bad_val, LayerInitConfig(), TrainConfig(epochs=1))
 
-    def test_early_stopping_returns_best_layer(self):
+    def test_best_epoch_is_reached_by_a_shorter_run(self, tmp_path):
+        """Training again with epochs=e, e the best val_nll epoch, gives the
+        layer the longer run held after epoch e, byte for byte, and the
+        longer run's first e trace records."""
+        from vbselect.vbll import save_layer
+
         train_ds, val_ds = small_separable_splits(11, per_class=12)
-        config = TrainConfig(
-            epochs=60, batch_size=6, learning_rate=0.5, seed=13, early_stop_patience=3
+        init = LayerInitConfig(seed=6)
+        config = TrainConfig(epochs=9, batch_size=6, learning_rate=0.5, seed=13)
+        epoch_layers = []
+
+        def recorded(layer, features, labels):
+            epoch_layers.append(layer)
+            return nll_acc(layer, features, labels)
+
+        nll_acc = training._dataset_nll_acc
+        with mock.patch.object(training, "_dataset_nll_acc", recorded):
+            _, trace = train(train_ds, val_ds, init, config)
+        best = min(trace, key=lambda rec: rec.val_nll).epoch
+        assert best < config.epochs
+        layer, short_trace = train(
+            train_ds, val_ds, init, dataclasses.replace(config, epochs=best)
         )
-        layer, trace = train(train_ds, val_ds, LayerInitConfig(seed=6), config)
-        assert len(trace) < 60  # stopped early
-        best = min(rec.val_nll for rec in trace)
-        logits = forward_mean(layer, val_ds.features)
-        logp = log_softmax(logits)
-        returned_nll = float(-logp[np.arange(val_ds.n_samples), val_ds.labels].mean())
-        assert returned_nll == pytest.approx(best, abs=1e-12)
+        assert short_trace == trace[:best]
+        save_layer(epoch_layers[best - 1], tmp_path / "long.json")
+        save_layer(layer, tmp_path / "short.json")
+        assert (tmp_path / "short.json").read_bytes() == (tmp_path / "long.json").read_bytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_parameters_raise(self):
@@ -706,7 +693,6 @@ def _reference_train(train_ds, val_ds, init_config, config):
     n_train = train_ds.n_samples
     val_rows = np.arange(val_ds.n_samples)
     records = []
-    best_val_nll, best_params, since = np.inf, params, 0
     step = 0
     for epoch in range(config.epochs):
         perm = np.random.default_rng([config.seed, 0, epoch]).permutation(n_train)
@@ -715,9 +701,8 @@ def _reference_train(train_ds, val_ds, init_config, config):
             sel = perm[start : start + config.batch_size]
             batch = (train_ds.features[sel], train_ds.labels[sel], n_train)
             stream = [config.seed, 1, epoch, batch_index]
-            mc = config.train_mc_samples
             layer = VBLinearLayer(prior_scale=prior_scale, **params)
-            nll, grads = _unfused_elbo_core(layer, *batch, np.random.default_rng(stream), mc)
+            nll, grads = _unfused_elbo_core(layer, *batch, np.random.default_rng(stream))
             nll_weighted_sum += nll * sel.size
             step += 1
             new_params = {}
@@ -737,41 +722,21 @@ def _reference_train(train_ds, val_ds, init_config, config):
         records.append(
             EpochRecord(epoch + 1, epoch_nll + kl / n_train, epoch_nll, kl, val_nll, val_acc)
         )
-        if config.early_stop_patience is not None:
-            if val_nll < best_val_nll:
-                best_val_nll, best_params, since = val_nll, params, 0
-            else:
-                since += 1
-                if since >= config.early_stop_patience:
-                    break
-    final = best_params if config.early_stop_patience is not None else params
-    return VBLinearLayer(prior_scale=prior_scale, **final), tuple(records)
+    return VBLinearLayer(prior_scale=prior_scale, **params), tuple(records)
 
 
 class TestTrainMatchesReferenceLoop:
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"train_mc_samples": 2},
-            {"early_stop_patience": 3, "learning_rate": 0.5, "epochs": 40},
-        ],
-        ids=["plain", "two_mc_passes", "early_stop"],
-    )
-    def test_bit_identical_to_reference(self, overrides):
+    def test_bit_identical_to_reference(self):
         cfg = SyntheticConfig(5, 16, (40, 30, 30, 20, 20), class_separation=2.0)
         train_ds = generate_synthetic(cfg, seed=3)
         val_ds = generate_synthetic(cfg, seed=4)
         init = LayerInitConfig(seed=5)
-        config = TrainConfig(**{"epochs": 6, "batch_size": 32, "seed": 8, **overrides})
+        config = TrainConfig(epochs=6, batch_size=32, seed=8)
         layer, trace = train(train_ds, val_ds, init, config)
         ref_layer, ref_trace = _reference_train(train_ds, val_ds, init, config)
         for name in ("weight_mu", "weight_rho", "bias_mu", "bias_rho"):
             assert getattr(layer, name).tobytes() == getattr(ref_layer, name).tobytes()
         assert trace == ref_trace
-        if "early_stop_patience" in overrides:
-            assert len(trace) < config.epochs
-
 
     def test_steps_run_unchecked(self):
         # train's datasets and config already hold every rule the batch check
@@ -780,7 +745,7 @@ class TestTrainMatchesReferenceLoop:
         train_ds = generate_synthetic(cfg, seed=3)
         val_ds = generate_synthetic(cfg, seed=4)
         init = LayerInitConfig(seed=5)
-        config = TrainConfig(epochs=3, batch_size=32, seed=8, train_mc_samples=2)
+        config = TrainConfig(epochs=3, batch_size=32, seed=8)
         with mock.patch.object(
             training, "_validate_batch_inputs", side_effect=AssertionError("re-checked")
         ):
@@ -837,28 +802,13 @@ def helper_problem(**overrides):
 class TestDrawAhead:
     """Noise drawn one step ahead on a helper thread changes no bit."""
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            {"train_mc_samples": 2},
-            # Stops after an epoch whose successor's first draw is in flight.
-            {"early_stop_patience": 3, "learning_rate": 0.5, "epochs": 40},
-        ],
-        ids=["plain", "two_mc_passes", "early_stop"],
-    )
-    def test_bit_identical_to_inline(self, draw_ahead, overrides):
-        train_ds, val_ds, init, config = helper_problem(**overrides)
+    def test_bit_identical_to_inline(self, draw_ahead):
+        train_ds, val_ds, init, config = helper_problem()
         layer, trace = train(train_ds, val_ds, init, config)
         helper_draws = len(draw_ahead["helper"])
         assert draw_ahead["inline"] == []
         assert threading.main_thread() not in draw_ahead["helper"]
-        steps = len(trace) * 5 * config.train_mc_samples
-        if "early_stop_patience" in overrides:
-            assert len(trace) < config.epochs
-            assert helper_draws == steps + config.train_mc_samples
-        else:
-            assert helper_draws == steps
+        assert helper_draws == config.epochs * 5
 
         with mock.patch.object(training, "_DRAW_AHEAD_MIN_VALUES", math.inf):
             inline_layer, inline_trace = train(train_ds, val_ds, init, config)

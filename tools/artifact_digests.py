@@ -240,7 +240,6 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("options_file_mistyped",
          evaluate(model, test, "@" + os.path.join(errors, "mistyped_options.txt"))),
         ("negative_seed", evaluate(model, test, "--seed", "-1")),
-        ("train_zero_mc_passes", train(test, "--mc-passes", "0")),
         ("train_val_dimension_mismatch",
          train(os.path.join(out, "wide", "splits", "val.csv"))),
         ("train_val_class_count_mismatch", train(six_classes)),
