@@ -725,13 +725,23 @@ def _reference_train(train_ds, val_ds, init_config, config):
     return VBLinearLayer(prior_scale=prior_scale, **params), tuple(records)
 
 
+# 140 training rows: batches of 32 end each epoch on a 12-row batch, batches
+# of 35 split it evenly, and one batch of 140 makes every step an epoch's last.
+BATCHINGS = pytest.mark.parametrize(
+    "overrides",
+    [{}, {"batch_size": 35}, {"batch_size": 140}],
+    ids=["plain", "even_batches", "one_batch_per_epoch"],
+)
+
+
 class TestTrainMatchesReferenceLoop:
-    def test_bit_identical_to_reference(self):
+    @BATCHINGS
+    def test_bit_identical_to_reference(self, overrides):
         cfg = SyntheticConfig(5, 16, (40, 30, 30, 20, 20), class_separation=2.0)
         train_ds = generate_synthetic(cfg, seed=3)
         val_ds = generate_synthetic(cfg, seed=4)
         init = LayerInitConfig(seed=5)
-        config = TrainConfig(epochs=6, batch_size=32, seed=8)
+        config = TrainConfig(**{"epochs": 6, "batch_size": 32, "seed": 8, **overrides})
         layer, trace = train(train_ds, val_ds, init, config)
         ref_layer, ref_trace = _reference_train(train_ds, val_ds, init, config)
         for name in ("weight_mu", "weight_rho", "bias_mu", "bias_rho"):
@@ -791,7 +801,7 @@ def draw_ahead(monkeypatch):
 
 
 def helper_problem(**overrides):
-    """140 rows in batches of 32, so each epoch ends on a 12-row batch."""
+    """140 rows, by default in batches of 32, so each epoch ends on a 12-row batch."""
     cfg = SyntheticConfig(5, 16, (40, 30, 30, 20, 20), class_separation=2.0)
     train_ds = generate_synthetic(cfg, seed=3)
     val_ds = generate_synthetic(cfg, seed=4)
@@ -802,13 +812,14 @@ def helper_problem(**overrides):
 class TestDrawAhead:
     """Noise drawn one step ahead on a helper thread changes no bit."""
 
-    def test_bit_identical_to_inline(self, draw_ahead):
-        train_ds, val_ds, init, config = helper_problem()
+    @BATCHINGS
+    def test_bit_identical_to_inline(self, draw_ahead, overrides):
+        train_ds, val_ds, init, config = helper_problem(**overrides)
         layer, trace = train(train_ds, val_ds, init, config)
         helper_draws = len(draw_ahead["helper"])
         assert draw_ahead["inline"] == []
         assert threading.main_thread() not in draw_ahead["helper"]
-        assert helper_draws == config.epochs * 5
+        assert helper_draws == config.epochs * math.ceil(140 / config.batch_size)
 
         with mock.patch.object(training, "_DRAW_AHEAD_MIN_VALUES", math.inf):
             inline_layer, inline_trace = train(train_ds, val_ds, init, config)
