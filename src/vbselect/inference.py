@@ -21,7 +21,10 @@ writer take it whole, so its one constructor owns the shape rules.
 
 ``score_posterior`` is the scoring engine, and the one the ``eval`` and
 ``sweep`` commands use. It takes the S weight draws once, then scores the
-row chunks on a ``ThreadPoolExecutor``. A chunk is at least
+row chunks on a ``ThreadPoolExecutor``. Where draws hold at least
+``_POOLED_DRAW_MIN_VALUES`` values each, the pool's threads take the draws
+too, each a contiguous range of s, before any chunk is scored; all S stay
+held for the whole call either way, S x K x (D+1) floats. A chunk is at least
 ``_MIN_CHUNK_ROWS`` rows (or all N), and it is worked a block of draws at a
 time, as many as fit ``_CHUNK_BYTES``: each pool thread fills its own
 (draws, K, rows) view of a block's probabilities, checks it and folds it
@@ -112,6 +115,23 @@ _MIN_CHUNK_ROWS = 128
 # quarter of the buffer each), and its reductions hold the GIL, so whether
 # more threads pay for that memory is unmeasured.
 _MAX_WORKERS = 2
+
+# The fewest values, K x (D+1), in one posterior draw for the scoring pool
+# to take the S draws; smaller draws are taken inline. Each draw seeds its
+# own stream, which holds the GIL, so it is the size of a draw, not the S x
+# K x (D+1) total, that decides: draws plus the start of two pool threads,
+# pooled against inline (median of 40 interleaved pairs, one BLAS thread,
+# 2-core VM):
+#
+#   values a draw    S    inline   pooled  pooled faster in
+#   85 (K=5, D=16)  100   0.74 ms  1.04 ms   0 of 40
+#   490             400   4.17 ms  4.47 ms   0 of 40
+#   1620            100   1.87 ms  1.91 ms  20 of 40
+#   1940            100   2.10 ms  1.27 ms  38 of 40
+#   2600             20   0.51 ms  0.43 ms  26 of 40
+#   25700 (K=100,   100  19.97 ms 10.61 ms  40 of 40
+#          D=256)
+_POOLED_DRAW_MIN_VALUES = 2_000
 
 
 @dataclass(frozen=True)
@@ -289,31 +309,49 @@ def _block_draws(n: int, mc_samples: int, num_classes: int) -> int:
     return min(mc_samples, max(1, _CHUNK_BYTES // (rows * num_classes * 8)))
 
 
-def _posterior_draws(layer: VBLinearLayer, mc_samples: int, seed: int):
+def _posterior_draws(
+    layer: VBLinearLayer, mc_samples: int, seed: int, pool=None, workers: int = 1
+):
     """The S weight draws: (S, D, K) transposed weights and (S, 1, K) biases.
 
-    All S up front, in one allocation: small (S x K x (D+1)) next to the
-    grid, and an absurd S fails here at once rather than draw by draw. Each
-    draw's noise fills its own contiguous slots, weights first, from
-    ``default_rng([seed, s])`` as ``sample_weights`` draws it; sigma and mu
-    then apply to all S in place, so the draws equal ``sample_weights``' bit
-    for bit (sigma x eps + mu) with one softplus per call. A draw that is not
-    finite can only come from the model, whose sigma times a standard normal
-    overflowed, so it is reported here and never as a data row; numpy's
-    overflow warning is silenced for it.
+    All S up front, in one allocation made on the calling thread: small (S x
+    K x (D+1)) next to the grid, and an absurd S fails here at once rather
+    than draw by draw. Each draw's noise fills its own contiguous slots,
+    weights first, from ``default_rng([seed, s])`` as ``sample_weights``
+    draws it; sigma and mu, the softplus taken once, then apply in place, so
+    the draws equal ``sample_weights``' bit for bit (sigma x eps + mu).
+    Without `pool` the calling thread takes every draw. With it, an
+    executor, `workers` of its threads each take a contiguous range of s and
+    apply sigma and mu to that range; since each draw has its own stream and
+    slots, no bit depends on which thread took it. A draw that is not finite
+    can only come from the model, whose sigma times a standard normal
+    overflowed, so the calling thread reports the lowest such draw here,
+    never a data row; numpy's overflow warning is silenced for it.
     """
     k = layer.num_classes
     weights = np.empty((mc_samples, k, layer.feature_dim))
     biases = np.empty((mc_samples, 1, k))
-    for s in range(mc_samples):
-        rng = np.random.default_rng([seed, s])
-        rng.standard_normal(out=weights[s])
-        rng.standard_normal(out=biases[s, 0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights *= layer.weight_sigma
-        weights += layer.weight_mu
-        biases *= layer.bias_sigma
-        biases += layer.bias_mu
+    weight_sigma, bias_sigma = layer.weight_sigma, layer.bias_sigma
+
+    def fill(first: int, stop: int) -> None:
+        for s in range(first, stop):
+            rng = np.random.default_rng([seed, s])
+            rng.standard_normal(out=weights[s])
+            rng.standard_normal(out=biases[s, 0])
+        part_w, part_b = weights[first:stop], biases[first:stop]
+        with np.errstate(over="ignore", invalid="ignore"):
+            part_w *= weight_sigma
+            part_w += layer.weight_mu
+            part_b *= bias_sigma
+            part_b += layer.bias_mu
+
+    if pool is None:
+        fill(0, mc_samples)
+    else:
+        edges = [mc_samples * i // workers for i in range(workers + 1)]
+        futures = [pool.submit(fill, a, b) for a, b in zip(edges, edges[1:]) if a < b]
+        for future in futures:
+            future.result()
     finite = np.isfinite(weights).all(axis=(1, 2)) & np.isfinite(biases).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(
@@ -374,12 +412,18 @@ def _softmax_block(features, weights_t, biases, probs, peak):
     with np.errstate(over="ignore", invalid="ignore"):
         _logits(features, weights_t, biases, probs)
         # vbll.softmax over the whole block, step for step, so the same bits.
-        # numpy's max over a short axis is slow; folding the K class slices
-        # with np.maximum gives the same maximum (NaN still propagates, and a
-        # -0.0 against a 0.0 maximum gives the same exp).
-        np.copyto(peak, probs[:, :1])
-        for j in range(1, k):
-            np.maximum(peak, probs[:, j : j + 1], out=peak)
+        # Below 8 classes numpy's max over the short class axis is slow;
+        # folding the K class slices with np.maximum gives the same maximum
+        # (NaN still propagates, and a -0.0 against a 0.0 maximum gives the
+        # same exp). A draw-major buffer's class axis is contiguous, so one
+        # max over it takes every row's: at K=100 on a block of 20 draws x
+        # 128 rows, 119 us against 193 us for the K - 1 strided folds.
+        if _class_major(k):
+            np.copyto(peak, probs[:, :1])
+            for j in range(1, k):
+                np.maximum(peak, probs[:, j : j + 1], out=peak)
+        else:
+            probs.transpose(0, 2, 1).max(axis=2, out=peak[:, 0])
         if not np.isfinite(peak).all():
             return ~np.isfinite(peak[:, 0])
         # A finite maximum bounds every logit of its row, so each exp is in
@@ -445,25 +489,30 @@ def _score_chunks(
     draws in order (see _softmax_chunk). It may write only its own chunk's
     rows of any shared output, so no result depends on the thread count or
     on which thread took a chunk. Without a pool (no BLAS pin, or a worker
-    count of 1) the caller scores the chunks in row order.
+    count of 1) the caller takes the draws and scores the chunks in row
+    order. With one, the pool also takes the draws when each holds at least
+    _POOLED_DRAW_MIN_VALUES values, and the caller checks them before it
+    submits the first chunk.
 
     Pool threads take chunks in row order under the caller's numpy error
     state. The caller awaits them in row order, so the error raised is the
     lowest failing row's; chunks not started by then are cancelled. Every
     pool thread is joined before this returns or raises.
     """
-    weights_t, biases = _posterior_draws(layer, mc_samples, seed)
     n, k = features.shape[0], layer.num_classes
     bounds = _chunk_bounds(n, mc_samples, k)
     step = _block_draws(n, mc_samples, k)
-    blocks = [
-        (first, weights_t[first : first + step], biases[first : first + step])
-        for first in range(0, mc_samples, step)
-    ]
     most = max(stop - start for start, stop in bounds)
     local = threading.local()
 
-    def score(start: int, stop: int) -> None:
+    def draw_blocks(pool, workers: int) -> list:
+        weights_t, biases = _posterior_draws(layer, mc_samples, seed, pool, workers)
+        return [
+            (first, weights_t[first : first + step], biases[first : first + step])
+            for first in range(0, mc_samples, step)
+        ]
+
+    def score(blocks: list, start: int, stop: int) -> None:
         if not hasattr(local, "scratch"):  # this thread's first chunk
             local.scratch = (np.empty(step * most * k), np.empty(step * most))
         _softmax_chunk(features[start:stop], start, blocks, local.scratch, reduce)
@@ -473,14 +522,19 @@ def _score_chunks(
         # own, and two scoring threads ran slower than one.
         workers = _worker_count(len(bounds)) if pinned else 1
         if workers == 1:
+            blocks = draw_blocks(None, 1)
             for start, stop in bounds:
-                score(start, stop)
+                score(blocks, start, stop)
             return
         # Only here: it would add about 7 ms to `import vbselect.cli`.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(copy_context().run, score, *chunk) for chunk in bounds]
             try:
+                large = k * (layer.feature_dim + 1) >= _POOLED_DRAW_MIN_VALUES
+                blocks = draw_blocks(pool if large else None, workers)
+                futures = [
+                    pool.submit(copy_context().run, score, blocks, *chunk) for chunk in bounds
+                ]
                 for future in futures:
                     future.result()
             finally:

@@ -105,6 +105,10 @@ class LayerInitConfig:
 
     def __post_init__(self):
         vbll.check_mu_init_scale(self.mu_init_scale)
+        # The layer refuses a non-finite rho, but in its own terms; a finite
+        # rho whose sigma overflows a draw fails at the first step (exit 3).
+        if not math.isfinite(self.rho_init):
+            raise ValueError(f"rho_init must be finite, got {self.rho_init}")
         if not self.prior_scale > 0:
             raise ValueError("prior_scale must be positive")
         # The KL term squares it; a Python float's ** raises OverflowError.

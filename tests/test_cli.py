@@ -879,7 +879,10 @@ class TestTrain:
          "non-finite loss at epoch 1"),
         # s^2 underflows to 0, so the first step's KL gradient divides by it.
         (["--prior-scale", "1e-300"], "non-finite parameter after step 1 (epoch 1)"),
-    ], ids=["loss", "parameter"])
+        # A finite rho whose sigma, 1e308, overflows sigma * eps in the
+        # first step's Flipout draw.
+        (["--rho-init", "1e308"], "non-finite parameter after step 1 (epoch 1)"),
+    ], ids=["loss", "parameter", "rho_init_1e308"])
     def test_non_finite_training_exits_3(self, capsys, pipeline, tmp_path, flags, message):
         model = os.path.join(tmp_path, "m.json")
         trace = os.path.join(tmp_path, "t.csv")
@@ -1784,9 +1787,11 @@ class TestValuesBeyondTheirRange:
          "mu_init_scale must have a finite double, got inf"),
         ("train", ["--lr", "inf"], "learning_rate must be finite, got inf"),
         ("train", ["--adam-eps", "inf"], "adam_epsilon must be finite, got inf"),
+        ("train", ["--rho-init", "inf"], "rho_init must be finite, got inf"),
+        ("train", ["--rho-init", "nan"], "rho_init must be finite, got nan"),
     ], ids=["gen_classes", "balance_target",
             "train_mu_init_scale_nan", "train_mu_init_scale_inf",
-            "train_lr_inf", "train_adam_eps_inf"])
+            "train_lr_inf", "train_adam_eps_inf", "train_rho_init_inf", "train_rho_init_nan"])
     def test_one_error_line_and_no_output(
         self, capsys, pipeline, tmp_path, command, flags, message
     ):

@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -784,6 +785,18 @@ def use_workers(monkeypatch, workers):
     monkeypatch.setattr(inference, "_worker_count", lambda chunks: workers)
 
 
+def record_draw_pools(monkeypatch):
+    """Per _posterior_draws call, whether it took the draws on the pool."""
+    real, pooled = inference._posterior_draws, []
+
+    def draws(layer, mc_samples, seed, pool=None, workers=1):
+        pooled.append(pool is not None)
+        return real(layer, mc_samples, seed, pool, workers)
+
+    monkeypatch.setattr(inference, "_posterior_draws", draws)
+    return pooled
+
+
 def wrap_kernel(monkeypatch, before=None, after=None):
     """Run before(start) ahead of each chunk's kernel and after(start) behind it."""
     real = inference._softmax_chunk
@@ -814,6 +827,8 @@ class TestChunkPool:
     def test_outputs_do_not_depend_on_the_worker_count(
         self, monkeypatch, tmp_path, n, k, d
     ):
+        # At K=100, D=64 the pool also takes the S draws, in W ranges of s
+        # (3, 3 and 3 on three threads); at K=5 they stay on the caller.
         s = 9
         use_chunks(monkeypatch, CHUNK_ROWS, s, k)
         layer = init_layer(d, k, rho_init=-1.0, seed=n)
@@ -821,9 +836,12 @@ class TestChunkPool:
         outputs = {}
         for workers in (1, 2, 3):
             use_workers(monkeypatch, workers)
+            pooled = record_draw_pools(monkeypatch)
             outputs[workers] = engine_outputs(
                 layer, features, s, tmp_path / f"samples_{workers}.npy"
             )
+            if blas_threads() is not None:
+                assert set(pooled) == {workers > 1 and k == 100}
         arrays, text = outputs[1]
         assert text == npy_bytes(arrays[0])
         for workers in (2, 3):
@@ -831,21 +849,24 @@ class TestChunkPool:
                 assert_same_bits(got, expected)
             assert outputs[workers][1] == text
 
+    @pytest.mark.parametrize("k,d", [(3, 6), (100, 64)])
     @pytest.mark.parametrize("draws", [None, 2])
     def test_many_threads_and_short_switches_keep_the_bits(
-        self, monkeypatch, tmp_path, draws
+        self, monkeypatch, tmp_path, draws, k, d
     ):
         # More threads than cores, switching every microsecond: a lost
-        # update, a chunk scored twice or a record at a wrong offset would
-        # show. With draws=2 each chunk takes blocks of 2, 2 and 1 draws, so
-        # the threads also keep their chunks' per-draw entropies between
-        # blocks.
-        n, s, k = 40 * CHUNK_ROWS + 3, 5, 3
+        # update, a chunk scored twice, a draw taken twice or into the wrong
+        # slots, or a record at a wrong offset would show. With draws=2 each
+        # chunk takes blocks of 2, 2 and 1 draws, so the threads also keep
+        # their chunks' per-draw entropies between blocks. At K=100, D=64 the
+        # pool also takes the S = 5 draws, one on each of five threads.
+        n, s = 40 * CHUNK_ROWS + 3, 5
         use_chunks(monkeypatch, CHUNK_ROWS, s, k, draws)
-        layer = init_layer(6, k, rho_init=-1.0, seed=3)
-        features = np.random.default_rng(3).standard_normal((n, 6))
+        layer = init_layer(d, k, rho_init=-1.0, seed=3)
+        features = np.random.default_rng(3).standard_normal((n, d))
         use_workers(monkeypatch, 1)
         arrays, text = engine_outputs(layer, features, s, tmp_path / "one.npy")
+        pooled = record_draw_pools(monkeypatch)
         use_workers(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -857,6 +878,8 @@ class TestChunkPool:
                 assert got_text == text
         finally:
             sys.setswitchinterval(interval)
+        if blas_threads() is not None:
+            assert set(pooled) == {k == 100}
 
     def test_lowest_failing_row_is_named_when_a_later_chunk_fails_first(
         self, monkeypatch
@@ -1200,8 +1223,13 @@ class TestDrawBlocks:
 
 
 class TestPosteriorDraws:
-    @pytest.mark.parametrize("mc_samples", [1, 7])
-    def test_draws_equal_sample_weights_draw_by_draw(self, mc_samples):
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3])
+    @pytest.mark.parametrize("mc_samples", [1, 2, 7, 100])
+    def test_draws_equal_sample_weights_draw_by_draw(self, mc_samples, workers):
+        # None takes every draw on the calling thread; W threads take W
+        # contiguous ranges of s, uneven where W does not divide S, and none
+        # where S < W.
+        from concurrent.futures import ThreadPoolExecutor
         layer = init_layer(6, 4, mu_init_scale=1.0, seed=3)
         layer = VBLinearLayer(
             weight_mu=layer.weight_mu,
@@ -1209,7 +1237,13 @@ class TestPosteriorDraws:
             bias_mu=layer.bias_mu, bias_rho=np.array([-3.0, 0.0, 1.0, 40.0]),
             prior_scale=1.0,
         )
-        weights_t, biases = inference._posterior_draws(layer, mc_samples, seed=9)
+        if workers is None:
+            weights_t, biases = inference._posterior_draws(layer, mc_samples, seed=9)
+        else:
+            with ThreadPoolExecutor(workers) as pool:
+                weights_t, biases = inference._posterior_draws(
+                    layer, mc_samples, 9, pool, workers
+                )
         assert weights_t.shape == (mc_samples, 6, 4) and biases.shape == (mc_samples, 1, 4)
         assert weights_t.transpose(0, 2, 1).flags.c_contiguous
         for t in range(mc_samples):
@@ -1217,31 +1251,42 @@ class TestPosteriorDraws:
             assert_same_bits(weights_t[t].T, draw.weights)
             assert_same_bits(biases[t, 0], draw.biases)
 
+    @pytest.mark.parametrize("pooled", [False, True])
     @pytest.mark.parametrize("engine", [score_posterior, predictive_posterior])
-    def test_overflowing_sigma_names_the_draw_not_a_row(self, engine):
+    def test_overflowing_sigma_names_the_draw_not_a_row(self, monkeypatch, engine, pooled):
+        # Pooled: two threads take draws 0-1 and 2-4, with numpy's warnings
+        # as errors in the process. Both ranges hold overflowing draws; the
+        # error names the lowest, and both threads are gone when it is raised.
         # Weight sigma 1e308: sigma * eps overflows wherever |eps| > 1.8.
         layer = VBLinearLayer(
             weight_mu=np.zeros((3, 4)), weight_rho=np.full((3, 4), 1e308),
             bias_mu=np.zeros(3), bias_rho=np.zeros(3), prior_scale=1.0,
         )
         with np.errstate(all="ignore"):
-            finite = [
-                np.isfinite(d.weights).all() and np.isfinite(d.biases).all()
-                for d in (
-                    sample_weights(layer, np.random.default_rng([0, t]))
-                    for t in range(5)
+            failing = [
+                s for s, d in enumerate(
+                    sample_weights(layer, np.random.default_rng([0, s])) for s in range(5)
                 )
+                if not (np.isfinite(d.weights).all() and np.isfinite(d.biases).all())
             ]
-        draw = finite.index(False)
+        assert min(failing) < 2 <= max(failing)
+        if pooled:
+            use_workers(monkeypatch, 2)
+            monkeypatch.setattr(inference, "_POOLED_DRAW_MIN_VALUES", 0)
+            taken = record_draw_pools(monkeypatch)
         features = np.random.default_rng(0).standard_normal((6, 4))
+        threads = threading.active_count()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError) as info:
                 engine(layer, features, 5, seed=0)
         assert str(info.value) == (
-            f"posterior draw {draw} is not finite: "
+            f"posterior draw {min(failing)} is not finite: "
             "the model's weight/bias sigma overflows float64"
         )
+        assert threading.active_count() == threads
+        if pooled:
+            assert taken == [blas_threads() is not None]
 
 
 SUM_VALUES = st.one_of(
@@ -1338,3 +1383,53 @@ def test_entropy_keeps_the_bits_of_the_where_guard(p):
     expected = entropy_where(p)
     for layout, axis, _ in class_layouts(p):
         assert_same_bits(inference._entropy(layout, axis), expected)
+
+
+@st.composite
+def draw_major_logits(draw):
+    """(draws, rows, K) logits of a draw-major block: 8 to 20 classes."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(8, 20)))
+    return draw(arrays(np.float64, shape, elements=SUM_VALUES))
+
+
+def softmax_by_folds(logits):
+    """(probs, failing) of (draws, rows, K) logits as the draw-major kernel
+    took them with the K - 1 strided np.maximum folds for each row's maximum:
+    probs, or None and the (draws, rows) mask of rows whose maximum is not
+    finite."""
+    peak = logits[:, :, :1].copy()
+    for j in range(1, logits.shape[2]):
+        np.maximum(peak, logits[:, :, j : j + 1], out=peak)
+    if not np.isfinite(peak).all():
+        return None, ~np.isfinite(peak[:, :, 0])
+    with np.errstate(all="ignore"):
+        probs = np.exp(logits - peak)
+        return probs / probs.sum(axis=2, keepdims=True), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(logits=draw_major_logits())
+@example(logits=np.array([[[0.0, -0.0] * 4, [-0.0] * 8, [np.nan] + [1.0] * 7]]))
+@example(logits=np.array([[[np.inf] + [0.0] * 7], [[-np.inf] * 8]]))
+@example(logits=np.array([[[1.0] * 7 + [np.nan]], [[np.nan, np.inf] + [-np.inf] * 6]]))
+@example(logits=np.arange(2 * 3 * 100.0).reshape(2, 3, 100) / 7)
+def test_one_call_row_maximum_matches_the_folds(logits):
+    # One max over each row's contiguous classes gives the probabilities
+    # and the failing rows and draws of the strided folds: NaN propagates in
+    # both, and where a row's maximum is 0.0 in one and -0.0 in the other,
+    # every shifted logit has the same exp.
+    draws, rows, k = logits.shape
+    buffer = np.empty((draws, rows, k))
+    peak = np.empty((draws, 1, rows))
+
+    def fill(features, weights_t, biases, probs):
+        probs[...] = logits.transpose(0, 2, 1)
+
+    with mock.patch.object(inference, "_logits", fill):
+        failing = inference._softmax_block(None, None, None, buffer.transpose(0, 2, 1), peak)
+    expected, expected_failing = softmax_by_folds(logits)
+    if expected is None:
+        assert_same_bits(failing, expected_failing)
+    else:
+        assert failing is None
+        assert_same_bits(buffer, expected)

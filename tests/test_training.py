@@ -531,9 +531,13 @@ class TestTrainConfig:
         (lambda: TrainConfig(seed=-1), "seed must be nonnegative"),
         (lambda: LayerInitConfig(mu_init_scale=-0.1), "mu_init_scale must be nonnegative"),
         (lambda: LayerInitConfig(seed=-1), "seed must be nonnegative"),
+        (lambda: LayerInitConfig(rho_init=float("inf")), "rho_init must be finite, got inf"),
+        (lambda: LayerInitConfig(rho_init=float("-inf")), "rho_init must be finite, got -inf"),
+        (lambda: LayerInitConfig(rho_init=float("nan")), "rho_init must be finite, got nan"),
         (lambda: adam_step(*[np.zeros(3)] * 4, 0, TrainConfig()),
          "step_index must be at least 1"),
-    ], ids=["adam_epsilon", "train_seed", "mu_init_scale", "init_seed", "adam_step_index"])
+    ], ids=["adam_epsilon", "train_seed", "mu_init_scale", "init_seed", "rho_init_inf",
+            "rho_init_minus_inf", "rho_init_nan", "adam_step_index"])
     def test_rejected_with_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()
