@@ -23,7 +23,7 @@ cfg = SyntheticConfig(num_classes=4, feature_dim=10,
 ds = generate_synthetic(cfg, seed=1)
 train_ds, val_ds, test_ds = stratified_split(ds, SplitRatios(0.7, 0.15, 0.15), seed=1)
 
-init = LayerInitConfig(mu_init_scale=0.1, rho_init=-5.0, prior_scale=1.0, seed=1)
+init = LayerInitConfig(rho_init=-5.0, prior_scale=1.0, seed=1)
 tc = TrainConfig(epochs=20, batch_size=64, learning_rate=1e-2, seed=1)
 
 layer, trace = train(train_ds, val_ds, init, tc)

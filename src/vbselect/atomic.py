@@ -26,7 +26,9 @@ def atomic_write(path):
 
     Writes go to a temporary file in the same directory, so the final
     os.replace is an atomic rename. If the block raises, the temporary file
-    is removed and whatever `path` held before stays untouched. A writer of
+    is removed and whatever `path` held before stays untouched. An OSError
+    about the temporary file (no such directory, `path` is a directory)
+    names `path` instead, the name its caller knows. A writer of
     fixed-size binary records may instead ``os.pwrite`` them at their
     offsets through ``handle.fileno()``, from any thread, as long as it
     writes nothing through the handle itself.
@@ -37,9 +39,11 @@ def atomic_write(path):
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

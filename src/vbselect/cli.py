@@ -407,12 +407,6 @@ _COMMANDS = {
                               help="minibatch size")),
         ("--lr", dict(dest="learning_rate", type=float, default=TrainConfig.learning_rate,
                       help="Adam learning rate")),
-        ("--adam-beta1", dict(type=float, default=TrainConfig.adam_beta1, help="Adam beta1")),
-        ("--adam-beta2", dict(type=float, default=TrainConfig.adam_beta2, help="Adam beta2")),
-        ("--adam-eps", dict(dest="adam_epsilon", type=float,
-                            default=TrainConfig.adam_epsilon, help="Adam epsilon")),
-        ("--mu-init-scale", dict(type=float, default=LayerInitConfig.mu_init_scale,
-                                 help="uniform init range for posterior means")),
         ("--rho-init", dict(type=float, default=LayerInitConfig.rho_init,
                             help="initial rho (sigma = softplus(rho))")),
         ("--prior-scale", dict(type=float, default=LayerInitConfig.prior_scale,

@@ -22,7 +22,10 @@ chain is one run over each half. The K * (D + 1)-sized arrays a step needs
 a `_StepBuffers` that `train` allocates once per call, and Adam updates the
 parameters and its two moments in place in the operation order of the
 textbook expression. Every result is bit for bit
-that of the allocating, block-by-block form.
+that of the allocating, block-by-block form. Adam's decay rates and epsilon
+are the module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON (0.9,
+0.999 and 1e-8); TrainConfig sets only its learning rate. `train` starts
+the posterior means uniform in init_layer's default range of +-0.1.
 
 `_elbo_core` takes a step's Flipout noise already drawn (`_draw_noise`).
 The noise depends only on its stream, never on the parameters, so `train`
@@ -66,9 +69,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 128
     learning_rate: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
     # Flipout samples per step, a class constant and not a field: each step
     # takes one. perfbench/tracer.py's FLOP counter reads it; ROADMAP item
@@ -80,31 +80,22 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        for name in ("adam_beta1", "adam_beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        # An infinite learning rate or epsilon makes every Adam update
-        # non-finite or exactly zero.
-        for name in ("learning_rate", "adam_epsilon"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
+        # An infinite learning rate makes every Adam update non-finite.
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
 class LayerInitConfig:
-    mu_init_scale: float = 0.1
     rho_init: float = -5.0
     prior_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        vbll.check_mu_init_scale(self.mu_init_scale)
         # The layer refuses a non-finite rho, but in its own terms; a finite
         # rho whose sigma overflows a draw fails at the first step (exit 3).
         if not math.isfinite(self.rho_init):
@@ -319,6 +310,12 @@ def elbo_gradients(layer, batch, labels, n_train, rng) -> Gradients:
     return Gradients(*_blocks(grads, layer.num_classes, layer.feature_dim))
 
 
+# Adam's decay rates and epsilon: the defaults of Kingma & Ba (2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 def adam_step(
     params: np.ndarray,
     grads: np.ndarray,
@@ -333,7 +330,9 @@ def adam_step(
     `scratch`, a float64 array of shape (2, params.size), holds the update's
     intermediates; without it two such rows are allocated. The arithmetic is
     that of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g**2,
-    params -= lr * m_hat / (sqrt(v_hat) + eps), operation for operation.
+    params -= lr * m_hat / (sqrt(v_hat) + eps), operation for operation,
+    with b1, b2 and eps the module's ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON
+    and lr config.learning_rate.
     """
     if step_index < 1:
         raise ValueError("step_index must be at least 1")
@@ -342,8 +341,7 @@ def adam_step(
     if scratch is None:
         scratch = np.empty((2, params.size))
     a, c = scratch
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    lr, eps = config.learning_rate, config.adam_epsilon
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, config.learning_rate
     m *= b1
     m += np.multiply(grads, 1.0 - b1, out=a)
     v *= b2

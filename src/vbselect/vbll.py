@@ -187,15 +187,6 @@ class WeightSample:
     biases: np.ndarray
 
 
-def check_mu_init_scale(mu_init_scale: float) -> None:
-    """The one rule on the init range [-mu_init_scale, mu_init_scale]."""
-    if mu_init_scale < 0:
-        raise ValueError("mu_init_scale must be nonnegative")
-    # rng.uniform needs the range's width 2 x mu_init_scale to be finite.
-    if not math.isfinite(2.0 * mu_init_scale):
-        raise ValueError(f"mu_init_scale must have a finite double, got {mu_init_scale}")
-
-
 def init_layer(
     feature_dim: int,
     num_classes: int,
@@ -213,7 +204,11 @@ def init_layer(
         raise ValueError("feature_dim and num_classes must be at least 1")
     rng = np.random.default_rng(seed)
     a = float(mu_init_scale)
-    check_mu_init_scale(a)
+    if a < 0:
+        raise ValueError("mu_init_scale must be nonnegative")
+    # rng.uniform needs the range's width 2 x mu_init_scale to be finite.
+    if not math.isfinite(2.0 * a):
+        raise ValueError(f"mu_init_scale must have a finite double, got {a}")
     return VBLinearLayer(
         weight_mu=rng.uniform(-a, a, (num_classes, feature_dim)),
         weight_rho=np.full((num_classes, feature_dim), float(rho_init)),

@@ -120,13 +120,13 @@ def _on_other_kernel(listing):
 
 class TestCompareListings:
     def test_committed_listing_shape(self):
-        # 83 digests, then 21 error lines, each path listed once.
+        # 83 digests, then 23 error lines, each path listed once.
         head, *lines = _committed()
         assert head.startswith("# numpy ")
         digests = [line for line in lines if _is_digest(line)]
         assert len(digests) == 83 and lines[:83] == digests
         assert len({line[66:] for line in digests}) == 83
-        assert len(lines) == 83 + 21
+        assert len(lines) == 83 + 23
         assert sum(map(_portable, digests)) == 45
 
     @pytest.mark.parametrize("pick", [
@@ -159,7 +159,7 @@ class TestCompareListings:
         )
         differences, note = compare_listings(committed, current)
         assert differences == []
-        assert note.endswith("compared the 66 kernel-portable lines, skipped 38")
+        assert note.endswith("compared the 68 kernel-portable lines, skipped 38")
 
     def test_thread_count_alone_keeps_the_full_comparison(self):
         committed = _committed()

@@ -1781,17 +1781,11 @@ class TestValuesBeyondTheirRange:
         ("gen", ["--classes", str(BEYOND_INT64)],
          f"num_classes {BEYOND_INT64} exceeds the largest list length, {sys.maxsize}"),
         ("balance", ["--target", str(BEYOND_INT64)], "target_counts must fit in int64"),
-        ("train", ["--mu-init-scale", "nan"],
-         "mu_init_scale must have a finite double, got nan"),
-        ("train", ["--mu-init-scale", "inf"],
-         "mu_init_scale must have a finite double, got inf"),
         ("train", ["--lr", "inf"], "learning_rate must be finite, got inf"),
-        ("train", ["--adam-eps", "inf"], "adam_epsilon must be finite, got inf"),
         ("train", ["--rho-init", "inf"], "rho_init must be finite, got inf"),
         ("train", ["--rho-init", "nan"], "rho_init must be finite, got nan"),
     ], ids=["gen_classes", "balance_target",
-            "train_mu_init_scale_nan", "train_mu_init_scale_inf",
-            "train_lr_inf", "train_adam_eps_inf", "train_rho_init_inf", "train_rho_init_nan"])
+            "train_lr_inf", "train_rho_init_inf", "train_rho_init_nan"])
     def test_one_error_line_and_no_output(
         self, capsys, pipeline, tmp_path, command, flags, message
     ):
@@ -1801,6 +1795,72 @@ class TestValuesBeyondTheirRange:
         assert_single_line_error(code, err, 1)
         assert err == f"error: {message}\n"
         assert os.listdir(out) == []
+
+
+class TestRemovedTrainOptions:
+    """Adam's decay rates and epsilon and the init range are constants now:
+    an old command line or options file that sets one fails, never silently."""
+
+    @pytest.mark.parametrize("flag,value,from_file", [
+        ("--adam-beta1", "0.5", False), ("--adam-beta2", "0.5", False),
+        ("--adam-eps", "1e-7", False), ("--mu-init-scale", "0.5", False),
+        ("--adam-eps", "1e-7", True),
+    ], ids=["adam_beta1", "adam_beta2", "adam_eps", "mu_init_scale", "adam_eps_options_file"])
+    def test_one_error_line_and_no_output(
+        self, capsys, pipeline, tmp_path, flag, value, from_file
+    ):
+        out = os.path.join(tmp_path, "out")
+        os.mkdir(out)
+        extra = [flag, value]
+        if from_file:
+            options = os.path.join(tmp_path, "old_options.txt")
+            write_options_file(options, extra)
+            extra = ["@" + options]
+        code, _, err = run_cli(capsys, [
+            "train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+            "--val", pipeline["val"], "--epochs", "1", *extra,
+            "--model-out", os.path.join(out, "model.json"),
+            "--trace-out", os.path.join(out, "trace.csv"),
+        ])
+        assert_single_line_error(code, err, 1)
+        assert err == f"error: unrecognized arguments: {flag} {value}\n"
+        assert os.listdir(out) == []
+
+
+class TestWriteErrorsNameThePath:
+    """An output path in a missing directory, or one where a directory
+    stands, fails with exit 2 and one line naming that path, not the
+    temporary file it was written through, and leaves no temporary file."""
+
+    @staticmethod
+    def argv(command, pipeline, target, out):
+        return {
+            "gen": ["gen", "--per-class", "10", "--out", target],
+            "sweep": ["sweep", "--model", pipeline["model"], "--data", pipeline["val"],
+                      "--mc-samples", "4", "--out", target],
+            "train": ["train", "--train", os.path.join(pipeline["splits"], "train.csv"),
+                      "--val", pipeline["val"], "--epochs", "1",
+                      "--trace-out", os.path.join(out, "trace.csv"), "--model-out", target],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["gen", "sweep", "train"])
+    @pytest.mark.parametrize("case", ["missing_directory", "is_a_directory"])
+    def test_one_line_naming_the_path(self, capsys, pipeline, tmp_path, command, case):
+        out = os.path.join(tmp_path, "out")
+        os.mkdir(out)
+        if case == "missing_directory":
+            target = os.path.join(out, "missing", "file")
+            message = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {target!r}"
+        else:
+            target = os.path.join(out, "adir")
+            os.mkdir(target)
+            message = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {target!r}"
+        code, _, err = run_cli(capsys, self.argv(command, pipeline, target, out))
+        assert_single_line_error(code, err, 2)
+        assert err == f"error: {message}\n"
+        left = [os.path.join(root, name) for root, _, names in os.walk(tmp_path)
+                for name in names]
+        assert not [path for path in left if path.endswith(".tmp")]
 
 
 class TestGradcheck:
@@ -1852,9 +1912,8 @@ class TestDeclaredOptions:
         }),
         "train": (["--train", "T", "--val", "V", "--model-out", "M", "--trace-out", "R"], {
             "train": "T", "val": "V", "epochs": 30, "batch_size": 128,
-            "learning_rate": 0.01, "adam_beta1": 0.9, "adam_beta2": 0.999,
-            "adam_epsilon": 1e-08, "mu_init_scale": 0.1, "rho_init": -5.0,
-            "prior_scale": 1.0, "seed": 0, "model_out": "M", "trace_out": "R",
+            "learning_rate": 0.01, "rho_init": -5.0, "prior_scale": 1.0, "seed": 0,
+            "model_out": "M", "trace_out": "R",
         }),
         "eval": (["--model", "M", "--data", "D", "--out", "O"], {
             "model": "M", "data": "D", "threshold": 0.7, "measure": "confidence",

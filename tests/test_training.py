@@ -117,8 +117,8 @@ def _unfused_elbo_core(layer, batch, labels, n_train, rng):
 
 def _unfused_adam_step(params, grads, m, v, step_index, config):
     """Adam as one allocating expression per line, kept as a bit-exact oracle."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    lr, eps = config.learning_rate, config.adam_epsilon
+    b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPSILON
+    lr = config.learning_rate
     m *= b1
     m += (1.0 - b1) * grads
     v *= b2
@@ -401,17 +401,12 @@ class TestFusedStepBitExact:
     @given(
         n=st.integers(1, 40),
         step=st.integers(1, 5000),
-        beta1=st.floats(0.0, 0.999),
-        beta2=st.floats(0.0, 0.9999),
         lr=st.floats(1e-5, 1.0),
-        eps=st.floats(1e-12, 1e-2),
         seed=st.integers(0, 2**32 - 1),
         with_scratch=st.booleans(),
     )
-    def test_adam_matches_unfused(self, n, step, beta1, beta2, lr, eps, seed, with_scratch):
-        config = TrainConfig(
-            learning_rate=lr, adam_beta1=beta1, adam_beta2=beta2, adam_epsilon=eps
-        )
+    def test_adam_matches_unfused(self, n, step, lr, seed, with_scratch):
+        config = TrainConfig(learning_rate=lr)
         rng = np.random.default_rng(seed)
         params, grads = rng.standard_normal(n), rng.standard_normal(n)
         m, v = 0.1 * rng.standard_normal(n), rng.random(n)
@@ -511,14 +506,24 @@ class TestTrainConfig:
         assert config.batch_size == 128
         assert config.learning_rate == pytest.approx(0.01)
         assert config.train_mc_samples == 1
+        assert (training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPSILON) == (
+            0.9, 0.999, 1e-8
+        )
+
+    def test_config_fields(self):
+        # Adam's decay rates and epsilon and the init range are not options.
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "epochs", "batch_size", "learning_rate", "seed"
+        ]
+        assert [f.name for f in dataclasses.fields(LayerInitConfig)] == [
+            "rho_init", "prior_scale", "seed"
+        ]
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(adam_beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
@@ -527,16 +532,15 @@ class TestTrainConfig:
             LayerInitConfig(prior_scale=0.0)
 
     @pytest.mark.parametrize("call,message", [
-        (lambda: TrainConfig(adam_epsilon=0.0), "adam_epsilon must be positive"),
+        (lambda: TrainConfig(learning_rate=0.0), "learning_rate must be positive"),
         (lambda: TrainConfig(seed=-1), "seed must be nonnegative"),
-        (lambda: LayerInitConfig(mu_init_scale=-0.1), "mu_init_scale must be nonnegative"),
         (lambda: LayerInitConfig(seed=-1), "seed must be nonnegative"),
         (lambda: LayerInitConfig(rho_init=float("inf")), "rho_init must be finite, got inf"),
         (lambda: LayerInitConfig(rho_init=float("-inf")), "rho_init must be finite, got -inf"),
         (lambda: LayerInitConfig(rho_init=float("nan")), "rho_init must be finite, got nan"),
         (lambda: adam_step(*[np.zeros(3)] * 4, 0, TrainConfig()),
          "step_index must be at least 1"),
-    ], ids=["adam_epsilon", "train_seed", "mu_init_scale", "init_seed", "rho_init_inf",
+    ], ids=["learning_rate", "train_seed", "init_seed", "rho_init_inf",
             "rho_init_minus_inf", "rho_init_nan", "adam_step_index"])
     def test_rejected_with_message(self, call, message):
         with pytest.raises(ValueError) as info:
@@ -624,7 +628,7 @@ class TestTrain:
         ds = FeatureDataset(features, labels, 2)
         config = TrainConfig(epochs=3, batch_size=4, seed=0)
         with pytest.raises(NonFiniteError):
-            train(ds, ds, LayerInitConfig(mu_init_scale=2.0, seed=1), config)
+            train(ds, ds, LayerInitConfig(seed=1), config)
 
     def test_huge_prior_reduces_to_plain_logistic_regression(self):
         """With the KL neutralized, the trained head matches a deterministic
@@ -632,7 +636,7 @@ class TestTrain:
         train_ds, val_ds = small_separable_splits(17)
         epochs, batch_size, lr, seed = 12, 16, 0.05, 23
         config = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=lr, seed=seed)
-        init = LayerInitConfig(mu_init_scale=0.1, rho_init=-40.0, prior_scale=1e6, seed=31)
+        init = LayerInitConfig(rho_init=-40.0, prior_scale=1e6, seed=31)
         layer, _ = train(train_ds, val_ds, init, config)
 
         # reference: plain softmax regression, same init draws, same shuffles
@@ -682,7 +686,6 @@ def _reference_train(train_ds, val_ds, init_config, config):
     layer = init_layer(
         feature_dim=train_ds.feature_dim,
         num_classes=train_ds.num_classes,
-        mu_init_scale=init_config.mu_init_scale,
         rho_init=init_config.rho_init,
         prior_scale=init_config.prior_scale,
         seed=init_config.seed,
@@ -691,8 +694,8 @@ def _reference_train(train_ds, val_ds, init_config, config):
     params = {name: getattr(layer, name) for name in names}
     m = {name: np.zeros_like(p) for name, p in params.items()}
     v = {name: np.zeros_like(p) for name, p in params.items()}
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    lr, eps = config.learning_rate, config.adam_epsilon
+    b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPSILON
+    lr = config.learning_rate
     prior_scale = init_config.prior_scale
     n_train = train_ds.n_samples
     val_rows = np.arange(val_ds.n_samples)

@@ -224,6 +224,13 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         return ["sweep", "--model", model, "--data", test, "--grid", grid,
                 "--out", os.path.join(errors, "sweep.csv")]
 
+    # An output path in a missing directory, and one where a directory stands.
+    a_directory = os.path.join(errors, "a_directory")
+    os.makedirs(a_directory)
+
+    def gen(path):
+        return ["gen", "--per-class", "10", "--out", path]
+
     def evaluate(model_path, data, *flags):
         return ["eval", "--model", model_path, "--data", data, *flags,
                 "--out", os.path.join(errors, "eval")]
@@ -255,6 +262,8 @@ def _error_cases(out: str) -> list[tuple[str, list[str]]]:
         ("csv_bad_directive", evaluate(model, os.path.join(errors, "bad_directive.csv"))),
         ("csv_bad_row", evaluate(model, os.path.join(errors, "bad_row.csv"))),
         ("csv_non_finite_feature", evaluate(model, os.path.join(errors, "non_finite.csv"))),
+        ("out_in_missing_directory", gen(os.path.join(errors, "missing", "data.csv"))),
+        ("out_is_a_directory", gen(a_directory)),
     ]
 
 
